@@ -6,7 +6,6 @@ active-safety actions (adaptive cruise control or lane-departure/steering
 assist), and replays desk-scale two-vehicle scenarios deterministically.
 """
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .estimation import (
     ObservationMatrix,
     TrajectoryRecord,
@@ -20,7 +19,6 @@ from .estimation import (
     load_model,
     model_from_dict,
     model_to_dict,
-    save_model,
 )
 from .markov import (
     PassageMatrix,
@@ -53,7 +51,6 @@ from .prediction import (
 )
 from .sensing import (
     SPEED_OF_LIGHT,
-    LidarReading,
     hypotenuse_from_tof,
     longitudinal_distance,
     probable_crash_time,

@@ -41,7 +41,6 @@ __all__ = [
     "model_to_dict",
     "model_from_dict",
     "load_model",
-    "save_model",
 ]
 
 N_LANES = 6
@@ -193,20 +192,20 @@ def _counts_to_chain(counts: np.ndarray) -> tuple[StochasticMatrix, tuple[int, .
     return validate_stochastic(entries), tuple(unobserved)
 
 
-def estimate_lane_transitions(lanes, n_lanes: int = N_LANES) -> StochasticMatrix:
+def estimate_lane_transitions(lanes) -> StochasticMatrix:
     """Transition-frequency lane chain from an ordered lane sequence."""
-    chain, _ = _estimate_lane(lanes, n_lanes)
+    chain, _ = _estimate_lane(lanes)
     return chain
 
 
-def _estimate_lane(lanes, n_lanes: int = N_LANES):
+def _estimate_lane(lanes):
     lanes = list(lanes)
     if len(lanes) < 2:
         raise TooShort(f"need at least 2 samples, got {len(lanes)}")
     for lane in lanes:
-        if not 1 <= lane <= n_lanes:
-            raise LaneOutOfRange(f"lane {lane} outside 1..{n_lanes}")
-    return _counts_to_chain(_transition_counts([l - 1 for l in lanes], n_lanes))
+        if not 1 <= lane <= N_LANES:
+            raise LaneOutOfRange(f"lane {lane} outside 1..{N_LANES}")
+    return _counts_to_chain(_transition_counts([l - 1 for l in lanes], N_LANES))
 
 
 def estimate_speed_transitions(speeds) -> StochasticMatrix:
@@ -321,12 +320,6 @@ def model_from_dict(data: dict) -> VehicleModel:
         speed_unobserved=speeds,
         frame_interval=float(data.get("frame_interval_s", DEFAULT_FRAME_INTERVAL)),
     )
-
-
-def save_model(model: VehicleModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model_to_dict(model), handle, sort_keys=True, indent=2)
-        handle.write("\n")
 
 
 def load_model(path) -> VehicleModel:

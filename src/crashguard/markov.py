@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
 from .errors import (
     DimensionMismatch,
     IllConditioned,
@@ -44,6 +43,10 @@ __all__ = [
     "propagate",
 ]
 
+ROW_SUM_TOLERANCE = 1e-9  # |row sum - 1| accepted before renormalizing
+DISTRIBUTION_TOLERANCE = 1e-9  # |vector sum - 1| accepted for probability vectors
+INTEGRAL_TIME_TOLERANCE = 1e-9  # |t - round(t)| treated as an integer exponent
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
@@ -52,48 +55,32 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class StochasticMatrix:
+class _FrozenArray:
+    """A float array copied on construction and made read-only."""
+
+    entries: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", _frozen(self.entries))
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
+
+
+class StochasticMatrix(_FrozenArray):
     """n x n row-stochastic matrix; every row sums to exactly 1."""
 
-    entries: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen(self.entries))
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class ProbabilityVector:
+class ProbabilityVector(_FrozenArray):
     """Length-n nonnegative vector summing to exactly 1."""
 
-    entries: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen(self.entries))
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class PassageMatrix:
+class PassageMatrix(_FrozenArray):
     """Mean first passage times in chain steps; the diagonal is exactly 0."""
 
-    entries: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen(self.entries))
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-def validate_stochastic(raw, tolerance: float = DEFAULT_TOLERANCES.row_sum) -> StochasticMatrix:
+def validate_stochastic(raw, tolerance: float = ROW_SUM_TOLERANCE) -> StochasticMatrix:
     """Check a raw matrix and return it with rows renormalized to sum exactly 1.
 
     Raises
@@ -120,18 +107,18 @@ def validate_stochastic(raw, tolerance: float = DEFAULT_TOLERANCES.row_sum) -> S
     return StochasticMatrix(a / sums[:, None])
 
 
-def probability_vector(raw, tolerance: float = DEFAULT_TOLERANCES.distribution) -> ProbabilityVector:
+def probability_vector(raw) -> ProbabilityVector:
     """Validate a raw vector and renormalize it to sum exactly 1."""
     v = np.asarray(raw, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise DimensionMismatch(f"expected a 1-d vector, got shape {v.shape}")
-    neg = np.argwhere(v < -tolerance)
+    neg = np.argwhere(v < -DISTRIBUTION_TOLERANCE)
     if neg.size:
         i = int(neg[0][0])
         raise NegativeEntry(i, 0, float(v[i]))
     v = np.clip(v, 0.0, None)
     total = v.sum()
-    if abs(total - 1.0) > tolerance:
+    if abs(total - 1.0) > DISTRIBUTION_TOLERANCE:
         raise RowSumOutOfTolerance(0, float(total))
     return ProbabilityVector(v / total)
 
@@ -145,19 +132,16 @@ def unit_vector(n: int, state: int) -> ProbabilityVector:
     return ProbabilityVector(v)
 
 
-def is_regular(P: StochasticMatrix, max_power: int | None = None) -> bool:
-    """True iff some power P^k, k <= max_power, has all entries > 0.
+def is_regular(P: StochasticMatrix) -> bool:
+    """True iff some power P^k, k <= n**2, has all entries > 0.
 
     Positivity patterns are tracked with boolean reachability products,
-    which are exact for nonnegative matrices.  ``max_power`` defaults to
-    n**2, enough to establish primitivity for the small chains used here.
+    which are exact for nonnegative matrices.  n**2 steps are enough to
+    establish primitivity for the small chains used here.
     """
-    n = P.n
-    if max_power is None:
-        max_power = n * n
     base = (P.entries > 0.0).astype(np.uint8)
     acc = base.copy()
-    for _ in range(max_power):
+    for _ in range(P.n * P.n):
         if acc.all():
             return True
         acc = ((acc @ base) > 0).astype(np.uint8)
@@ -165,13 +149,10 @@ def is_regular(P: StochasticMatrix, max_power: int | None = None) -> bool:
 
 
 def matrix_power(P: StochasticMatrix, k: int) -> StochasticMatrix:
-    """P^k by repeated multiplication; the result is row-stochastic."""
+    """P^k by binary powering (repeated squaring); the result is row-stochastic."""
     if k < 0 or k != int(k):
         raise ValueError(f"power must be a nonnegative integer, got {k!r}")
-    result = np.eye(P.n)
-    for _ in range(int(k)):
-        result = result @ P.entries
-    return validate_stochastic(result)
+    return validate_stochastic(np.linalg.matrix_power(P.entries, int(k)))
 
 
 def _eig_power(P: StochasticMatrix, t: float) -> StochasticMatrix:
@@ -198,11 +179,7 @@ def _eig_power(P: StochasticMatrix, t: float) -> StochasticMatrix:
     return StochasticMatrix(real / totals[:, None])
 
 
-def matrix_power_real(
-    P: StochasticMatrix,
-    t: float,
-    tolerance: float = DEFAULT_TOLERANCES.integral_time,
-) -> StochasticMatrix:
+def matrix_power_real(P: StochasticMatrix, t: float) -> StochasticMatrix:
     """P^t for real t >= 0; equals matrix_power(P, t) when t is integral.
 
     Raises IllConditioned when the eigendecomposition fails; callers fall
@@ -211,7 +188,7 @@ def matrix_power_real(
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
     nearest = round(t)
-    if abs(t - nearest) <= tolerance:
+    if abs(t - nearest) <= INTEGRAL_TIME_TOLERANCE:
         return matrix_power(P, nearest)
     return _eig_power(P, t)
 

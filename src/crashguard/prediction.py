@@ -27,6 +27,7 @@ from .markov import (
     stationary_distribution,
     unit_vector,
 )
+from .sensing import probable_crash_time
 
 __all__ = [
     "SafetyAction",
@@ -143,10 +144,7 @@ def flow1_probable_time(encounter: EncounterInput) -> Flow1Result:
     """
     front = encounter.model(encounter.front_car)
     trail = encounter.model(encounter.trailing_car)
-    closing = trail.current_speed - front.current_speed
-    if closing <= 0.0:
-        raise NonClosingSpeeds(f"relative speed {closing!r} is not positive")
-    t = encounter.gap_d / closing
+    t = probable_crash_time(encounter.gap_d, front.current_speed, trail.current_speed)
     threshold = encounter.thresholds.speed_stability
     stable = (
         speed_change_probability(encounter.car1) < threshold

@@ -8,33 +8,17 @@ closing time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import GeometryViolation, NonClosingSpeeds, NonPositiveTime
 
 __all__ = [
     "SPEED_OF_LIGHT",
-    "LidarReading",
     "hypotenuse_from_tof",
     "longitudinal_distance",
     "probable_crash_time",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
-
-
-@dataclass(frozen=True)
-class LidarReading:
-    """One pulse measurement: round-trip time and the lateral centerline offset."""
-
-    ltime: float  # s
-    lateral_offset: float  # m
-
-    def __post_init__(self):
-        if self.ltime <= 0.0:
-            raise NonPositiveTime(f"round-trip time must be positive, got {self.ltime!r}")
-        if self.lateral_offset < 0.0:
-            raise GeometryViolation(f"lateral offset must be nonnegative, got {self.lateral_offset!r}")
 
 
 def hypotenuse_from_tof(ltime: float) -> float:

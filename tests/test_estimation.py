@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from crashguard import estimation
+from crashguard import cli, estimation
 from crashguard.errors import (
     DuplicateFrame,
     LaneOutOfRange,
@@ -248,7 +248,7 @@ def test_model_round_trip(tmp_path):
         records_from([(1, 5.0), (2, 15.0), (2, 25.0), (1, 5.0)]), frame_interval=0.5
     )
     path = tmp_path / "model.json"
-    estimation.save_model(model, path)
+    path.write_text(cli.dumps_stable(estimation.model_to_dict(model)), encoding="utf-8")
     loaded = estimation.load_model(path)
     assert np.allclose(loaded.lane_chain.entries, model.lane_chain.entries)
     assert np.allclose(loaded.speed_chain.entries, model.speed_chain.entries)

@@ -71,7 +71,7 @@ def test_entries_are_immutable():
 
 def test_periodic_chain_is_not_regular():
     P = markov.validate_stochastic(PERIODIC)
-    assert not markov.is_regular(P, max_power=16)
+    assert not markov.is_regular(P)
 
 
 def test_positive_chain_regular_immediately():
@@ -110,6 +110,17 @@ def test_powers_stay_row_stochastic():
             Pk = markov.matrix_power(P, k)
             assert np.all(Pk.entries >= 0)
             assert np.all(np.abs(Pk.entries.sum(axis=1) - 1.0) <= 1e-9)
+
+
+def test_huge_exponent_power_and_fallback_are_exact():
+    # The eig path drifts on the 3-cycle at t ~ 1e13, so propagate falls
+    # back to the integer power 1e13 + 1, which must finish and stay exact.
+    cycle = markov.validate_stochastic([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    k = 10**13 + 1  # k = 2 (mod 3)
+    assert np.array_equal(markov.matrix_power(cycle, k).entries, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    with pytest.warns(RuntimeWarning, match="approximate"):
+        out = markov.propagate(markov.unit_vector(3, 0), cycle, 1e13 + 0.5)
+    assert np.array_equal(out.entries, [0.0, 0.0, 1.0])
 
 
 # --- real powers ---

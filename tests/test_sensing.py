@@ -72,10 +72,3 @@ def test_crash_time_scaling_property():
         assert sensing.probable_crash_time(3.0 * d, v1, v1 + dv) == pytest.approx(3.0 * t, rel=1e-12)
         assert sensing.probable_crash_time(d, v1, v1 + 2.0 * dv) == pytest.approx(t / 2.0, rel=1e-12)
 
-
-def test_lidar_reading_validation():
-    sensing.LidarReading(1e-7, 3.7)
-    with pytest.raises(NonPositiveTime):
-        sensing.LidarReading(0.0, 3.7)
-    with pytest.raises(GeometryViolation):
-        sensing.LidarReading(1e-7, -1.0)
