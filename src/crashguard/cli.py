@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -120,8 +121,8 @@ def cmd_assess(args) -> int:
         if args.t_override is not None:
             # forced horizon: flows 2-3 run at the given t, flow 1 is skipped
             t = args.t_override
-            if t < 0:
-                return _fail(f"--t-override must be nonnegative, got {t}")
+            if not (math.isfinite(t) and t >= 0):
+                return _fail(f"--t-override must be finite and nonnegative, got {t}")
             pc = flow2_crash_probabilities(car1, car2, t)
             actions = flow3_select_actions(encounter, pc, t)
             assessment = CrashAssessment(t=t, speed_stable=None, pc=pc, actions=actions)
@@ -145,8 +146,8 @@ def cmd_simulate(args) -> int:
     except (CrashguardError, OSError) as exc:
         return _fail(str(exc))
     if args.time_step is not None:
-        if args.time_step <= 0:
-            return _fail(f"--time-step must be positive, got {args.time_step}")
+        if not (math.isfinite(args.time_step) and args.time_step > 0):
+            return _fail(f"--time-step must be finite and positive, got {args.time_step}")
         config = dataclasses.replace(config, time_step=args.time_step)
     if args.force_same_lane:
         config = simulator.force_same_lane(config)

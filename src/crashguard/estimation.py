@@ -19,6 +19,7 @@ from .errors import (
     DuplicateFrame,
     LaneOutOfRange,
     ParseError,
+    SchemaError,
     SpeedOutOfRange,
     TooShort,
 )
@@ -99,6 +100,10 @@ class VehicleModel:
     lane_unobserved: tuple[int, ...] = ()
     speed_unobserved: tuple[int, ...] = ()
     frame_interval: float = DEFAULT_FRAME_INTERVAL
+
+    def __post_init__(self):
+        if not (math.isfinite(self.frame_interval) and self.frame_interval > 0.0):
+            raise SchemaError("frame_interval", f"must be finite and positive, got {self.frame_interval!r}")
 
     def with_state(self, lane: int, speed: float, position: float) -> "VehicleModel":
         return replace(self, current_lane=lane, current_speed=speed, current_position=position)

@@ -13,6 +13,7 @@ owns that.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,8 +90,8 @@ class EncounterInput:
     thresholds: Thresholds = field(default_factory=Thresholds)
 
     def __post_init__(self):
-        if self.gap_d < 0.0:
-            raise ValueError(f"gap must be nonnegative, got {self.gap_d!r}")
+        if not (math.isfinite(self.gap_d) and self.gap_d >= 0.0):
+            raise ValueError(f"gap must be finite and nonnegative, got {self.gap_d!r}")
         if self.front_car not in CAR_LABELS:
             raise ValueError(f"front_car must be one of {CAR_LABELS}, got {self.front_car!r}")
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 from .errors import LeadBehindEgo, SchemaError
 from .estimation import SPEED_MAX, VehicleModel, model_from_dict
 from .prediction import (
+    CAR_LABELS,
     CrashAssessment,
     EncounterInput,
     SafetyAction,
@@ -52,8 +53,6 @@ __all__ = [
 ACC_GAP_GAIN = 0.23  # 1/s^2, on spacing error
 ACC_SPEED_GAIN = 0.74  # 1/s, on speed error
 
-CAR_LABELS = ("car1", "car2")
-
 
 @dataclass(frozen=True)
 class AccParams:
@@ -66,6 +65,10 @@ class AccParams:
     time_gap: float = 1.4  # s
     min_gap: float = 10.0  # m
     accel_limit: float = 3.0  # m/s^2, symmetric clip
+
+    def set_speed_for(self, speed: float) -> float:
+        """The set speed ACC holds for a car engaging at ``speed``."""
+        return self.set_speed if self.set_speed is not None else speed
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ class ScenarioConfig:
     acc_params: AccParams = field(default_factory=AccParams)
 
 
-@dataclass(frozen=True)
+@dataclass
 class CarState:
     lane: int
     speed: float
@@ -103,16 +106,16 @@ class TriggeredAction:
     target: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class SimState:
+    """The run state that ``step`` updates in place."""
+
     cars: tuple[CarState, CarState]
     clock: float = 0.0
-    acc_engaged: tuple[tuple[str, float], ...] = ()  # (car label, resolved set speed)
+    # car label -> resolved set speed, in engagement order
+    acc_set_speed: dict[str, float] = field(default_factory=dict)
     steering_on: bool = False
-    events: tuple[TriggeredAction, ...] = ()
-    last_assessment: CrashAssessment | None = None
-    last_front: str = "car1"
-    last_gap: float = 0.0
+    events: list[TriggeredAction] = field(default_factory=list)
 
 
 # --- scenario loading ---
@@ -183,9 +186,9 @@ def load_scenario(path) -> ScenarioConfig:
     if lateral_offset < 0.0:
         raise SchemaError("lateral_offset", "must be nonnegative")
     duration = _require(data, "duration", float, "")
-    time_step = data.get("time_step", 0.1)
-    if not isinstance(time_step, (int, float)) or isinstance(time_step, bool) or time_step <= 0.0:
-        raise SchemaError("time_step", "must be a positive number")
+    time_step = _require(data, "time_step", float, "") if "time_step" in data else 0.1
+    if time_step <= 0.0:
+        raise SchemaError("time_step", "must be positive")
     if duration < time_step:
         raise SchemaError("duration", f"must be at least one time step ({time_step})")
 
@@ -201,17 +204,17 @@ def load_scenario(path) -> ScenarioConfig:
     if not isinstance(acc_data, dict):
         raise SchemaError("acc_params", "expected an object")
     try:
-        acc_params = AccParams(**acc_data)
-    except TypeError as exc:
+        acc_params = AccParams(**{key: _require(acc_data, key, float, "acc_params") for key in acc_data})
+    except TypeError as exc:  # a key AccParams does not have
         raise SchemaError("acc_params", str(exc)) from exc
     if acc_params.accel_limit <= 0 or acc_params.time_gap <= 0 or acc_params.min_gap < 0:
         raise SchemaError("acc_params", "limits must be positive")
 
     return ScenarioConfig(
         cars=car_configs,
-        lateral_offset=float(lateral_offset),
-        duration=float(duration),
-        time_step=float(time_step),
+        lateral_offset=lateral_offset,
+        duration=duration,
+        time_step=time_step,
         thresholds=thresholds,
         acc_params=acc_params,
     )
@@ -226,50 +229,47 @@ def force_same_lane(config: ScenarioConfig) -> ScenarioConfig:
 
 # --- ACC policy ---
 
-def acc_command(ego: CarState, lead: CarState, params: AccParams, set_speed: float | None = None) -> float:
+def acc_command(
+    ego: CarState, lead: CarState | None, params: AccParams, set_speed: float | None = None
+) -> float:
     """Constant-time-gap spacing acceleration for the ego car.
 
-    Above the desired gap the ego tracks the set speed; below it a
-    proportional law on spacing and speed errors takes over, capped by
-    the set-speed term so the ego never accelerates past the set speed.
-    The command is clipped to the configured limits.
+    With nothing ahead (``lead`` None) or above the desired gap the ego
+    tracks the set speed; below it a proportional law on spacing and
+    speed errors takes over, capped by the set-speed term so the ego
+    never accelerates past the set speed.  The command is clipped to the
+    configured limits.
     """
-    gap = lead.position - ego.position
-    if gap <= 0.0:
-        raise LeadBehindEgo(f"lead is {gap!r} m ahead of ego")
     if set_speed is None:
-        set_speed = params.set_speed if params.set_speed is not None else ego.speed
-    desired_gap = params.min_gap + params.time_gap * ego.speed
-    to_set_speed = ACC_SPEED_GAIN * (set_speed - ego.speed)
-    if gap > desired_gap:
-        a = to_set_speed
-    else:
-        spacing = ACC_GAP_GAIN * (gap - desired_gap) + ACC_SPEED_GAIN * (lead.speed - ego.speed)
-        a = min(spacing, to_set_speed)
+        set_speed = params.set_speed_for(ego.speed)
+    a = ACC_SPEED_GAIN * (set_speed - ego.speed)
+    if lead is not None:
+        gap = lead.position - ego.position
+        if gap <= 0.0:
+            raise LeadBehindEgo(f"lead is {gap!r} m ahead of ego")
+        desired_gap = params.min_gap + params.time_gap * ego.speed
+        if gap <= desired_gap:
+            spacing = ACC_GAP_GAIN * (gap - desired_gap) + ACC_SPEED_GAIN * (lead.speed - ego.speed)
+            a = min(spacing, a)
     return float(max(-params.accel_limit, min(params.accel_limit, a)))
 
 
 # --- stepping ---
 
-def _integrate(car: CarState, accel: float, dt: float) -> CarState:
-    """Constant-acceleration kinematics with a stop at v = 0.
+def _integrate(car: CarState, accel: float, dt: float) -> None:
+    """Constant-acceleration kinematics with a stop at v = 0, in place.
 
     If braking would cross zero speed within the step, the position
     advances only until the stop instead of drifting backward.
     """
     v = car.speed
     if v + accel * dt >= 0.0:
-        new_pos = car.position + v * dt + 0.5 * accel * dt * dt
-        new_speed = v + accel * dt
+        car.position = car.position + v * dt + 0.5 * accel * dt * dt
+        car.speed = v + accel * dt
     else:
         t_stop = 0.0 if accel >= 0.0 else v / -accel
-        new_pos = car.position + v * t_stop + 0.5 * accel * t_stop * t_stop
-        new_speed = 0.0
-    return replace(car, speed=new_speed, position=new_pos)
-
-
-def _front_label(cars) -> str:
-    return "car1" if cars[0].position >= cars[1].position else "car2"
+        car.position = car.position + v * t_stop + 0.5 * accel * t_stop * t_stop
+        car.speed = 0.0
 
 
 def _lidar_gap(cars, lateral_offset: float) -> float:
@@ -285,70 +285,47 @@ def _lidar_gap(cars, lateral_offset: float) -> float:
     return longitudinal_distance(measured, lateral_offset)
 
 
-def step(state: SimState, config: ScenarioConfig, disable_actions: bool = False) -> SimState:
-    """One simulation tick: assess, latch actions, command ACC, integrate."""
-    cars = state.cars
-    front = _front_label(cars)
-    gap = _lidar_gap(cars, config.lateral_offset)
+def step(
+    state: SimState, config: ScenarioConfig, disable_actions: bool = False
+) -> tuple[int, float, CrashAssessment]:
+    """One simulation tick, in place: assess, latch actions, command ACC, integrate.
 
-    models = tuple(
+    Returns the leading car's index, the measured gap and the assessment,
+    all taken before the cars move.
+    """
+    cars = state.cars
+    front = 0 if cars[0].position >= cars[1].position else 1  # car1 leads a tie
+    gap = _lidar_gap(cars, config.lateral_offset)
+    car1, car2 = (
         cfg.model.with_state(car.lane, car.speed, car.position)
         for cfg, car in zip(config.cars, cars)
     )
-    assessment = assess(
-        EncounterInput(models[0], models[1], gap, front, config.thresholds)
-    )
+    assessment = assess(EncounterInput(car1, car2, gap, CAR_LABELS[front], config.thresholds))
 
-    acc_engaged = state.acc_engaged
-    steering_on = state.steering_on
-    events = state.events
     if not disable_actions:
-        engaged_labels = {label for label, _ in acc_engaged}
         for action in assessment.actions:
-            if action.action is SafetyAction.ACC_ON and action.target not in engaged_labels:
+            if action.action is SafetyAction.ACC_ON:
+                if action.target in state.acc_set_speed:
+                    continue
                 ego = cars[CAR_LABELS.index(action.target)]
-                resolved = (
-                    config.acc_params.set_speed
-                    if config.acc_params.set_speed is not None
-                    else ego.speed
-                )
-                acc_engaged = acc_engaged + ((action.target, resolved),)
-                engaged_labels.add(action.target)
-                events = events + (
-                    TriggeredAction(state.clock, action.lane, action.action, action.target),
-                )
-            elif action.action is SafetyAction.LANE_DEPARTURE_AND_STEERING and not steering_on:
-                steering_on = True  # signal only; lanes are never moved
-                events = events + (
-                    TriggeredAction(state.clock, action.lane, action.action, action.target),
-                )
+                state.acc_set_speed[action.target] = config.acc_params.set_speed_for(ego.speed)
+            else:  # lane departure and steering: a signal only, lanes never move
+                if state.steering_on:
+                    continue
+                state.steering_on = True
+            state.events.append(TriggeredAction(state.clock, action.lane, action.action, action.target))
 
-    engaged_speed = dict(acc_engaged)
-    new_cars = []
-    for label, car in zip(CAR_LABELS, cars):
-        accel = car.acceleration
-        if label in engaged_speed:
-            other = cars[1 - CAR_LABELS.index(label)]
-            if other.position > car.position:
-                accel = acc_command(car, other, config.acc_params, engaged_speed[label])
-            else:
-                # nothing ahead: plain set-speed tracking, same clip
-                limit = config.acc_params.accel_limit
-                accel = float(
-                    max(-limit, min(limit, ACC_SPEED_GAIN * (engaged_speed[label] - car.speed)))
-                )
-        new_cars.append(_integrate(car, accel, config.time_step))
-
-    return SimState(
-        cars=tuple(new_cars),
-        clock=state.clock + config.time_step,
-        acc_engaged=acc_engaged,
-        steering_on=steering_on,
-        events=events,
-        last_assessment=assessment,
-        last_front=front,
-        last_gap=gap,
-    )
+    # both commands read the cars before either one moves
+    accels = [car.acceleration for car in cars]
+    for index, label in enumerate(CAR_LABELS):
+        if label in state.acc_set_speed:
+            ego, other = cars[index], cars[1 - index]
+            lead = other if other.position > ego.position else None
+            accels[index] = acc_command(ego, lead, config.acc_params, state.acc_set_speed[label])
+    for car, accel in zip(cars, accels):
+        _integrate(car, accel, config.time_step)
+    state.clock = state.clock + config.time_step
+    return front, gap, assessment
 
 
 # --- full runs ---
@@ -373,45 +350,34 @@ def run(config: ScenarioConfig, disable_actions: bool = False) -> SimReport:
     step actionless; the next step resamples the state.
     """
     state = SimState(
-        cars=tuple(
-            CarState(c.lane, c.speed, c.position, c.acceleration) for c in config.cars
-        )
+        cars=tuple(CarState(c.lane, c.speed, c.position, c.acceleration) for c in config.cars)
     )
+    cars = state.cars
     n_steps = int(math.floor(config.duration / config.time_step + 1e-9))
 
-    def signed_gap(cars, front):
-        trail = "car2" if front == "car1" else "car1"
-        return (
-            cars[CAR_LABELS.index(front)].position
-            - cars[CAR_LABELS.index(trail)].position
-        )
-
-    timeline = []
-    min_gap = signed_gap(state.cars, _front_label(state.cars))
+    min_gap = abs(cars[0].position - cars[1].position)
     min_gap_time = 0.0
-    crash = False
     crash_time = None
     predicted_crash_time = None
+    timeline = []
 
     for _ in range(n_steps):
-        before_clock = state.clock
-        state = step(state, config, disable_actions=disable_actions)
-        entry = {"clock": before_clock, "gap": state.last_gap}
-        entry.update(assessment_to_dict(state.last_assessment))
-        timeline.append(entry)
-        if predicted_crash_time is None and state.last_assessment.t is not None:
-            predicted_crash_time = before_clock + state.last_assessment.t
+        clock = state.clock
+        front, gap, assessment = step(state, config, disable_actions=disable_actions)
+        timeline.append({"clock": clock, "gap": gap, **assessment_to_dict(assessment)})
+        if predicted_crash_time is None and assessment.t is not None:
+            predicted_crash_time = clock + assessment.t
 
-        gap_after = signed_gap(state.cars, state.last_front)
+        # signed: the car that led before the tick minus the other one
+        gap_after = cars[front].position - cars[1 - front].position
         if gap_after < min_gap:
             min_gap = gap_after
             min_gap_time = state.clock
-        same_lane = state.cars[0].lane == state.cars[1].lane
-        if same_lane and gap_after <= 0.0:
-            crash = True
+        if cars[0].lane == cars[1].lane and gap_after <= 0.0:
             crash_time = state.clock
             break
 
+    crash = crash_time is not None
     return SimReport(
         crash=crash,
         crash_time=crash_time,
@@ -419,7 +385,7 @@ def run(config: ScenarioConfig, disable_actions: bool = False) -> SimReport:
         min_gap_time=min_gap_time,
         predicted_crash_time=predicted_crash_time,
         closest_approach_time=crash_time if crash else min_gap_time,
-        triggered_actions=state.events,
+        triggered_actions=tuple(state.events),
         timeline=tuple(timeline),
     )
 

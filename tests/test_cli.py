@@ -1,5 +1,6 @@
 """CLI contract tests: subcommands, exit codes, and byte-stable output."""
 
+import hashlib
 import importlib.resources
 import json
 
@@ -68,6 +69,16 @@ def test_estimate_respects_frame_interval(tmp_path):
     assert data["frame_interval_s"] == 0.5
 
 
+@pytest.mark.parametrize("frame_interval", ["-1", "0", "nan", "inf"])
+def test_estimate_rejects_bad_frame_interval(tmp_path, capsys, frame_interval):
+    out_dir = tmp_path / "models"
+    code = cli.main(["estimate", "--csv", SAMPLE_CSV, "--out-dir", str(out_dir),
+                     "--frame-interval", frame_interval])
+    assert code == 2
+    assert "frame_interval" in capsys.readouterr().err
+    assert not list(out_dir.glob("*.json"))
+
+
 # --- assess ---
 
 def test_assess_non_closing_exits_0(tmp_path, capsys):
@@ -125,6 +136,19 @@ def test_assess_t_override_runs_flows_2_and_3(tmp_path, capsys):
     assert data["actions"]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--gap", "nan"],
+    ["--gap", "inf"],
+    ["--gap", "40", "--t-override", "nan"],
+    ["--gap", "40", "--t-override", "inf"],
+])
+def test_assess_rejects_non_finite_numbers(banded_models, capsys, flags):
+    m1, m2 = banded_models  # closing speeds: flow 1 would run on the gap
+    code = cli.main(["assess", "--model1", m1, "--model2", m2, "--front", "car1", *flags])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_assess_writes_out_file(tmp_path, banded_models):
     m1, m2 = banded_models
     out = tmp_path / "assessment.json"
@@ -173,6 +197,46 @@ def test_simulate_time_step_flag(tmp_path):
     assert code == 0
     data = json.loads(report.read_text())
     assert data["timeline"][1]["clock"] == pytest.approx(0.05)
+
+
+@pytest.mark.parametrize("edit,flags", [
+    ({"time_step": float("nan")}, []),
+    ({"acc_params": {"accel_limit": "3"}}, []),
+    ({"acc_params": {"time_gap": float("inf")}}, []),
+    ({"acc_params": {"set_speed": None}}, []),
+    ({}, ["--time-step", "nan"]),
+    ({}, ["--time-step", "inf"]),
+])
+def test_simulate_rejects_bad_numbers(tmp_path, capsys, edit, flags):
+    data = json.loads((DATA / "scenario1.json").read_text())
+    data.update(edit)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(data))  # NaN and Infinity are written bare
+    code = cli.main(["simulate", "--scenario", str(scenario), *flags])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# SHA-256 of each bundled scenario's report, as-is and forced into one lane
+# with actions off; a change to the simulator must leave every byte alone.
+GOLDEN_REPORTS = {
+    ("scenario1", False): "b11d62b6b4d22e7124c6d59f6b9d1b272d5c57b0bf182eacfe132b6b3ad03dd3",
+    ("scenario1", True): "806f323639e2157436ad90896795fcd2e8dec9d7e4c683ab57bba0a52afa4c07",
+    ("scenario2", False): "6f695910a2a32c66aea86c8a043621c9f28c7a3495248f936a57bc6ca03df3e2",
+    ("scenario2", True): "b4af1c5176ea73dd5207555a15058ffc1fc996f8c3a27a0131a661318466ee43",
+    ("scenario3", False): "e458ddc0d286e3bdaa145a31c012b03288fee8fff82c9bdf0e17957670870957",
+    ("scenario3", True): "70aac95735b29a54008f81d1f03a56a2979bbfb567d15f1fc8af5b7e1483af10",
+}
+
+
+@pytest.mark.parametrize("name,forced", sorted(GOLDEN_REPORTS))
+def test_simulate_reports_match_golden_digests(tmp_path, name, forced):
+    report = tmp_path / "report.json"
+    argv = ["simulate", "--scenario", str(DATA / f"{name}.json"), "--report-path", str(report)]
+    if forced:
+        argv += ["--disable-actions", "--force-same-lane"]
+    cli.main(argv)
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_REPORTS[name, forced]
 
 
 # --- determinism ---

@@ -11,6 +11,7 @@ from crashguard.errors import (
     DuplicateFrame,
     LaneOutOfRange,
     ParseError,
+    SchemaError,
     SpeedOutOfRange,
     TooShort,
 )
@@ -239,6 +240,17 @@ def test_build_model_self_loop_dominant_history():
 def test_build_model_too_short():
     with pytest.raises(TooShort):
         estimation.build_vehicle_model(records_from([(1, 5.0)]))
+
+
+@pytest.mark.parametrize("frame_interval", [0.0, -1.0, float("nan"), float("inf")])
+def test_frame_interval_must_be_finite_and_positive(frame_interval):
+    records = records_from([(1, 5.0), (2, 15.0)])
+    with pytest.raises(SchemaError, match="frame_interval"):
+        estimation.build_vehicle_model(records, frame_interval=frame_interval)
+    data = estimation.model_to_dict(estimation.build_vehicle_model(records))
+    data["frame_interval_s"] = frame_interval
+    with pytest.raises(SchemaError, match="frame_interval"):
+        estimation.model_from_dict(data)
 
 
 # --- model JSON round trip ---

@@ -129,31 +129,31 @@ def test_force_same_lane_uses_trailing_lane():
 
 def test_integrate_constant_speed():
     car = CarState(lane=1, speed=10.0, position=0.0, acceleration=0.0)
-    out = simulator._integrate(car, 0.0, 0.1)
-    assert out.position == pytest.approx(1.0)
-    assert out.speed == 10.0
+    simulator._integrate(car, 0.0, 0.1)
+    assert car.position == pytest.approx(1.0)
+    assert car.speed == 10.0
 
 
 def test_integrate_accelerating():
     car = CarState(lane=1, speed=30.0, position=0.0, acceleration=0.6)
-    out = simulator._integrate(car, 0.6, 0.1)
-    assert out.position == pytest.approx(3.003)
-    assert out.speed == pytest.approx(30.06)
+    simulator._integrate(car, 0.6, 0.1)
+    assert car.position == pytest.approx(3.003)
+    assert car.speed == pytest.approx(30.06)
 
 
 def test_integrate_clamps_at_zero_speed():
     car = CarState(lane=1, speed=0.0, position=5.0, acceleration=-1.0)
-    out = simulator._integrate(car, -1.0, 0.1)
-    assert out.speed == 0.0
-    assert out.position == 5.0  # no backward drift
+    simulator._integrate(car, -1.0, 0.1)
+    assert car.speed == 0.0
+    assert car.position == 5.0  # no backward drift
 
 
 def test_integrate_stops_mid_step():
     car = CarState(lane=1, speed=0.1, position=0.0, acceleration=-3.0)
-    out = simulator._integrate(car, -3.0, 0.1)
-    assert out.speed == 0.0
+    simulator._integrate(car, -3.0, 0.1)
+    assert car.speed == 0.0
     # travels v^2 / (2|a|), not the full-step displacement
-    assert out.position == pytest.approx(0.1 * 0.1 / 6.0)
+    assert car.position == pytest.approx(0.1 * 0.1 / 6.0)
 
 
 # --- ACC policy ---
@@ -177,6 +177,13 @@ def test_acc_hard_brake_clipped():
     ego = CarState(1, 30.0, 0.0, 0.0)
     lead = CarState(1, 30.0, 20.0, 0.0)  # gap 20 < g* = 52
     assert simulator.acc_command(ego, lead, params) == -3.0
+
+
+def test_acc_with_nothing_ahead_tracks_set_speed_within_limits():
+    params = AccParams(set_speed=40.0)
+    assert simulator.acc_command(CarState(1, 39.0, 0.0, 0.0), None, params) == pytest.approx(0.74)
+    assert simulator.acc_command(CarState(1, 30.0, 0.0, 0.0), None, params) == 3.0
+    assert simulator.acc_command(CarState(1, 50.0, 0.0, 0.0), None, params) == -3.0
 
 
 def test_acc_rejects_lead_behind():
@@ -281,9 +288,8 @@ def test_acc_commands_within_limits_throughout_run():
     )
     for _ in range(200):
         prev_speed = state.cars[1].speed
-        state = simulator.step(state, config)
-        engaged = dict(state.acc_engaged)
-        if "car2" in engaged:
+        simulator.step(state, config)
+        if "car2" in state.acc_set_speed:
             dv = state.cars[1].speed - prev_speed
             assert abs(dv) <= limit * config.time_step + 1e-9
             assert state.cars[1].speed <= set_speed + limit * config.time_step
