@@ -13,29 +13,20 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
 
 from . import simulator
-from .errors import CrashguardError, IngestError
+from .errors import CrashguardError
 from .estimation import (
     build_vehicle_model,
     ingest_trajectories,
     load_model,
     model_to_dict,
+    require_positive,
 )
-from .prediction import (
-    CrashAssessment,
-    EncounterInput,
-    Thresholds,
-    assess,
-    assessment_to_dict,
-    flow1_probable_time,
-    flow2_crash_probabilities,
-    flow3_select_actions,
-)
+from .prediction import EncounterInput, Thresholds, assess, assessment_to_dict
 
 log = logging.getLogger("crashguard")
 
@@ -75,28 +66,35 @@ def _fail(message: str) -> int:
 # --- estimate ---
 
 def cmd_estimate(args) -> int:
+    """Every model is built before the output directory is created, so a
+    bad input in any vehicle writes nothing."""
     try:
+        require_positive("frame_interval", args.frame_interval)
         grouped = ingest_trajectories(args.csv)
-    except (IngestError, OSError) as exc:
+    except (CrashguardError, OSError) as exc:
         return _fail(str(exc))
     if not grouped:
         return _fail("no records")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    models = {}
     for vehicle_id in sorted(grouped):
-        records = grouped[vehicle_id]
         try:
-            model = build_vehicle_model(records, frame_interval=args.frame_interval)
+            models[vehicle_id] = build_vehicle_model(grouped[vehicle_id], frame_interval=args.frame_interval)
         except CrashguardError as exc:
             return _fail(f"vehicle {vehicle_id}: {exc}")
-        path = out_dir / f"vehicle_{vehicle_id}.json"
-        path.write_text(dumps_stable(model_to_dict(model)), encoding="utf-8")
-        print(
-            f"vehicle {vehicle_id}: {len(records)} records, "
-            f"{len(records) - 1} transitions, "
-            f"unobserved lane rows {list(model.lane_unobserved)}, "
-            f"unobserved speed rows {list(model.speed_unobserved)} -> {path}"
-        )
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for vehicle_id, model in models.items():
+            path = out_dir / f"vehicle_{vehicle_id}.json"
+            path.write_text(dumps_stable(model_to_dict(model)), encoding="utf-8")
+            n = len(grouped[vehicle_id])
+            print(
+                f"vehicle {vehicle_id}: {n} records, {n - 1} transitions, "
+                f"unobserved lane rows {list(model.lane_unobserved)}, "
+                f"unobserved speed rows {list(model.speed_unobserved)} -> {path}"
+            )
+    except OSError as exc:
+        return _fail(str(exc))
     return EXIT_OK
 
 
@@ -110,25 +108,12 @@ def cmd_assess(args) -> int:
     try:
         car1 = load_model(args.model1)
         car2 = load_model(args.model2)
-    except (CrashguardError, OSError, KeyError, ValueError) as exc:
+    except (CrashguardError, OSError) as exc:
         return _fail(f"invalid model: {exc}")
     try:
         encounter = EncounterInput(car1, car2, args.gap, args.front, thresholds)
-    except ValueError as exc:
-        return _fail(str(exc))
-
-    try:
-        if args.t_override is not None:
-            # forced horizon: flows 2-3 run at the given t, flow 1 is skipped
-            t = args.t_override
-            if not (math.isfinite(t) and t >= 0):
-                return _fail(f"--t-override must be finite and nonnegative, got {t}")
-            pc = flow2_crash_probabilities(car1, car2, t)
-            actions = flow3_select_actions(encounter, pc, t)
-            assessment = CrashAssessment(t=t, speed_stable=None, pc=pc, actions=actions)
-        else:
-            assessment = assess(encounter)
-    except CrashguardError as exc:
+        assessment = assess(encounter, horizon=args.t_override)
+    except (CrashguardError, ValueError) as exc:
         return _fail(str(exc))
 
     try:
@@ -143,12 +128,10 @@ def cmd_assess(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         config = simulator.load_scenario(args.scenario)
+        if args.time_step is not None:
+            config = dataclasses.replace(config, time_step=args.time_step)
     except (CrashguardError, OSError) as exc:
         return _fail(str(exc))
-    if args.time_step is not None:
-        if not (math.isfinite(args.time_step) and args.time_step > 0):
-            return _fail(f"--time-step must be finite and positive, got {args.time_step}")
-        config = dataclasses.replace(config, time_step=args.time_step)
     if args.force_same_lane:
         config = simulator.force_same_lane(config)
     try:

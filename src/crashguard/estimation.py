@@ -54,6 +54,28 @@ CSV_COLUMNS = ("vehicle_id", "frame", "lane", "speed_mps", "pos_m")
 DEFAULT_FRAME_INTERVAL = 0.1  # seconds between consecutive frames
 
 
+def require_positive(field: str, value: float) -> None:
+    """The one rule for frame intervals and time steps: finite and positive."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise SchemaError(field, f"must be finite and positive, got {value!r}")
+
+
+def require_field(data: dict, key: str, kind, where: str = ""):
+    """``data[key]`` checked to be a ``kind``; JSON integers pass as floats
+    and floats must be finite.  Errors name the field as ``where.key``."""
+    field_name = f"{where}.{key}" if where else key
+    if key not in data:
+        raise SchemaError(field_name, "missing required field")
+    value = data[key]
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise SchemaError(field_name, f"expected {kind.__name__}")
+    if kind is float and not math.isfinite(value):
+        raise SchemaError(field_name, f"must be finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """One timestamped observation of a vehicle."""
@@ -102,8 +124,7 @@ class VehicleModel:
     frame_interval: float = DEFAULT_FRAME_INTERVAL
 
     def __post_init__(self):
-        if not (math.isfinite(self.frame_interval) and self.frame_interval > 0.0):
-            raise SchemaError("frame_interval", f"must be finite and positive, got {self.frame_interval!r}")
+        require_positive("frame_interval", self.frame_interval)
 
     def with_state(self, lane: int, speed: float, position: float) -> "VehicleModel":
         return replace(self, current_lane=lane, current_speed=speed, current_position=position)
@@ -175,56 +196,58 @@ def ingest_trajectories(source) -> dict[int, list[TrajectoryRecord]]:
     return grouped
 
 
-def _transition_counts(indices, n: int) -> np.ndarray:
+def _lane_indices(lanes) -> np.ndarray:
+    """0-based indices of 1-based lanes; a lane outside 1..6 raises."""
+    lanes = np.asarray(lanes)
+    outside = (lanes < 1) | (lanes > N_LANES)
+    if outside.any():
+        raise LaneOutOfRange(f"lane {lanes[outside][0]} outside 1..{N_LANES}")
+    return lanes.astype(np.intp) - 1
+
+
+def _speed_bins(speeds) -> np.ndarray:
+    return np.array([speed_bin_index(v) for v in speeds], dtype=np.intp)
+
+
+def _normalized_rows(counts: np.ndarray, fill: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Each row of ``counts`` over its total; a row with no counts takes the
+    same row of ``fill``.  Also returns the 1-based filled rows."""
+    totals = counts.sum(axis=1, keepdims=True)
+    rows = np.divide(counts, totals, out=np.array(fill, dtype=float), where=totals > 0.0)
+    return rows, tuple(int(i) + 1 for i in np.flatnonzero(totals == 0.0))
+
+
+def _chain(indices: np.ndarray, n: int) -> tuple[StochasticMatrix, tuple[int, ...]]:
+    """Transition-frequency chain of a 0-based state sequence; states never
+    left become self-loops and are returned 1-based."""
     counts = np.zeros((n, n))
-    for cur, nxt in zip(indices, indices[1:]):
-        counts[cur, nxt] += 1.0
-    return counts
+    np.add.at(counts, (indices[:-1], indices[1:]), 1.0)
+    rows, unobserved = _normalized_rows(counts, np.eye(n))
+    return validate_stochastic(rows), unobserved
 
 
-def _counts_to_chain(counts: np.ndarray) -> tuple[StochasticMatrix, tuple[int, ...]]:
-    """Normalize rows; rows with no outgoing transitions become self-loops."""
-    n = counts.shape[0]
-    entries = np.zeros((n, n))
-    unobserved = []
-    for i in range(n):
-        total = counts[i].sum()
-        if total == 0.0:
-            entries[i, i] = 1.0
-            unobserved.append(i + 1)
-        else:
-            entries[i] = counts[i] / total
-    return validate_stochastic(entries), tuple(unobserved)
+def _observation(lanes: np.ndarray, bins: np.ndarray) -> ObservationMatrix:
+    """Speed-bin frequencies per lane; a lane never observed gets the uniform column."""
+    counts = np.zeros((N_LANES, len(SPEED_SYMBOLS)))
+    np.add.at(counts, (lanes, bins), 1.0)
+    rows, uniform = _normalized_rows(counts, np.full(counts.shape, 1.0 / len(SPEED_SYMBOLS)))
+    return ObservationMatrix(rows.T, uniform)
 
 
 def estimate_lane_transitions(lanes) -> StochasticMatrix:
     """Transition-frequency lane chain from an ordered lane sequence."""
-    chain, _ = _estimate_lane(lanes)
-    return chain
-
-
-def _estimate_lane(lanes):
     lanes = list(lanes)
     if len(lanes) < 2:
         raise TooShort(f"need at least 2 samples, got {len(lanes)}")
-    for lane in lanes:
-        if not 1 <= lane <= N_LANES:
-            raise LaneOutOfRange(f"lane {lane} outside 1..{N_LANES}")
-    return _counts_to_chain(_transition_counts([l - 1 for l in lanes], N_LANES))
+    return _chain(_lane_indices(lanes), N_LANES)[0]
 
 
 def estimate_speed_transitions(speeds) -> StochasticMatrix:
     """Speed chain over symbols a-f after binning an ordered speed sequence."""
-    chain, _ = _estimate_speed(speeds)
-    return chain
-
-
-def _estimate_speed(speeds):
     speeds = list(speeds)
     if len(speeds) < 2:
         raise TooShort(f"need at least 2 samples, got {len(speeds)}")
-    symbols = [speed_bin_index(v) for v in speeds]
-    return _counts_to_chain(_transition_counts(symbols, len(SPEED_SYMBOLS)))
+    return _chain(_speed_bins(speeds), len(SPEED_SYMBOLS))[0]
 
 
 def estimate_observation_probs(records) -> ObservationMatrix:
@@ -236,19 +259,7 @@ def estimate_observation_probs(records) -> ObservationMatrix:
     records = list(records)
     if not records:
         raise TooShort("need at least 1 record")
-    counts = np.zeros((len(SPEED_SYMBOLS), N_LANES))
-    for rec in records:
-        counts[speed_bin_index(rec.speed), rec.lane - 1] += 1.0
-    entries = np.zeros_like(counts)
-    uniform = []
-    for j in range(N_LANES):
-        total = counts[:, j].sum()
-        if total == 0.0:
-            entries[:, j] = 1.0 / len(SPEED_SYMBOLS)
-            uniform.append(j + 1)
-        else:
-            entries[:, j] = counts[:, j] / total
-    return ObservationMatrix(entries, tuple(uniform))
+    return _observation(_lane_indices([r.lane for r in records]), _speed_bins([r.speed for r in records]))
 
 
 def build_vehicle_model(records, frame_interval: float = DEFAULT_FRAME_INTERVAL) -> VehicleModel:
@@ -256,14 +267,15 @@ def build_vehicle_model(records, frame_interval: float = DEFAULT_FRAME_INTERVAL)
     records = list(records)
     if len(records) < 2:
         raise TooShort(f"need at least 2 records, got {len(records)}")
-    lane_chain, lane_unobserved = _estimate_lane([r.lane for r in records])
-    speed_chain, speed_unobserved = _estimate_speed([r.speed for r in records])
-    observation = estimate_observation_probs(records)
+    lanes = _lane_indices([r.lane for r in records])
+    bins = _speed_bins([r.speed for r in records])
+    lane_chain, lane_unobserved = _chain(lanes, N_LANES)
+    speed_chain, speed_unobserved = _chain(bins, len(SPEED_SYMBOLS))
     last = records[-1]
     return VehicleModel(
         lane_chain=lane_chain,
         speed_chain=speed_chain,
-        observation=observation,
+        observation=_observation(lanes, bins),
         current_lane=last.lane,
         current_speed=last.speed,
         current_position=last.position,
@@ -308,25 +320,59 @@ def model_to_dict(model: VehicleModel) -> dict:
 MODEL_FILE_TOLERANCE = 1e-5
 
 
+def _matrix(data: dict, key: str) -> np.ndarray:
+    """A 6x6 matrix of finite JSON numbers."""
+    try:
+        a = np.asarray(require_field(data, key, list))
+    except ValueError as exc:  # ragged rows
+        raise SchemaError(key, f"expected a {N_LANES}x{N_LANES} matrix of numbers") from exc
+    # a NaN or an infinity anywhere makes the sum non-finite
+    if a.shape != (N_LANES, N_LANES) or a.dtype.kind not in "iuf" or not math.isfinite(a.sum()):
+        raise SchemaError(key, f"expected a {N_LANES}x{N_LANES} matrix of finite numbers")
+    return a
+
+
 def model_from_dict(data: dict) -> VehicleModel:
-    unobserved = data.get("unobserved_rows", [])
-    lanes = tuple(e["row"] for e in unobserved if e["chain"] == "lane")
-    speeds = tuple(e["row"] for e in unobserved if e["chain"] == "speed")
-    uniform = tuple(e["row"] for e in unobserved if e["chain"] == "observation")
-    current = data["current"]
+    """Model from its JSON form; anything malformed raises SchemaError."""
+    if not isinstance(data, dict):
+        raise SchemaError("model", "expected an object")
+    rows = {"lane": [], "speed": [], "observation": []}
+    for entry in require_field(data, "unobserved_rows", list) if "unobserved_rows" in data else ():
+        if not (
+            isinstance(entry, dict)
+            and entry.get("chain") in ("lane", "speed", "observation")
+            and type(entry.get("row")) is int
+            and 1 <= entry["row"] <= N_LANES
+        ):
+            raise SchemaError("unobserved_rows", f"expected {{chain, row 1..{N_LANES}}}, got {entry!r}")
+        rows[entry["chain"]].append(entry["row"])
+    current = require_field(data, "current", dict)
+    lane = require_field(current, "lane", int, "current")
+    if not 1 <= lane <= N_LANES:
+        raise SchemaError("current.lane", f"lane {lane} outside 1..{N_LANES}")
+    speed = require_field(current, "speed_mps", float, "current")
+    if not 0.0 <= speed < SPEED_MAX:
+        raise SchemaError("current.speed_mps", f"speed {speed} outside [0, {SPEED_MAX})")
+    frame_interval = DEFAULT_FRAME_INTERVAL
+    if "frame_interval_s" in data:
+        frame_interval = require_field(data, "frame_interval_s", float)
     return VehicleModel(
-        lane_chain=validate_stochastic(data["lane_chain"], MODEL_FILE_TOLERANCE),
-        speed_chain=validate_stochastic(data["speed_chain"], MODEL_FILE_TOLERANCE),
-        observation=ObservationMatrix(np.asarray(data["observation"], dtype=float).T, uniform),
-        current_lane=int(current["lane"]),
-        current_speed=float(current["speed_mps"]),
-        current_position=float(current["pos_m"]),
-        lane_unobserved=lanes,
-        speed_unobserved=speeds,
-        frame_interval=float(data.get("frame_interval_s", DEFAULT_FRAME_INTERVAL)),
+        lane_chain=validate_stochastic(_matrix(data, "lane_chain"), MODEL_FILE_TOLERANCE),
+        speed_chain=validate_stochastic(_matrix(data, "speed_chain"), MODEL_FILE_TOLERANCE),
+        observation=ObservationMatrix(_matrix(data, "observation").T, tuple(rows["observation"])),
+        current_lane=lane,
+        current_speed=speed,
+        current_position=require_field(current, "pos_m", float, "current"),
+        lane_unobserved=tuple(rows["lane"]),
+        speed_unobserved=tuple(rows["speed"]),
+        frame_interval=frame_interval,
     )
 
 
 def load_model(path) -> VehicleModel:
     with open(path, "r", encoding="utf-8") as handle:
-        return model_from_dict(json.load(handle))
+        try:
+            data = json.load(handle)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise SchemaError("file", f"not valid JSON: {exc}") from exc
+    return model_from_dict(data)

@@ -161,8 +161,8 @@ def flow2_crash_probabilities(car1: VehicleModel, car2: VehicleModel, t: float) 
     multiplies the marginals element-wise.  The result is NOT a
     distribution; each entry is a standalone joint probability.
     """
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
     pi1 = propagate(unit_vector(N_LANES, car1.current_lane - 1), car1.lane_chain, t)
     pi2 = propagate(unit_vector(N_LANES, car2.current_lane - 1), car2.lane_chain, t)
     return pi1.entries * pi2.entries
@@ -250,20 +250,26 @@ def flow3_select_actions(
     return tuple(actions)
 
 
-def assess(encounter: EncounterInput) -> CrashAssessment:
+def assess(encounter: EncounterInput, horizon: float | None = None) -> CrashAssessment:
     """Run flows 1 to 3 on one encounter.
 
     Non-closing speeds yield an empty assessment.  An unstable speed gate
     still reports t and pc but emits no actions; the later flows only
     run once speeds are stable, and the caller is expected to resample.
+    A given ``horizon`` (s) replaces flow 1: flows 2 and 3 run at that t,
+    whatever the speeds, and ``speed_stable`` is None.
     """
-    try:
-        flow1 = flow1_probable_time(encounter)
-    except NonClosingSpeeds:
-        return CrashAssessment(t=None, speed_stable=None, pc=None, actions=())
-    pc = flow2_crash_probabilities(encounter.car1, encounter.car2, flow1.t)
-    actions = flow3_select_actions(encounter, pc, flow1.t) if flow1.speed_stable else ()
-    return CrashAssessment(t=flow1.t, speed_stable=flow1.speed_stable, pc=pc, actions=actions)
+    if horizon is None:
+        try:
+            flow1 = flow1_probable_time(encounter)
+        except NonClosingSpeeds:
+            return CrashAssessment(t=None, speed_stable=None, pc=None, actions=())
+        t, stable = flow1.t, flow1.speed_stable
+    else:
+        t, stable = horizon, None
+    pc = flow2_crash_probabilities(encounter.car1, encounter.car2, t)
+    actions = () if stable is False else flow3_select_actions(encounter, pc, t)
+    return CrashAssessment(t=t, speed_stable=stable, pc=pc, actions=actions)
 
 
 def assessment_to_dict(assessment: CrashAssessment) -> dict:

@@ -19,8 +19,15 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import LeadBehindEgo, SchemaError
-from .estimation import SPEED_MAX, VehicleModel, model_from_dict
+from .errors import CrashguardError, LeadBehindEgo, SchemaError
+from .estimation import (
+    SPEED_MAX,
+    VehicleModel,
+    load_model,
+    model_from_dict,
+    require_field,
+    require_positive,
+)
 from .prediction import (
     CAR_LABELS,
     CrashAssessment,
@@ -89,6 +96,11 @@ class ScenarioConfig:
     thresholds: Thresholds = field(default_factory=Thresholds)
     acc_params: AccParams = field(default_factory=AccParams)
 
+    def __post_init__(self):
+        require_positive("time_step", self.time_step)
+        if not self.duration >= self.time_step:
+            raise SchemaError("duration", f"must be at least one time step ({self.time_step})")
+
 
 @dataclass
 class CarState:
@@ -120,20 +132,6 @@ class SimState:
 
 # --- scenario loading ---
 
-def _require(data: dict, key: str, kind, where: str):
-    field_name = f"{where}.{key}" if where else key
-    if key not in data:
-        raise SchemaError(field_name, "missing required field")
-    value = data[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise SchemaError(field_name, f"expected {kind.__name__}")
-    if kind is float and not math.isfinite(value):
-        raise SchemaError(field_name, f"must be finite, got {value!r}")
-    return value
-
-
 def _car_config(entry: dict, index: int, base_dir) -> CarConfig:
     where = f"cars[{index}]"
     if not isinstance(entry, dict):
@@ -146,21 +144,17 @@ def _car_config(entry: dict, index: int, base_dir) -> CarConfig:
         if has_inline:
             model = model_from_dict(entry["model"])
         else:
-            path = base_dir / entry["model_path"] if base_dir else entry["model_path"]
-            with open(path, "r", encoding="utf-8") as handle:
-                model = model_from_dict(json.load(handle))
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
+            model = load_model(base_dir / require_field(entry, "model_path", str, where))
+    except CrashguardError as exc:
         raise SchemaError(f"{where}.model", f"invalid model: {exc}") from exc
-    lane = _require(entry, "lane", int, where)
+    lane = require_field(entry, "lane", int, where)
     if not 1 <= lane <= 6:
         raise SchemaError(f"{where}.lane", f"lane {lane} outside 1..6")
-    speed = _require(entry, "speed", float, where)
+    speed = require_field(entry, "speed", float, where)
     if not 0.0 <= speed < SPEED_MAX:
         raise SchemaError(f"{where}.speed", f"speed {speed} outside the modeled range [0, {SPEED_MAX})")
-    acceleration = _require(entry, "acceleration", float, where)
-    position = _require(entry, "position", float, where)
+    acceleration = require_field(entry, "acceleration", float, where)
+    position = require_field(entry, "position", float, where)
     return CarConfig(model, lane, speed, acceleration, position)
 
 
@@ -182,15 +176,11 @@ def load_scenario(path) -> ScenarioConfig:
         raise SchemaError("cars", "exactly two cars required")
     car_configs = tuple(_car_config(entry, i, path.parent) for i, entry in enumerate(cars))
 
-    lateral_offset = _require(data, "lateral_offset", float, "")
+    lateral_offset = require_field(data, "lateral_offset", float)
     if lateral_offset < 0.0:
         raise SchemaError("lateral_offset", "must be nonnegative")
-    duration = _require(data, "duration", float, "")
-    time_step = _require(data, "time_step", float, "") if "time_step" in data else 0.1
-    if time_step <= 0.0:
-        raise SchemaError("time_step", "must be positive")
-    if duration < time_step:
-        raise SchemaError("duration", f"must be at least one time step ({time_step})")
+    duration = require_field(data, "duration", float)
+    time_step = require_field(data, "time_step", float) if "time_step" in data else 0.1
 
     thresholds_data = data.get("thresholds", {})
     if not isinstance(thresholds_data, dict):
@@ -204,7 +194,7 @@ def load_scenario(path) -> ScenarioConfig:
     if not isinstance(acc_data, dict):
         raise SchemaError("acc_params", "expected an object")
     try:
-        acc_params = AccParams(**{key: _require(acc_data, key, float, "acc_params") for key in acc_data})
+        acc_params = AccParams(**{key: require_field(acc_data, key, float, "acc_params") for key in acc_data})
     except TypeError as exc:  # a key AccParams does not have
         raise SchemaError("acc_params", str(exc)) from exc
     if acc_params.accel_limit <= 0 or acc_params.time_gap <= 0 or acc_params.min_gap < 0:

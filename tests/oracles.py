@@ -77,6 +77,50 @@ def pair_count_matrix(seq, n):
     return np.array(out)
 
 
+def loop_vehicle_estimate(lanes, speeds, n_lanes=6, n_bins=6, bin_width=10.0):
+    """Per-record loop estimate of one vehicle's two chains and observation matrix.
+
+    ``lanes`` are 1-based and ``speeds`` in m/s, one per frame.  Returns
+    (lane chain, lane rows with no outgoing transition, speed chain, speed
+    rows likewise, observation matrix with column j for lane j+1, lanes
+    never observed), rows and lanes 1-based.  A chain row with no data
+    becomes a self-loop and an unobserved lane the uniform column; chain
+    rows are then divided by their sums, as the row-stochastic check does.
+    """
+    bins = [int(v // bin_width) for v in speeds]
+
+    def chain(seq, n):
+        counts = np.zeros((n, n))
+        for cur, nxt in zip(seq, seq[1:]):
+            counts[cur, nxt] += 1.0
+        entries = np.zeros((n, n))
+        empty = []
+        for i in range(n):
+            total = counts[i].sum()
+            if total == 0.0:
+                entries[i, i] = 1.0
+                empty.append(i + 1)
+            else:
+                entries[i] = counts[i] / total
+        return entries / entries.sum(axis=1)[:, None], tuple(empty)
+
+    lane_chain, lane_empty = chain([lane - 1 for lane in lanes], n_lanes)
+    speed_chain, speed_empty = chain(bins, n_bins)
+    counts = np.zeros((n_bins, n_lanes))
+    for lane, b in zip(lanes, bins):
+        counts[b, lane - 1] += 1.0
+    observation = np.zeros_like(counts)
+    uniform = []
+    for j in range(n_lanes):
+        total = counts[:, j].sum()
+        if total == 0.0:
+            observation[:, j] = 1.0 / n_bins
+            uniform.append(j + 1)
+        else:
+            observation[:, j] = counts[:, j] / total
+    return lane_chain, lane_empty, speed_chain, speed_empty, observation, tuple(uniform)
+
+
 def all_sequences(states, max_len):
     """Every sequence of length 2..max_len over the given state labels."""
     for length in range(2, max_len + 1):

@@ -77,6 +77,43 @@ def test_estimate_rejects_bad_frame_interval(tmp_path, capsys, frame_interval):
     assert code == 2
     assert "frame_interval" in capsys.readouterr().err
     assert not list(out_dir.glob("*.json"))
+    assert not out_dir.exists()
+
+
+def test_estimate_writes_nothing_when_a_later_vehicle_fails(tmp_path, capsys):
+    csv_path = tmp_path / "short.csv"
+    csv_path.write_text(
+        "vehicle_id,frame,lane,speed_mps,pos_m\n"
+        "1,0,1,10.0,0.0\n1,1,2,11.0,1.1\n1,2,2,12.0,2.3\n"
+        "2,0,3,20.0,0.0\n"
+    )
+    out_dir = tmp_path / "models"
+    code = cli.main(["estimate", "--csv", str(csv_path), "--out-dir", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: vehicle 2: ")
+    assert not out_dir.exists()
+
+
+# SHA-256 of each model `crashguard estimate` writes for the bundled sample
+# CSV; both vehicles have unobserved rows, so the fill rules are covered.
+GOLDEN_MODELS = {
+    ("0.1", "vehicle_1.json"): "f2056cfd97b6c388f8f410c260d0e4c51f1eda991c32b7bfce9a5cbdf9b28886",
+    ("0.1", "vehicle_2.json"): "225c9894135984464f2d9da42ee80bf80ac34a8dfc2bc1d15f701eea52af1966",
+    ("1.0", "vehicle_1.json"): "dd7fc0df12d7e1ebf17cd1798039784d5f259e7e82413e9c6856e1e744610559",
+    ("1.0", "vehicle_2.json"): "84e9894caa4bd187a5e86c6a6c92a50e56e9bc2a4e15edd1aeea83d82a4ca5ab",
+}
+
+
+@pytest.mark.parametrize("frame_interval", ["0.1", "1.0"])
+def test_estimate_models_match_golden_digests(tmp_path, frame_interval):
+    out_dir = tmp_path / "models"
+    code = cli.main(["estimate", "--csv", SAMPLE_CSV, "--out-dir", str(out_dir),
+                     "--frame-interval", frame_interval])
+    assert code == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["vehicle_1.json", "vehicle_2.json"]
+    for name in ("vehicle_1.json", "vehicle_2.json"):
+        digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        assert digest == GOLDEN_MODELS[frame_interval, name]
 
 
 # --- assess ---
@@ -120,6 +157,67 @@ def test_assess_rejects_broken_model(tmp_path, capsys):
     assert code == 2
 
 
+def _bad_model_texts():
+    """Model files that must be refused, by name."""
+    good = model_to_dict(synthetic.make_model(synthetic.banded_chain(), lane=5, speed=30.0))
+
+    def edited(path, value):
+        data = json.loads(json.dumps(good))
+        *parents, key = path
+        target = data
+        for parent in parents:
+            target = target[parent]
+        if value is KeyError:
+            del target[key]
+        else:
+            target[key] = value
+        return json.dumps(data)
+
+    return {
+        "lane_9": edited(("current", "lane"), 9),
+        "lane_chain_1x1": edited(("lane_chain",), [[1.0]]),
+        "observation_1x1": edited(("observation",), [[1.0]]),
+        "speed_75": edited(("current", "speed_mps"), 75.0),
+        "unobserved_row_x": edited(("unobserved_rows",), [{"chain": "lane", "row": "x"}]),
+        "unobserved_chain_unknown": edited(("unobserved_rows",), [{"chain": "gear", "row": 1}]),
+        "missing_current": edited(("current",), KeyError),
+        "missing_speed_chain": edited(("speed_chain",), KeyError),
+        "lane_is_string": edited(("current", "lane"), "5"),
+        "chain_of_strings": edited(("lane_chain",), [[str(float(i == j)) for j in range(6)] for i in range(6)]),
+        "ragged_chain": edited(("speed_chain",), [[1.0]] + [[0.0] * 6] * 5),
+        "frame_interval_string": edited(("frame_interval_s",), "1"),
+        "top_level_list": "[]",
+        "invalid_json": "{\"lane_chain\": ",
+    }
+
+
+BAD_MODELS = _bad_model_texts()
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MODELS))
+def test_bad_model_file_exits_2_from_assess_and_simulate(tmp_path, capsys, name):
+    bad = tmp_path / "bad.json"
+    bad.write_text(BAD_MODELS[name], encoding="utf-8")
+    good = write_model(tmp_path / "good.json", synthetic.banded_chain(), lane=6, speed=40.0)
+    code = cli.main(["assess", "--model1", good, "--model2", str(bad),
+                     "--gap", "40", "--front", "car1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+    scenario = json.loads((DATA / "scenario1.json").read_text())
+    del scenario["cars"][1]["model"]
+    scenario["cars"][1]["model_path"] = "bad.json"
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario), encoding="utf-8")
+    report = tmp_path / "report.json"
+    code = cli.main(["simulate", "--scenario", str(scenario_path), "--report-path", str(report)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cars[1].model: ")
+    assert not report.exists()
+
+
 def test_assess_t_override_runs_flows_2_and_3(tmp_path, capsys):
     chains = synthetic.with_rows(
         synthetic.banded_chain(), {6: [0, 0, 0, 0, 0.18, 0.82], 5: [0, 0, 0, 0.05, 0.9, 0.05]}
@@ -131,9 +229,13 @@ def test_assess_t_override_runs_flows_2_and_3(tmp_path, capsys):
     code = cli.main(["assess", "--model1", m1, "--model2", m2, "--gap", "40",
                      "--front", "car1", "--t-override", "4.0"])
     assert code == 1
-    data = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    data = json.loads(out)
     assert data["t"] == 4.0
     assert data["actions"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cb287483c9e095b7a660c2f9e0ba2002d04eff76e71d36c31c48641d2717b53e"
+    )
 
 
 @pytest.mark.parametrize("flags", [
@@ -206,6 +308,7 @@ def test_simulate_time_step_flag(tmp_path):
     ({"acc_params": {"set_speed": None}}, []),
     ({}, ["--time-step", "nan"]),
     ({}, ["--time-step", "inf"]),
+    ({}, ["--time-step", "1000"]),  # longer than the 20 s run
 ])
 def test_simulate_rejects_bad_numbers(tmp_path, capsys, edit, flags):
     data = json.loads((DATA / "scenario1.json").read_text())
@@ -277,8 +380,11 @@ def test_float_rounding_is_six_significant_digits():
     assert rounded == {"x": 0.123457, "y": [1.0, 123457.0]}
 
 
-def test_output_path_in_missing_directory_exits_2(banded_models, capsys):
+def test_output_path_in_missing_directory_exits_2(tmp_path, banded_models, capsys):
     m1, m2 = banded_models
+    (tmp_path / "file").write_text("")
+    code = cli.main(["estimate", "--csv", SAMPLE_CSV, "--out-dir", str(tmp_path / "file" / "models")])
+    assert code == 2
     code = cli.main(["assess", "--model1", m1, "--model2", m2, "--gap", "40",
                      "--front", "car1", "--out", "/nonexistent/dir/a.json"])
     assert code == 2

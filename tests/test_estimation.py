@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from crashguard import cli, estimation
@@ -235,6 +237,30 @@ def test_build_model_self_loop_dominant_history():
     assert model.lane_chain.entries[4, 4] > 0.9
     assert model.lane_chain.entries[5, 5] > 0.9
     assert set(model.lane_unobserved) == {1, 2, 3, 4}
+
+
+# lanes 1-5 and speeds under 50 m/s: lane 6 and bin f are never visited,
+# so the self-loop and uniform fills are always exercised
+unvisited_pairs = st.lists(
+    st.tuples(st.integers(1, 5), st.floats(0.0, 50.0, exclude_max=True)),
+    min_size=2,
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(unvisited_pairs)
+def test_build_model_matches_loop_counting(pairs):
+    model = estimation.build_vehicle_model(records_from(pairs))
+    lane_chain, lane_empty, speed_chain, speed_empty, observation, uniform = (
+        oracles.loop_vehicle_estimate([lane for lane, _ in pairs], [v for _, v in pairs])
+    )
+    assert np.array_equal(model.lane_chain.entries, lane_chain)
+    assert np.array_equal(model.speed_chain.entries, speed_chain)
+    assert np.array_equal(model.observation.entries, observation)
+    assert model.lane_unobserved == lane_empty
+    assert model.speed_unobserved == speed_empty
+    assert model.observation.uniform_lanes == uniform
 
 
 def test_build_model_too_short():

@@ -285,6 +285,22 @@ def test_assess_unstable_reports_but_does_not_act(uniform_chain, identity_chain)
     assert result.actions == ()
 
 
+def test_assess_horizon_skips_flow1_and_runs_flows_2_and_3():
+    car1_chain, car2_chain = scenario1_lane_chains()
+    car1 = make_model(car1_chain, lane=6, speed=40.0)
+    car2 = make_model(car2_chain, lane=5, speed=30.0)
+    enc = encounter(car1, car2, gap=40.0, front="car1")  # not closing
+    result = prediction.assess(enc, horizon=4.0)
+    pc = prediction.flow2_crash_probabilities(car1, car2, 4.0)
+    assert result.t == 4.0 and result.speed_stable is None
+    assert np.array_equal(result.pc, pc)
+    assert result.actions == prediction.flow3_select_actions(enc, pc, 4.0)
+    assert result.actions
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            prediction.assess(enc, horizon=bad)
+
+
 def test_assess_deterministic():
     car1_chain, car2_chain = scenario1_lane_chains()
     enc = encounter(

@@ -263,11 +263,10 @@ def test_scenario3_no_actions():
     assert all(not entry["actions"] for entry in report.timeline)
 
 
-def test_zero_duration_runs_empty():
-    config = dataclasses.replace(load("scenario1"), duration=0.0)
-    report = simulator.run(config)
-    assert report.timeline == ()
-    assert not report.crash
+def test_zero_duration_is_rejected():
+    # a run shorter than one step is refused at construction, as in the file
+    with pytest.raises(SchemaError, match="duration"):
+        dataclasses.replace(load("scenario1"), duration=0.0)
 
 
 def test_run_is_deterministic():
