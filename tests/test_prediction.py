@@ -1,5 +1,7 @@
 """Tests for the three prediction flows."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,35 @@ def test_flow3_same_lane_identity_chains_need_no_regularity(identity_chain):
     pc = np.array([0, 0, 0, 0, 1.0, 0])
     actions = prediction.flow3_select_actions(encounter(car1, car2, front="car1"), pc, 4.0)
     assert actions[0].action is SafetyAction.LANE_DEPARTURE_AND_STEERING
+
+
+def test_flow3_not_regular_names_the_first_car_whose_matrix_is_needed(identity_chain):
+    # lane 5 is car 1's own lane, so its entry reads 0 without car 1's chain;
+    # car 2's matrix is the first one built, and its error is the one raised
+    car1 = make_model(identity_chain, lane=5)
+    car2 = replace(make_model(identity_chain, lane=6), lane_unobserved=(1, 2))
+    pc = np.array([0, 0, 0, 0, 0.4, 0.4])
+    with pytest.raises(
+        NotRegular, match=r"^car2: lane chain is not regular \(unobserved lane rows: \[1, 2\]\)$"
+    ):
+        prediction.flow3_select_actions(encounter(car1, car2, front="car1"), pc, 4.0)
+
+
+def test_flow3_builds_each_car_passage_matrix_once(monkeypatch):
+    analysed = []
+    original = prediction.stationary_distribution
+
+    def counting(chain):
+        analysed.append(chain)
+        return original(chain)
+
+    monkeypatch.setattr(prediction, "stationary_distribution", counting)
+    car1 = make_model(banded_chain(), lane=1)
+    car2 = make_model(banded_chain(self_loop=0.8), lane=2)
+    pc = np.array([0, 0, 0.4, 0.4, 0, 0])  # two flagged lanes, neither car's own
+    actions = prediction.flow3_select_actions(encounter(car1, car2, front="car1"), pc, 4.0)
+    assert [a.lane for a in actions] == [3, 4]
+    assert analysed == [car1.lane_chain, car2.lane_chain]
 
 
 # --- assess ---
