@@ -168,36 +168,20 @@ def flow2_crash_probabilities(car1: VehicleModel, car2: VehicleModel, t: float) 
     return pi1.entries * pi2.entries
 
 
-class _PassageSeconds:
-    """Lazy per-car mean first passage times converted to seconds.
+def _passage_seconds(model: VehicleModel, label: str) -> np.ndarray:
+    """Mean first passage times of one car's lane chain, in seconds.
 
-    The conversion multiplies chain steps by the model's frame interval.
-    Diagonal queries are answered without touching the chain, since the
-    defining formula forces them to zero for any chain; the full matrix
-    (and therefore regularity) is only required for off-diagonal entries.
+    Chain steps are multiplied by the model's frame interval.  The chain
+    must be regular; the error names the car and its unobserved lane rows.
     """
-
-    def __init__(self, model: VehicleModel, label: str):
-        self._model = model
-        self._label = label
-        self._seconds = None
-
-    def entry(self, from_lane: int, to_lane: int) -> float:
-        if from_lane == to_lane:
-            return 0.0
-        if self._seconds is None:
-            chain = self._model.lane_chain
-            try:
-                w = stationary_distribution(chain)
-            except NotRegular as exc:
-                hint = ""
-                if self._model.lane_unobserved:
-                    hint = f" (unobserved lane rows: {list(self._model.lane_unobserved)})"
-                raise NotRegular(f"{self._label}: lane chain is not regular{hint}") from exc
-            Z = fundamental_matrix(chain, limiting_matrix(chain))
-            M = mean_first_passage(Z, w)
-            self._seconds = M.entries * self._model.frame_interval
-        return float(self._seconds[from_lane - 1, to_lane - 1])
+    chain = model.lane_chain
+    try:
+        w = stationary_distribution(chain)
+    except NotRegular as exc:
+        hint = f" (unobserved lane rows: {list(model.lane_unobserved)})" if model.lane_unobserved else ""
+        raise NotRegular(f"{label}: lane chain is not regular{hint}") from exc
+    Z = fundamental_matrix(chain, limiting_matrix(chain))
+    return mean_first_passage(Z, w).entries * model.frame_interval
 
 
 def flow3_select_actions(
@@ -210,43 +194,36 @@ def flow3_select_actions(
     expected to reach the flagged lane before the crash time: a rear-end
     geometry, so adaptive cruise control goes on for the trailing car.
     Otherwise a sideways collision is possible and lane-departure/steering
-    goes on for both cars.
+    goes on for both cars.  A car's own lane reads 0 for any chain, so
+    both cars already in the flagged lane always means steering.
     """
     pc = np.asarray(pc, dtype=float)
     flagged = [k for k in range(N_LANES) if pc[k] >= encounter.thresholds.crash]
-    if not flagged:
-        return ()
-    m1 = _PassageSeconds(encounter.car1, "car1")
-    m2 = _PassageSeconds(encounter.car2, "car2")
-    i = encounter.car1.current_lane
-    j = encounter.car2.current_lane
+    seconds = {}  # car label -> passage matrix, built on first off-diagonal read
+
+    def entry(label: str, lane: int) -> float:
+        model = encounter.model(label)
+        if lane == model.current_lane:
+            return 0.0
+        if label not in seconds:
+            seconds[label] = _passage_seconds(model, label)
+        return float(seconds[label][model.current_lane - 1, lane - 1])
+
     actions = []
     for k in flagged:
         lane = k + 1
-        m1_entry = m1.entry(i, lane)
-        m2_entry = m2.entry(j, lane)
-        if m1_entry > t or m2_entry > t:
-            actions.append(
-                LaneAction(
-                    lane=lane,
-                    action=SafetyAction.ACC_ON,
-                    target=encounter.trailing_car,
-                    m1_entry=m1_entry,
-                    m2_entry=m2_entry,
-                    branch="m1" if m1_entry > t else "m2",
-                )
+        m1, m2 = entry("car1", lane), entry("car2", lane)
+        acc = m1 > t or m2 > t
+        actions.append(
+            LaneAction(
+                lane=lane,
+                action=SafetyAction.ACC_ON if acc else SafetyAction.LANE_DEPARTURE_AND_STEERING,
+                target=encounter.trailing_car if acc else "both",
+                m1_entry=m1,
+                m2_entry=m2,
+                branch=("m1" if m1 > t else "m2") if acc else "else",
             )
-        else:
-            actions.append(
-                LaneAction(
-                    lane=lane,
-                    action=SafetyAction.LANE_DEPARTURE_AND_STEERING,
-                    target="both",
-                    m1_entry=m1_entry,
-                    m2_entry=m2_entry,
-                    branch="else",
-                )
-            )
+        )
     return tuple(actions)
 
 
