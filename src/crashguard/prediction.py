@@ -155,16 +155,19 @@ def flow1_probable_time(encounter: EncounterInput) -> Flow1Result:
 
 
 def flow2_crash_probabilities(car1: VehicleModel, car2: VehicleModel, t: float) -> np.ndarray:
-    """Per-lane joint probabilities at time t.
+    """Per-lane joint probabilities at time t (s).
 
-    Propagates each car's current lane through its own lane chain and
-    multiplies the marginals element-wise.  The result is NOT a
-    distribution; each entry is a standalone joint probability.
+    Propagates each car's current lane through its own lane chain for
+    t / frame_interval steps and multiplies the marginals element-wise.
+    The result is NOT a distribution; each entry is a standalone joint
+    probability.
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"time must be finite and nonnegative, got {t!r}")
-    pi1 = propagate(unit_vector(N_LANES, car1.current_lane - 1), car1.lane_chain, t)
-    pi2 = propagate(unit_vector(N_LANES, car2.current_lane - 1), car2.lane_chain, t)
+    pi1, pi2 = (
+        propagate(unit_vector(N_LANES, car.current_lane - 1), car.lane_chain, t / car.frame_interval)
+        for car in (car1, car2)
+    )
     return pi1.entries * pi2.entries
 
 

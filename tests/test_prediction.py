@@ -130,6 +130,26 @@ def test_flow2_is_product_of_marginals():
             assert np.allclose(pc, pi1 * pi2, atol=1e-12)
 
 
+def test_flow2_propagates_t_over_frame_interval_steps():
+    # chain Q stepped every 0.5 s moves exactly like P = Q.Q stepped every 1 s;
+    # Q is reversible with eigenvalues in (0, 1], so P^(1/2) is Q again
+    Q = banded_chain(self_loop=0.7)
+    P = validate_stochastic(Q.entries @ Q.entries)
+    half = make_model(Q, lane=4, frame_interval=0.5)
+    whole = make_model(P, lane=4, frame_interval=1.0)
+    other = make_model(with_rows(banded_chain(), {2: [0.1, 0.6, 0.3, 0, 0, 0]}), lane=2)
+    for t in (0.0, 0.5, 1.0, 2.5, 4.0, 7.5):
+        expected = prediction.flow2_crash_probabilities(whole, other, t)
+        assert np.abs(prediction.flow2_crash_probabilities(half, other, t) - expected).max() <= 1e-12
+        assert np.abs(prediction.flow2_crash_probabilities(other, half, t) - expected).max() <= 1e-12
+    # the same chain at a shorter step moves further in the same time
+    fast = make_model(Q, lane=4, frame_interval=0.1)
+    slow = make_model(Q, lane=4, frame_interval=1.0)
+    pc_fast = prediction.flow2_crash_probabilities(fast, other, 4.0)
+    pc_slow = prediction.flow2_crash_probabilities(slow, other, 4.0)
+    assert np.abs(pc_fast - pc_slow).max() > 1e-3
+
+
 # --- flow 3 ---
 
 def test_flow3_threshold_gate_empty():
