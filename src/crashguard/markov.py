@@ -90,37 +90,42 @@ def validate_stochastic(raw, tolerance: float = ROW_SUM_TOLERANCE) -> Stochastic
     NegativeEntry
         At the first strictly negative entry.
     RowSumOutOfTolerance
-        If some row sum deviates from 1 by more than ``tolerance``.
+        If some row sum deviates from 1 by more than ``tolerance`` or is
+        NaN.
     """
     a = np.asarray(raw, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise NotSquare(f"expected a square matrix, got shape {a.shape}")
-    neg = np.argwhere(a < 0.0)
-    if neg.size:
-        i, j = neg[0]
-        raise NegativeEntry(int(i), int(j), float(a[i, j]))
     sums = a.sum(axis=1)
-    bad = np.argwhere(np.abs(sums - 1.0) > tolerance)
-    if bad.size:
-        i = int(bad[0][0])
+    rows_ok = np.abs(sums - 1.0) <= tolerance  # False for a NaN sum
+    if not ((a >= 0.0).all() and rows_ok.all()):
+        neg = np.argwhere(a < 0.0)
+        if neg.size:
+            i, j = neg[0]
+            raise NegativeEntry(int(i), int(j), float(a[i, j]))
+        i = int(np.argwhere(~rows_ok)[0][0])
         raise RowSumOutOfTolerance(i, float(sums[i]))
     return StochasticMatrix(a / sums[:, None])
 
 
 def probability_vector(raw) -> ProbabilityVector:
-    """Validate a raw vector and renormalize it to sum exactly 1."""
+    """Validate a raw vector and renormalize it to sum exactly 1.
+
+    Entries down to ``-DISTRIBUTION_TOLERANCE`` are clipped to 0; a NaN
+    entry makes the sum NaN and raises RowSumOutOfTolerance.
+    """
     v = np.asarray(raw, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise DimensionMismatch(f"expected a 1-d vector, got shape {v.shape}")
-    neg = np.argwhere(v < -DISTRIBUTION_TOLERANCE)
-    if neg.size:
-        i = int(neg[0][0])
-        raise NegativeEntry(i, 0, float(v[i]))
-    v = np.clip(v, 0.0, None)
-    total = v.sum()
-    if abs(total - 1.0) > DISTRIBUTION_TOLERANCE:
+    clipped = np.clip(v, 0.0, None)
+    total = clipped.sum()
+    if not ((v >= -DISTRIBUTION_TOLERANCE).all() and abs(total - 1.0) <= DISTRIBUTION_TOLERANCE):
+        neg = np.argwhere(v < -DISTRIBUTION_TOLERANCE)
+        if neg.size:
+            i = int(neg[0][0])
+            raise NegativeEntry(i, 0, float(v[i]))
         raise RowSumOutOfTolerance(0, float(total))
-    return ProbabilityVector(v / total)
+    return ProbabilityVector(clipped / total)
 
 
 def unit_vector(n: int, state: int) -> ProbabilityVector:

@@ -56,6 +56,27 @@ def test_validate_rejects_negative():
     assert (exc.value.row, exc.value.col) == (0, 1)
 
 
+def test_validate_rejects_nan_row():
+    with pytest.raises(RowSumOutOfTolerance) as exc:
+        markov.validate_stochastic([[0.0, 1.0], [np.nan, 1.0]])
+    assert exc.value.row == 1
+    assert np.isnan(exc.value.total)
+
+
+def test_probability_vector_rejects_nan():
+    with pytest.raises(RowSumOutOfTolerance) as exc:
+        markov.probability_vector([np.nan, 1.0])
+    assert np.isnan(exc.value.total)
+
+
+def test_probability_vector_clips_tiny_negatives_and_rejects_larger():
+    v = markov.probability_vector([-5e-10, 1.0])
+    assert v.entries[0] == 0.0
+    with pytest.raises(NegativeEntry) as exc:
+        markov.probability_vector([-0.1, 1.1])
+    assert exc.value.row == 0
+
+
 def test_validate_renormalizes_within_tolerance():
     m = markov.validate_stochastic([[0.5, 0.5 + 5e-10], [0.3, 0.7]])
     assert m.entries.sum(axis=1)[0] == pytest.approx(1.0, abs=0)
