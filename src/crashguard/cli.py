@@ -20,6 +20,7 @@ from pathlib import Path
 from . import simulator
 from .errors import CrashguardError
 from .estimation import (
+    DEFAULT_FRAME_INTERVAL,
     build_vehicle_model,
     ingest_trajectories,
     load_model,
@@ -158,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="estimate per-vehicle models from a trajectory CSV")
     est.add_argument("--csv", required=True, help="trajectory CSV path")
     est.add_argument("--out-dir", required=True, help="directory for per-vehicle model JSON")
-    est.add_argument("--frame-interval", type=float, default=0.1,
-                     help="seconds between frames (default 0.1)")
+    est.add_argument("--frame-interval", type=float, default=DEFAULT_FRAME_INTERVAL,
+                     help="seconds between frames (default %(default)s)")
     est.set_defaults(func=cmd_estimate)
 
     ass = sub.add_parser("assess", help="assess one two-vehicle encounter")
@@ -170,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="which car leads longitudinally")
     ass.add_argument("--t-override", type=float, default=None,
                      help="skip flow 1 and evaluate flows 2-3 at this horizon (s)")
-    ass.add_argument("--crash-threshold", type=float, default=0.3)
-    ass.add_argument("--speed-threshold", type=float, default=0.5)
+    ass.add_argument("--crash-threshold", type=float, default=Thresholds.crash)
+    ass.add_argument("--speed-threshold", type=float, default=Thresholds.speed_stability)
     ass.add_argument("--out", default=None, help="write the assessment JSON here instead of stdout")
     ass.set_defaults(func=cmd_assess)
 

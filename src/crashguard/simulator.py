@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import CrashguardError, LeadBehindEgo, SchemaError
 from .estimation import (
+    N_LANES,
     SPEED_MAX,
     VehicleModel,
     load_model,
@@ -148,8 +149,8 @@ def _car_config(entry: dict, index: int, base_dir) -> CarConfig:
     except CrashguardError as exc:
         raise SchemaError(f"{where}.model", f"invalid model: {exc}") from exc
     lane = require_field(entry, "lane", int, where)
-    if not 1 <= lane <= 6:
-        raise SchemaError(f"{where}.lane", f"lane {lane} outside 1..6")
+    if not 1 <= lane <= N_LANES:
+        raise SchemaError(f"{where}.lane", f"lane {lane} outside 1..{N_LANES}")
     speed = require_field(entry, "speed", float, where)
     if not 0.0 <= speed < SPEED_MAX:
         raise SchemaError(f"{where}.speed", f"speed {speed} outside the modeled range [0, {SPEED_MAX})")
@@ -180,7 +181,9 @@ def load_scenario(path) -> ScenarioConfig:
     if lateral_offset < 0.0:
         raise SchemaError("lateral_offset", "must be nonnegative")
     duration = require_field(data, "duration", float)
-    time_step = require_field(data, "time_step", float) if "time_step" in data else 0.1
+    time_step = ScenarioConfig.time_step
+    if "time_step" in data:
+        time_step = require_field(data, "time_step", float)
 
     thresholds_data = data.get("thresholds", {})
     if not isinstance(thresholds_data, dict):

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from crashguard import cli, synthetic
-from crashguard.estimation import model_to_dict
+from crashguard.estimation import DEFAULT_FRAME_INTERVAL, model_to_dict
 from crashguard.markov import validate_stochastic
+from crashguard.prediction import Thresholds
 
 DATA = importlib.resources.files("crashguard") / "data"
 SAMPLE_CSV = str(DATA / "sample_trajectories.csv")
@@ -114,6 +115,16 @@ def test_estimate_models_match_golden_digests(tmp_path, frame_interval):
     for name in ("vehicle_1.json", "vehicle_2.json"):
         digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
         assert digest == GOLDEN_MODELS[frame_interval, name]
+
+
+def test_option_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    est = parser.parse_args(["estimate", "--csv", "x.csv", "--out-dir", "out"])
+    ass = parser.parse_args(["assess", "--model1", "a", "--model2", "b", "--gap", "1", "--front", "car1"])
+    assert est.frame_interval == DEFAULT_FRAME_INTERVAL == 0.1
+    thresholds = Thresholds()
+    assert (ass.crash_threshold, ass.speed_threshold) == (thresholds.crash, thresholds.speed_stability)
+    assert (thresholds.crash, thresholds.speed_stability) == (0.3, 0.5)
 
 
 # --- assess ---
