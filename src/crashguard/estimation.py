@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,7 +127,17 @@ class VehicleModel:
         require_positive("frame_interval", self.frame_interval)
 
     def with_state(self, lane: int, speed: float, position: float) -> "VehicleModel":
-        return replace(self, current_lane=lane, current_speed=speed, current_position=position)
+        """A shallow copy with the three state fields set.
+
+        It shares this model's chain objects, whose analyses are memoised
+        per object, and skips ``__post_init__``: the frame interval it
+        checks is this model's, already checked.
+        """
+        moved = object.__new__(type(self))
+        moved.__dict__.update(
+            self.__dict__, current_lane=lane, current_speed=speed, current_position=position
+        )
+        return moved
 
 
 def speed_bin_index(v: float) -> int:

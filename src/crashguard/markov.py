@@ -6,12 +6,16 @@ passage times, and state-probability propagation.
 
 All types are immutable after construction and every operation is a pure
 function of its inputs, so values can be shared freely across threads.
+A StochasticMatrix memoises its eigendecomposition on first use; that is
+a pure function of the read-only entries, so a race between threads at
+worst computes the same value twice.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +74,22 @@ class _FrozenArray:
 
 class StochasticMatrix(_FrozenArray):
     """n x n row-stochastic matrix; every row sums to exactly 1."""
+
+    @cached_property
+    def _eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Complex eigenvalues, V and V^-1 of the entries, read-only.
+
+        Computed on first use and kept for the matrix's lifetime; a failed
+        decomposition raises IllConditioned and is not kept.
+        """
+        try:
+            evals, vecs = np.linalg.eig(self.entries)
+            parts = (evals.astype(complex), vecs, np.linalg.inv(vecs))
+        except np.linalg.LinAlgError as exc:
+            raise IllConditioned(str(exc)) from exc
+        for a in parts:
+            a.flags.writeable = False
+        return parts
 
 
 class ProbabilityVector(_FrozenArray):
@@ -163,15 +183,12 @@ def matrix_power(P: StochasticMatrix, k: int) -> StochasticMatrix:
 def _eig_power(P: StochasticMatrix, t: float) -> StochasticMatrix:
     """P^t through eigendecomposition with principal powers of eigenvalues.
 
-    Rows of the reconstructed matrix are clipped to [0, 1] and renormalized.
-    Raises IllConditioned when the decomposition cannot be trusted.
+    The decomposition is P's memoised one.  Rows of the reconstructed
+    matrix are clipped to [0, 1] and renormalized.  Raises IllConditioned
+    when the decomposition or this power of it cannot be trusted.
     """
-    try:
-        evals, vecs = np.linalg.eig(P.entries)
-        powered = vecs @ np.diag(evals.astype(complex) ** t) @ np.linalg.inv(vecs)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditioned(str(exc)) from exc
-    real = np.real(powered)
+    evals, vecs, inverse = P._eig
+    real = np.real(vecs @ np.diag(evals ** t) @ inverse)
     if not np.all(np.isfinite(real)):
         raise IllConditioned("non-finite entries in reconstructed power")
     sums = real.sum(axis=1)

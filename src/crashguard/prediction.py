@@ -7,13 +7,15 @@ active-safety action for every lane over the crash threshold by comparing
 mean first passage times with the probable crash time.
 
 All functions are pure: none of them loops or resamples, the simulator
-owns that.
+owns that.  A lane chain's passage matrix (in chain steps) is memoised
+for as long as the chain object lives, since the chain is immutable.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +23,7 @@ import numpy as np
 from .errors import NonClosingSpeeds, NotRegular
 from .estimation import N_LANES, VehicleModel, speed_bin_index
 from .markov import (
+    StochasticMatrix,
     fundamental_matrix,
     limiting_matrix,
     mean_first_passage,
@@ -171,20 +174,30 @@ def flow2_crash_probabilities(car1: VehicleModel, car2: VehicleModel, t: float) 
     return pi1.entries * pi2.entries
 
 
+# lane chain -> its mean first passage matrix in chain steps; chains hash
+# by identity, and an entry goes when its chain does
+_PASSAGE_STEPS: weakref.WeakKeyDictionary[StochasticMatrix, np.ndarray] = weakref.WeakKeyDictionary()
+
+
 def _passage_seconds(model: VehicleModel, label: str) -> np.ndarray:
     """Mean first passage times of one car's lane chain, in seconds.
 
-    Chain steps are multiplied by the model's frame interval.  The chain
-    must be regular; the error names the car and its unobserved lane rows.
+    Chain steps, built once per chain object, are multiplied by the
+    model's frame interval.  The chain must be regular; the error names
+    the car and its unobserved lane rows, and is raised again on every
+    call.
     """
     chain = model.lane_chain
-    try:
-        w = stationary_distribution(chain)
-    except NotRegular as exc:
-        hint = f" (unobserved lane rows: {list(model.lane_unobserved)})" if model.lane_unobserved else ""
-        raise NotRegular(f"{label}: lane chain is not regular{hint}") from exc
-    Z = fundamental_matrix(chain, limiting_matrix(chain))
-    return mean_first_passage(Z, w).entries * model.frame_interval
+    steps = _PASSAGE_STEPS.get(chain)
+    if steps is None:
+        try:
+            w = stationary_distribution(chain)
+        except NotRegular as exc:
+            hint = f" (unobserved lane rows: {list(model.lane_unobserved)})" if model.lane_unobserved else ""
+            raise NotRegular(f"{label}: lane chain is not regular{hint}") from exc
+        Z = fundamental_matrix(chain, limiting_matrix(chain))
+        steps = _PASSAGE_STEPS[chain] = mean_first_passage(Z, w).entries
+    return steps * model.frame_interval
 
 
 def flow3_select_actions(

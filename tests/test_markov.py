@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from conftest import scenario1_lane_chains
 from crashguard import markov
 from crashguard.errors import (
     DimensionMismatch,
@@ -172,24 +175,62 @@ def test_eig_path_matches_integer_powers():
         assert np.allclose(got, want, atol=1e-9)
 
 
-def test_fractional_power_matches_schur_oracle():
+@st.composite
+def sparse_lazy_chains(draw, n=6):
+    """Sparse n x n chains with 0-3 absorbing rows and a fractional time.
+
+    Every other row keeps a self-loop, with weights drawn from a seeded
+    generator so the entries are in general position.  A chain that can
+    leave a state surely (a row without a self-loop) may be singular or
+    defective at eigenvalue 0, where the principal fractional power is
+    not continuous in the entries and the Schur route is no oracle.
+    """
+    absorbing = sorted(draw(st.sets(st.integers(0, n - 1), max_size=3)))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = np.where(mask, rng.uniform(0.05, 1.0, (n, n)), 0.0)
+    np.fill_diagonal(P, rng.uniform(0.05, 1.0, n))
+    P[absorbing] = 0.0
+    P[absorbing, absorbing] = 1.0
+    t = draw(st.floats(0.0, 40.0, exclude_min=True, exclude_max=True))
+    return markov.validate_stochastic(P / P.sum(axis=1, keepdims=True)), t
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sparse_lazy_chains())
+def test_fractional_power_matches_schur_oracle(chain_and_time):
     # the principal power of a chain with negative/complex eigenvalues can
     # leave the simplex, and matrix_power_real projects back (clip rows to
     # [0, 1], renormalize); apply the same projection to the independent
-    # Schur-based reference before comparing
+    # Schur-based reference before comparing.  Absorbing rows give a
+    # repeated eigenvalue 1.  The second power reads the memoised
+    # eigendecomposition that the first one computed.
     import scipy.linalg
 
-    def project(m):
-        m = np.clip(m, 0.0, 1.0)
-        return m / m.sum(axis=1, keepdims=True)
+    P, t = chain_and_time
+    if abs(t - round(t)) <= markov.INTEGRAL_TIME_TOLERANCE:
+        t_ref = round(t)  # documented: such a t takes the exact integer power
+    else:
+        t_ref = t
+    ref = np.real(scipy.linalg.fractional_matrix_power(P.entries, t_ref))
+    ref = np.clip(ref, 0.0, 1.0)
+    ref /= ref.sum(axis=1, keepdims=True)
+    cold = markov.matrix_power_real(P, t).entries
+    warm = markov.matrix_power_real(P, t).entries
+    assert np.allclose(cold, ref, rtol=0.0, atol=1e-9)
+    assert np.array_equal(warm, cold)
 
-    rng = np.random.default_rng(19)
-    for _ in range(5):
-        P = random_stochastic(6, rng)
-        for t in (0.5, 1.2, 2.7):
-            got = markov.matrix_power_real(P, t).entries
-            ref = project(np.real(scipy.linalg.fractional_matrix_power(P.entries, t)))
-            assert np.allclose(got, ref, atol=1e-9)
+
+def test_propagate_through_a_memoised_chain_is_bit_identical_to_a_fresh_one():
+    rng = np.random.default_rng(23)
+    for P in (*scenario1_lane_chains(), random_stochastic(6, rng)):
+        markov.propagate(markov.unit_vector(P.n, 0), P, 0.3)  # decompose once
+        for t in (0.5, 1.2, 2.7, 37.5):
+            for state in range(P.n):
+                pi0 = markov.unit_vector(P.n, state)
+                fresh = markov.StochasticMatrix(P.entries)
+                got = markov.propagate(pi0, P, t).entries
+                assert np.array_equal(got, markov.propagate(pi0, fresh, t).entries)
 
 
 # --- stationary / limiting ---

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from crashguard import simulator
+from crashguard import prediction, simulator
 from crashguard.errors import LeadBehindEgo, SchemaError
 from crashguard.prediction import SafetyAction
 from crashguard.simulator import AccParams, CarState
@@ -218,6 +218,34 @@ def test_scenario1_acc_prevents_crash():
     assert first.target == "car2"
     assert first.clock == 0.0
     assert report.predicted_crash_time == pytest.approx(4.0)
+
+
+def test_each_chain_is_analysed_once_per_run(monkeypatch):
+    # flows 2 and 3 read the same two lane chains on every tick; each chain
+    # is decomposed and gets its passage matrix built at most once per run
+    config = load("scenario1")
+    analysed, decomposed = [], []
+    stationary, eig = prediction.stationary_distribution, np.linalg.eig
+
+    def counting_stationary(chain):
+        analysed.append(chain)
+        return stationary(chain)
+
+    def counting_eig(a):
+        decomposed.append(np.asarray(a).tobytes())
+        return eig(a)
+
+    monkeypatch.setattr(prediction, "stationary_distribution", counting_stationary)
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    report = simulator.run(config)
+    assert len(report.timeline) > 1 and report.triggered_actions
+    assert analysed  # flow 3 fired
+    assert len(analysed) <= len(config.cars)
+    assert len(set(map(id, analysed))) == len(analysed)
+    chains = {c.model.lane_chain.entries.tobytes() for c in config.cars}
+    assert decomposed  # fractional crash times take the eigendecomposition path
+    assert len(decomposed) == len(set(decomposed)) <= len(chains)
+    assert set(decomposed) <= chains
 
 
 def test_scenario1_disabled_forced_crashes_per_kinematic_oracle():
