@@ -4,13 +4,14 @@
     python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json
 
 Each run is ``python3 perfbench/run.py --workload W --seed S --seconds X
---trace T`` in one checkout, one process at a time.  The plan is
-``--pairs`` replay pairs (seeds 1..N, the side that runs first
-alternating), one pair each on encounters and estimate, and one traced
-replay run per side.  The output keeps every run's ``perfbench`` record
-and result line as printed, plus, per workload and end-to-end metric,
-the medians, the parent's interquartile range, the median of the
-per-pair ratios change/parent and the pairs the change won.
+--trace T`` in one checkout, one process at a time, with X the
+``run_seconds`` of BENCHMARK.json.  The plan is ten replay pairs (seeds
+1-10, the side that runs first alternating), one pair each on encounters
+and estimate, and one traced replay run per side.  The output keeps every
+run's ``perfbench`` record and result line as printed, plus, per workload
+and end-to-end metric, the medians, the parent's interquartile range
+(null for a single pair, where no spread was measured), the median of
+the per-pair ratios change/parent and the pairs the change won.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+REPLAY_PAIRS = 10
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -42,11 +44,15 @@ def summary(pairs: list[dict], better: dict[str, str]) -> dict:
         parent = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
         sign = 1 if direction == "higher" else -1
-        quartiles = statistics.quantiles(parent, n=4) if len(parent) > 1 else [parent[0]] * 3
+        if len(parent) > 1:
+            quartiles = statistics.quantiles(parent, n=4)
+            iqr = quartiles[2] - quartiles[0]
+        else:
+            iqr = None
         out[name] = {
             "parent_median": statistics.median(parent),
             "change_median": statistics.median(change),
-            "parent_iqr": quartiles[2] - quartiles[0],
+            "parent_iqr": iqr,
             "median_ratio": statistics.median(c / p for p, c in zip(parent, change)),
             "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "pairs": len(pairs),
@@ -60,28 +66,27 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = parser.parse_args(argv)
+    seconds = bench["run_seconds"]
     sides = {"parent": args.parent, "change": args.change}
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
-    plan = [("replay", seed) for seed in range(1, args.pairs + 1)]
+    plan = [("replay", seed) for seed in range(1, REPLAY_PAIRS + 1)]
     plan += [("encounters", 1), ("estimate", 1)]
     pairs = []
     for index, (workload, seed) in enumerate(plan):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-        pair = {side: run(sides[side], workload, seed, args.seconds, 0) for side in order}
+        pair = {side: run(sides[side], workload, seed, seconds, 0) for side in order}
         pairs.append({"workload": workload, "seed": seed, "first": order[0], **pair})
         print(f"{workload} seed {seed}: " + ", ".join(
             f"{side} {pair[side]['result']['metrics']['ops_per_s']['value']:.1f} ops/s" for side in order
         ), file=sys.stderr)
-    traced = {side: run(sides[side], "replay", 1, args.seconds, 1) for side in sides}
+    traced = {side: run(sides[side], "replay", 1, seconds, 1) for side in sides}
 
     workloads = dict.fromkeys(w for w, _ in plan)
     report = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds X --trace T",
-        "seconds": args.seconds,
+        "seconds": seconds,
         "env": pairs[0]["parent"]["record"]["env"],
         "summary": {w: summary([p for p in pairs if p["workload"] == w], better) for w in workloads},
         "pairs": pairs,

@@ -10,6 +10,7 @@ from conftest import scenario1_lane_chains
 from crashguard import markov
 from crashguard.errors import (
     DimensionMismatch,
+    IllConditioned,
     NegativeEntry,
     NotRegular,
     NotSquare,
@@ -219,6 +220,37 @@ def test_fractional_power_matches_schur_oracle(chain_and_time):
     warm = markov.matrix_power_real(P, t).entries
     assert np.allclose(cold, ref, rtol=0.0, atol=1e-9)
     assert np.array_equal(warm, cold)
+
+
+def test_fractional_power_matches_schur_oracle_on_dense_chains():
+    # all entries positive, which the sparse property above rarely draws
+    import scipy.linalg
+
+    def project(m):
+        m = np.clip(m, 0.0, 1.0)
+        return m / m.sum(axis=1, keepdims=True)
+
+    rng = np.random.default_rng(19)
+    for _ in range(5):
+        P = random_stochastic(6, rng)
+        for t in (0.5, 1.2, 2.7):
+            got = markov.matrix_power_real(P, t).entries
+            ref = project(np.real(scipy.linalg.fractional_matrix_power(P.entries, t)))
+            assert np.allclose(got, ref, atol=1e-9)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: _eig_power trusts a decomposition that is "
+    "defective at eigenvalue 0 and returns a wrong half power",
+)
+def test_half_power_of_a_chain_defective_at_zero_is_ill_conditioned():
+    # state 0 goes to 1 and 1 to 2 surely: a nilpotent Jordan block of size
+    # 2 at eigenvalue 0, so P has no square root at all.  Today every row
+    # of the returned "half step" is [0, 0, 1] (cond(V) about 1e17).
+    P = markov.validate_stochastic([[0, 1, 0], [0, 0, 1], [0, 0, 1]])
+    with pytest.raises(IllConditioned):
+        markov.matrix_power_real(P, 0.5)
 
 
 def test_propagate_through_a_memoised_chain_is_bit_identical_to_a_fresh_one():
