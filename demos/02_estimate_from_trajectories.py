@@ -17,9 +17,9 @@ csv_path = importlib.resources.files("crashguard") / "data" / "sample_trajectori
 print(f"reading {csv_path}\n")
 
 grouped = ingest_trajectories(str(csv_path))
-for vehicle_id, records in sorted(grouped.items()):
-    model = build_vehicle_model(records, frame_interval=0.1)
-    print(f"vehicle {vehicle_id}: {len(records)} records")
+for vehicle_id, trajectory in sorted(grouped.items()):
+    model = build_vehicle_model(trajectory, frame_interval=0.1)
+    print(f"vehicle {vehicle_id}: {len(trajectory)} rows, frames {trajectory.frames[0]}-{trajectory.frames[-1]}")
     print(f"  ends in lane {model.current_lane} at {model.current_speed:.1f} m/s")
     print(f"  unobserved lane rows:  {list(model.lane_unobserved)} (self-loop filled)")
     print(f"  unobserved speed rows: {list(model.speed_unobserved)}")

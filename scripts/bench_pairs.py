@@ -5,13 +5,13 @@
 
 Each run is ``python3 perfbench/run.py --workload W --seed S --seconds X
 --trace T`` in one checkout, one process at a time, with X the
-``run_seconds`` of BENCHMARK.json.  The plan is ten replay pairs (seeds
-1-10, the side that runs first alternating), one pair each on encounters
-and estimate, and one traced replay run per side.  The output keeps every
-run's ``perfbench`` record and result line as printed, plus, per workload
-and end-to-end metric, the medians, the parent's interquartile range
-(null for a single pair, where no spread was measured), the median of
-the per-pair ratios change/parent and the pairs the change won.
+``run_seconds`` of BENCHMARK.json.  The plan is ten pairs on every
+workload of BENCHMARK.json (seeds 1-10, the workloads interleaved, the
+side that runs first alternating), then one traced run (seed 1) per side
+per workload.  The output keeps every run's ``perfbench`` record and
+result line as printed, plus, per workload and end-to-end metric, the
+medians, the parent's interquartile range, the median of the per-pair
+ratios change/parent and the pairs the change won.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-REPLAY_PAIRS = 10
+PAIRS = 10  # per workload
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -44,15 +44,11 @@ def summary(pairs: list[dict], better: dict[str, str]) -> dict:
         parent = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
         sign = 1 if direction == "higher" else -1
-        if len(parent) > 1:
-            quartiles = statistics.quantiles(parent, n=4)
-            iqr = quartiles[2] - quartiles[0]
-        else:
-            iqr = None
+        quartiles = statistics.quantiles(parent, n=4)
         out[name] = {
             "parent_median": statistics.median(parent),
             "change_median": statistics.median(change),
-            "parent_iqr": iqr,
+            "parent_iqr": quartiles[2] - quartiles[0],
             "median_ratio": statistics.median(c / p for p, c in zip(parent, change)),
             "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "pairs": len(pairs),
@@ -71,8 +67,8 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent, "change": args.change}
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
-    plan = [("replay", seed) for seed in range(1, REPLAY_PAIRS + 1)]
-    plan += [("encounters", 1), ("estimate", 1)]
+    workloads = [w["name"] for w in bench["workloads"]]
+    plan = [(workload, seed) for seed in range(1, PAIRS + 1) for workload in workloads]
     pairs = []
     for index, (workload, seed) in enumerate(plan):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
@@ -81,9 +77,8 @@ def main(argv=None) -> int:
         print(f"{workload} seed {seed}: " + ", ".join(
             f"{side} {pair[side]['result']['metrics']['ops_per_s']['value']:.1f} ops/s" for side in order
         ), file=sys.stderr)
-    traced = {side: run(sides[side], "replay", 1, seconds, 1) for side in sides}
+    traced = {w: {side: run(sides[side], w, 1, seconds, 1) for side in sides} for w in workloads}
 
-    workloads = dict.fromkeys(w for w, _ in plan)
     report = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds X --trace T",
         "seconds": seconds,

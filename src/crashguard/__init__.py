@@ -8,7 +8,7 @@ assist), and replays desk-scale two-vehicle scenarios deterministically.
 
 from .estimation import (
     ObservationMatrix,
-    TrajectoryRecord,
+    Trajectory,
     VehicleModel,
     bin_speed,
     build_vehicle_model,

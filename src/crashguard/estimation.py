@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ __all__ = [
     "N_LANES",
     "SPEED_SYMBOLS",
     "SPEED_BIN_WIDTH",
-    "TrajectoryRecord",
+    "Trajectory",
     "ObservationMatrix",
     "VehicleModel",
     "bin_speed",
@@ -50,6 +51,8 @@ SPEED_BIN_WIDTH = 10.0
 SPEED_MAX = SPEED_BIN_WIDTH * len(SPEED_SYMBOLS)
 
 CSV_COLUMNS = ("vehicle_id", "frame", "lane", "speed_mps", "pos_m")
+_CSV_DTYPES = {"vehicle_id": np.int64, "frame": np.int64, "lane": np.int64,
+               "speed_mps": np.float64, "pos_m": np.float64}
 
 DEFAULT_FRAME_INTERVAL = 0.1  # seconds between consecutive frames
 
@@ -77,14 +80,24 @@ def require_field(data: dict, key: str, kind, where: str = ""):
 
 
 @dataclass(frozen=True)
-class TrajectoryRecord:
-    """One timestamped observation of a vehicle."""
+class Trajectory:
+    """One vehicle's rows sorted by frame, as read-only columns of equal length."""
 
-    vehicle_id: int
-    frame: int
-    lane: int
-    speed: float  # m/s
-    position: float  # m, longitudinal
+    frames: np.ndarray
+    lanes: np.ndarray
+    speeds: np.ndarray  # m/s
+    positions: np.ndarray  # m, longitudinal
+
+    def __post_init__(self):
+        for name in ("frames", "lanes", "speeds", "positions"):
+            column = np.asarray(getattr(self, name)).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if not len(self.frames) == len(self.lanes) == len(self.speeds) == len(self.positions):
+            raise ValueError("trajectory columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.frames)
 
 
 @dataclass(frozen=True)
@@ -152,7 +165,7 @@ def bin_speed(v: float) -> str:
     return SPEED_SYMBOLS[speed_bin_index(v)]
 
 
-def _parse_row(row: dict, line: int) -> TrajectoryRecord:
+def _parse_row(row: dict, line: int) -> tuple:
     try:
         vehicle_id = int(row["vehicle_id"])
         frame = int(row["frame"])
@@ -169,19 +182,12 @@ def _parse_row(row: dict, line: int) -> TrajectoryRecord:
         raise SpeedOutOfRange(f"speed {speed} outside [0, {SPEED_MAX})", line)
     if not math.isfinite(position):
         raise ParseError(f"non-finite position {position!r}", line)
-    return TrajectoryRecord(vehicle_id, frame, lane, speed, position)
+    return vehicle_id, frame, lane, speed, position
 
 
-def ingest_trajectories(source) -> dict[int, list[TrajectoryRecord]]:
-    """Read trajectory records grouped by vehicle and sorted by frame.
-
-    ``source`` is a path or an open text stream of CSV with header
-    ``vehicle_id,frame,lane,speed_mps,pos_m``.  Duplicate
-    (vehicle, frame) pairs are rejected.
-    """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return ingest_trajectories(handle)
+def _dict_reader(source) -> csv.DictReader:
+    """A reader past the checked header, keyed by the stripped names the
+    check compares."""
     reader = csv.DictReader(source)
     if reader.fieldnames is None:
         raise ParseError("missing header", 1)
@@ -190,20 +196,130 @@ def ingest_trajectories(source) -> dict[int, list[TrajectoryRecord]]:
         raise ParseError(
             f"header {header} does not match required columns {CSV_COLUMNS}", 1
         )
+    reader.fieldnames = header
+    return reader
 
-    grouped: dict[int, list[TrajectoryRecord]] = {}
+
+def _walk_rows(source) -> np.ndarray:
+    """The row walk: the definition of the accepted CSV dialect and of the
+    line-numbered errors.  The first bad row raises; otherwise the rows
+    come back as a table in file order."""
+    reader = _dict_reader(source)
+    rows = []
     for row in reader:
         if row.get(None):
             raise ParseError(f"too many fields: {row[None]}", reader.line_num)
-        record = _parse_row(row, reader.line_num)
-        grouped.setdefault(record.vehicle_id, []).append(record)
+        rows.append(_parse_row(row, reader.line_num))
+    columns = list(zip(*rows)) or [()] * len(CSV_COLUMNS)
+    arrays = [_column(column, _CSV_DTYPES[name]) for name, column in zip(CSV_COLUMNS, columns)]
+    return np.rec.fromarrays(arrays, names=list(CSV_COLUMNS)).view(np.ndarray)
 
-    for vehicle_id, records in grouped.items():
-        records.sort(key=lambda r: r.frame)
-        for prev, cur in zip(records, records[1:]):
-            if cur.frame == prev.frame:
-                raise DuplicateFrame(vehicle_id, cur.frame)
+
+def _column(values, dtype) -> np.ndarray:
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:  # int() reads integers of any size; keep them as Python ints
+        return np.array(values, dtype=object)
+
+
+# numpy's number reader skips these as whitespace, and misreads some
+# non-ASCII characters as digits, where int() and float() reject both
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+_BLOCK_CHARS = 1 << 16
+
+
+def _plain_lines(source):
+    """The remaining lines of ``source``, read in blocks of whole lines.  A
+    block with a character numpy reads unlike int() and float() raises
+    ValueError."""
+    while block := source.readlines(_BLOCK_CHARS):
+        text = "".join(block)
+        if not text.isascii() or any(c in text for c in _NUMPY_ONLY_SPACE):
+            raise ValueError("characters outside plain ASCII")
+        yield from block
+
+
+def _read_columns(source) -> np.ndarray | None:
+    """The rows after the header, parsed by numpy's C reader into a table
+    with the columns in header order; None when the C reader fails or warns
+    (quoted fields, ``_`` digit separators, integers beyond int64, bad rows)
+    or a row fails a range check."""
+    header = _dict_reader(source).fieldnames
+    try:
+        with warnings.catch_warnings():
+            # numpy before 2.0 reads "3.0" in an integer column with a
+            # DeprecationWarning; int() rejects it
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                _plain_lines(source), delimiter=",", comments=None, ndmin=1,
+                dtype=[(name, _CSV_DTYPES[name]) for name in header],
+            )
+    except Exception:  # the row walk names what is wrong, if anything
+        return None
+    lanes, speeds = table["lane"], table["speed_mps"]
+    valid = (
+        (table["frame"] >= 0).all()
+        and ((lanes >= 1) & (lanes <= N_LANES)).all()
+        and ((speeds >= 0.0) & (speeds < SPEED_MAX)).all()
+        and np.isfinite(table["pos_m"]).all()
+    )
+    return table if valid else None
+
+
+def _group(table: np.ndarray) -> dict[int, Trajectory]:
+    """Rows grouped by vehicle, vehicles in order of first appearance, each
+    sorted by frame.  A repeated (vehicle, frame) pair raises DuplicateFrame
+    for the first-appearing such vehicle and its smallest repeated frame."""
+    if not len(table):
+        return {}
+    order = np.lexsort((table["frame"], table["vehicle_id"]))
+    table = table[order]
+    table.flags.writeable = False
+    vehicles, frames = table["vehicle_id"], table["frame"]
+    same_vehicle = vehicles[1:] == vehicles[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], ~same_vehicle)))
+    first_rows = np.minimum.reduceat(order, starts)  # each vehicle's first row in the file
+    repeats = np.flatnonzero(same_vehicle & (frames[1:] == frames[:-1]))
+    if repeats.size:
+        vehicle_of_repeat = np.searchsorted(starts, repeats, side="right") - 1
+        k = repeats[np.argmin(first_rows[vehicle_of_repeat])]
+        raise DuplicateFrame(int(vehicles[k]), int(frames[k]))
+    ends = np.append(starts[1:], len(table))
+    ids = vehicles[starts].tolist()
+    grouped = {}
+    for g in np.argsort(first_rows, kind="stable"):
+        rows = table[starts[g]:ends[g]]
+        grouped[ids[g]] = Trajectory(rows["frame"], rows["lane"], rows["speed_mps"], rows["pos_m"])
     return grouped
+
+
+def ingest_trajectories(source) -> dict[int, Trajectory]:
+    """Read trajectories grouped by vehicle and sorted by frame.
+
+    ``source`` is a path or an open text stream of CSV with header
+    ``vehicle_id,frame,lane,speed_mps,pos_m``, columns in any order.
+    Duplicate (vehicle, frame) pairs are rejected.
+
+    numpy's C reader parses the rows.  When it cannot, or a row fails a
+    range check, the row walk re-reads the source from where it started:
+    it raises the first bad row's error with its line number, or reads the
+    CSV the C reader does not take.  A source it cannot rewind goes to the
+    row walk directly.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8", newline="") as handle:
+            return ingest_trajectories(handle)
+    try:
+        start = source.tell() if source.seekable() else None
+    except (AttributeError, OSError):  # an iterable of lines, or a file iterated before
+        start = None
+    if start is None:
+        return _group(_walk_rows(source))
+    table = _read_columns(source)
+    if table is None:
+        source.seek(start)
+        table = _walk_rows(source)
+    return _group(table)
 
 
 def _lane_indices(lanes) -> np.ndarray:
@@ -216,7 +332,12 @@ def _lane_indices(lanes) -> np.ndarray:
 
 
 def _speed_bins(speeds) -> np.ndarray:
-    return np.array([speed_bin_index(v) for v in speeds], dtype=np.intp)
+    """0-based speed-bin indices; a speed outside [0, 60) raises."""
+    speeds = np.asarray(speeds, dtype=float)
+    outside = ~((speeds >= 0.0) & (speeds < SPEED_MAX))
+    if outside.any():
+        raise SpeedOutOfRange(f"speed {float(speeds[outside][0])!r} outside [0, {SPEED_MAX})")
+    return (speeds // SPEED_BIN_WIDTH).astype(np.intp)
 
 
 def _normalized_rows(counts: np.ndarray, fill: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -260,35 +381,32 @@ def estimate_speed_transitions(speeds) -> StochasticMatrix:
     return _chain(_speed_bins(speeds), len(SPEED_SYMBOLS))[0]
 
 
-def estimate_observation_probs(records) -> ObservationMatrix:
+def estimate_observation_probs(trajectory: Trajectory) -> ObservationMatrix:
     """Per-lane distribution of observed speed symbols.
 
-    Column j holds P(symbol | lane j+1); lanes with no records get the
+    Column j holds P(symbol | lane j+1); lanes with no rows get the
     uniform column and are flagged in ``uniform_lanes``.
     """
-    records = list(records)
-    if not records:
+    if not len(trajectory):
         raise TooShort("need at least 1 record")
-    return _observation(_lane_indices([r.lane for r in records]), _speed_bins([r.speed for r in records]))
+    return _observation(_lane_indices(trajectory.lanes), _speed_bins(trajectory.speeds))
 
 
-def build_vehicle_model(records, frame_interval: float = DEFAULT_FRAME_INTERVAL) -> VehicleModel:
-    """Estimate both chains and the observation matrix from one vehicle's records."""
-    records = list(records)
-    if len(records) < 2:
-        raise TooShort(f"need at least 2 records, got {len(records)}")
-    lanes = _lane_indices([r.lane for r in records])
-    bins = _speed_bins([r.speed for r in records])
+def build_vehicle_model(trajectory: Trajectory, frame_interval: float = DEFAULT_FRAME_INTERVAL) -> VehicleModel:
+    """Estimate both chains and the observation matrix from one vehicle's trajectory."""
+    if len(trajectory) < 2:
+        raise TooShort(f"need at least 2 records, got {len(trajectory)}")
+    lanes = _lane_indices(trajectory.lanes)
+    bins = _speed_bins(trajectory.speeds)
     lane_chain, lane_unobserved = _chain(lanes, N_LANES)
     speed_chain, speed_unobserved = _chain(bins, len(SPEED_SYMBOLS))
-    last = records[-1]
     return VehicleModel(
         lane_chain=lane_chain,
         speed_chain=speed_chain,
         observation=_observation(lanes, bins),
-        current_lane=last.lane,
-        current_speed=last.speed,
-        current_position=last.position,
+        current_lane=int(trajectory.lanes[-1]),
+        current_speed=float(trajectory.speeds[-1]),
+        current_position=float(trajectory.positions[-1]),
         lane_unobserved=lane_unobserved,
         speed_unobserved=speed_unobserved,
         frame_interval=frame_interval,

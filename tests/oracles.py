@@ -5,10 +5,14 @@ internals: plain loops, closed forms, brute-force enumeration, and
 Monte-Carlo simulation.
 """
 
+import csv
 import itertools
 import math
+import os
 
 import numpy as np
+
+from crashguard.errors import DuplicateFrame, LaneOutOfRange, ParseError, SpeedOutOfRange
 
 
 def two_state_analytic(a, b):
@@ -119,6 +123,64 @@ def loop_vehicle_estimate(lanes, speeds, n_lanes=6, n_bins=6, bin_width=10.0):
         else:
             observation[:, j] = counts[:, j] / total
     return lane_chain, lane_empty, speed_chain, speed_empty, observation, tuple(uniform)
+
+
+TRAJECTORY_COLUMNS = ("vehicle_id", "frame", "lane", "speed_mps", "pos_m")
+
+
+def loop_ingest(source):
+    """Row-by-row trajectory CSV reader: the ingestion contract.
+
+    ``csv.DictReader`` and ``int``/``float`` on every field, checked row by
+    row in file order, so the first bad row raises with its 1-based line.
+    Columns are read by the stripped header names the header check
+    compares.  Returns ``{vehicle_id: (frames, lanes, speeds, positions)}``
+    as lists sorted by frame, vehicles in order of first appearance; a
+    repeated (vehicle, frame) pair raises ``DuplicateFrame`` for the
+    first-appearing such vehicle and its smallest repeated frame.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8", newline="") as handle:
+            return loop_ingest(handle)
+    reader = csv.DictReader(source)
+    if reader.fieldnames is None:
+        raise ParseError("missing header", 1)
+    header = tuple(name.strip() for name in reader.fieldnames)
+    if sorted(header) != sorted(TRAJECTORY_COLUMNS):
+        raise ParseError(f"header {header} does not match required columns {TRAJECTORY_COLUMNS}", 1)
+    reader.fieldnames = header
+
+    grouped = {}
+    for row in reader:
+        line = reader.line_num
+        if row.get(None):
+            raise ParseError(f"too many fields: {row[None]}", line)
+        try:
+            vehicle_id = int(row["vehicle_id"])
+            frame = int(row["frame"])
+            lane = int(row["lane"])
+            speed = float(row["speed_mps"])
+            position = float(row["pos_m"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed row: {exc}", line) from exc
+        if frame < 0:
+            raise ParseError(f"negative frame {frame}", line)
+        if not 1 <= lane <= 6:
+            raise LaneOutOfRange(f"lane {lane} outside 1..6", line)
+        if not 0.0 <= speed < 60.0:
+            raise SpeedOutOfRange(f"speed {speed} outside [0, 60.0)", line)
+        if not math.isfinite(position):
+            raise ParseError(f"non-finite position {position!r}", line)
+        grouped.setdefault(vehicle_id, []).append((frame, lane, speed, position))
+
+    columns = {}
+    for vehicle_id, rows in grouped.items():
+        rows.sort(key=lambda r: r[0])
+        for prev, cur in zip(rows, rows[1:]):
+            if cur[0] == prev[0]:
+                raise DuplicateFrame(vehicle_id, cur[0])
+        columns[vehicle_id] = tuple(list(column) for column in zip(*rows))
+    return columns
 
 
 def all_sequences(states, max_len):

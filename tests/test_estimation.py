@@ -26,12 +26,15 @@ def csv_stream(*rows):
     return io.StringIO(HEADER + "".join(r + "\n" for r in rows))
 
 
-def records_from(pairs, vehicle_id=1):
-    """(lane, speed) pairs -> record list with increasing frames."""
-    return [
-        estimation.TrajectoryRecord(vehicle_id, k, lane, speed, 10.0 * k)
-        for k, (lane, speed) in enumerate(pairs)
-    ]
+def records_from(pairs):
+    """(lane, speed) pairs -> trajectory with frames 0, 1, ... and positions 10 m apart."""
+    lanes = [lane for lane, _ in pairs]
+    return estimation.Trajectory(
+        frames=np.arange(len(pairs)),
+        lanes=lanes,
+        speeds=[speed for _, speed in pairs],
+        positions=10.0 * np.arange(len(pairs)),
+    )
 
 
 # --- speed binning ---
@@ -64,8 +67,8 @@ def test_ingest_sorts_by_frame():
     grouped = estimation.ingest_trajectories(
         csv_stream("1,3,2,15.0,30.0", "1,1,1,10.0,10.0", "1,2,1,12.0,20.0")
     )
-    assert [r.frame for r in grouped[1]] == [1, 2, 3]
-    assert [r.lane for r in grouped[1]] == [1, 1, 2]
+    assert grouped[1].frames.tolist() == [1, 2, 3]
+    assert grouped[1].lanes.tolist() == [1, 1, 2]
 
 
 def test_ingest_rejects_lane_out_of_range():
@@ -109,6 +112,205 @@ def test_ingest_groups_vehicles():
     assert len(grouped[2]) == 2
 
 
+# --- ingestion contract: the row-by-row oracle ---
+
+def columns_of(grouped):
+    """Ingested vehicles as (frames, lanes, speeds, positions) lists."""
+    return {
+        vehicle_id: (t.frames.tolist(), t.lanes.tolist(), t.speeds.tolist(), t.positions.tolist())
+        for vehicle_id, t in grouped.items()
+    }
+
+
+def outcome(ingest, source):
+    """("ok", columns in vehicle order) or (exception class, message, line)."""
+    try:
+        grouped = ingest(source)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return "ok", list(grouped.items())
+
+
+def assert_same_as_loop(text, tmp_path=None):
+    """The library and the row-by-row oracle agree on ``text``, read from a
+    stream and, given ``tmp_path``, from a file."""
+    want = outcome(oracles.loop_ingest, io.StringIO(text))
+    assert outcome(lambda s: columns_of(estimation.ingest_trajectories(s)), io.StringIO(text)) == want
+    if tmp_path is not None:
+        path = tmp_path / "trajectories.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(oracles.loop_ingest, str(path)) == want
+        assert outcome(lambda s: columns_of(estimation.ingest_trajectories(s)), str(path)) == want
+    return want
+
+
+GOOD_ROWS = ("1,1,1,10.0,0.0", "2,1,3,25.5,4.0", "1,2,2,12.0,1.5")
+BAD_ROWS = [
+    ("1,x,1,10.0,0.0", ParseError, "malformed row"),
+    ("1,2,1,10.0", ParseError, "malformed row"),
+    ("1,2,1,10.0,0.0,9", ParseError, "too many fields"),
+    ("1,-2,1,10.0,0.0", ParseError, "negative frame -2"),
+    ("1,2,7,10.0,0.0", LaneOutOfRange, "lane 7 outside"),
+    ("1,2,1,60.0,0.0", SpeedOutOfRange, "speed 60.0 outside"),
+    ("1,2,1,10.0,nan", ParseError, "non-finite position nan"),
+]
+LAYOUTS = {
+    # name: (line ending, blank line before the bad row)
+    "lf": ("\n", False),
+    "after_blank_line": ("\n", True),
+    "crlf": ("\r\n", False),
+    "crlf_after_blank_line": ("\r\n", True),
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("bad_row, error, message", BAD_ROWS)
+def test_ingest_error_names_class_and_line(tmp_path, bad_row, error, message, layout):
+    ending, blank = LAYOUTS[layout]
+    lines = [HEADER.strip(), GOOD_ROWS[0], GOOD_ROWS[1]] + [""] * blank + [bad_row, GOOD_ROWS[2]]
+    kind, text, line = assert_same_as_loop(ending.join(lines) + ending, tmp_path)
+    assert kind is error
+    assert message in text
+    assert line == 4 + blank
+
+
+def test_ingest_reads_quoted_numbers_and_digit_separators(tmp_path):
+    text = HEADER + '1,"2",3,"10.5",0.0\n1,1_0,3,1_0.5,2.0\n'
+    kind, columns = assert_same_as_loop(text, tmp_path)
+    assert kind == "ok"
+    assert columns == [(1, ([2, 10], [3, 3], [10.5, 10.5], [0.0, 2.0]))]
+
+
+def test_ingest_reads_integers_beyond_int64(tmp_path):
+    text = HEADER + "99999999999999999999,1,1,5.0,0.0\n99999999999999999999,2,1,5.0,1.0\n"
+    kind, columns = assert_same_as_loop(text, tmp_path)
+    assert kind == "ok"
+    assert [vehicle_id for vehicle_id, _ in columns] == [99999999999999999999]
+
+
+def test_ingest_reads_columns_in_header_order(tmp_path):
+    text = "pos_m,lane,vehicle_id,speed_mps,frame\n0.5,2,9,33.0,4\n0.0,1,9,31.0,3\n"
+    kind, columns = assert_same_as_loop(text, tmp_path)
+    assert kind == "ok"
+    assert columns == [(9, ([3, 4], [1, 2], [31.0, 33.0], [0.0, 0.5]))]
+
+
+@pytest.mark.parametrize("rows, vehicle_id, frame", [
+    # vehicle 2 appears first and repeats frame 3; vehicle 1 repeats frame 4
+    (["2,3,1,5.0,0.0", "1,4,1,5.0,0.0", "2,3,1,5.0,1.0", "1,4,1,5.0,1.0"], 2, 3),
+    # the first-appearing vehicle's smallest repeated frame, not its first
+    (["2,5,1,5.0,0.0", "1,4,1,5.0,0.0", "2,5,1,5.0,1.0", "1,4,1,5.0,1.0",
+      "2,3,1,5.0,2.0", "2,3,1,5.0,3.0"], 2, 3),
+])
+def test_duplicate_frame_names_first_appearing_vehicle(rows, vehicle_id, frame):
+    kind, text, line = assert_same_as_loop(HEADER + "".join(r + "\n" for r in rows))
+    assert kind is DuplicateFrame
+    assert text == f"duplicate frame {frame} for vehicle {vehicle_id}"
+    with pytest.raises(DuplicateFrame) as exc:
+        estimation.ingest_trajectories(csv_stream(*rows))
+    assert (exc.value.vehicle_id, exc.value.frame, exc.value.line) == (vehicle_id, frame, None)
+
+
+def test_ingest_reads_columns_by_stripped_header_names(tmp_path):
+    text = "vehicle_id, frame,lane ,speed_mps,pos_m\n1,2,3,10.5,0.0\n1,1,3,12.0,2.0\n"
+    kind, columns = assert_same_as_loop(text, tmp_path)
+    assert kind == "ok"
+    assert columns == [(1, ([1, 2], [3, 3], [12.0, 10.5], [2.0, 0.0]))]
+
+
+class LinesOnly:
+    """A text stream that can only be iterated, as a pipe is."""
+
+    def __init__(self, text):
+        self.lines = io.StringIO(text).readlines()
+
+    def __iter__(self):
+        return iter(self.lines)
+
+
+def test_ingest_reads_a_stream_that_cannot_seek():
+    text = HEADER + "2,1,4,25.0,0.0\n1,1,1,5.0,0.0\n2,0,4,26.0,2.5\n"
+    assert outcome(lambda s: columns_of(estimation.ingest_trajectories(s)), LinesOnly(text)) == (
+        outcome(oracles.loop_ingest, io.StringIO(text))
+    )
+    with pytest.raises(LaneOutOfRange) as exc:
+        estimation.ingest_trajectories(LinesOnly(HEADER + "1,1,1,5.0,0.0\n1,2,9,5.0,0.0\n"))
+    assert exc.value.line == 3
+
+
+def test_ingest_reads_a_file_iterated_before(tmp_path):
+    path = tmp_path / "trajectories.csv"
+    path.write_text("preamble\n" + HEADER + "1,1,1,5.0,0.0\n1,2,2,15.0,1.0\n", encoding="utf-8")
+    with open(path, encoding="utf-8", newline="") as handle:
+        next(handle)  # a text file that was iterated cannot tell its position
+        grouped = estimation.ingest_trajectories(handle)
+    assert columns_of(grouped) == {1: ([1, 2], [1, 2], [5.0, 15.0], [0.0, 1.0])}
+
+
+def test_ingest_rereads_a_stream_from_where_it_started():
+    stream = io.StringIO("preamble\n" + HEADER + "1,1,1,5.0,0.0\n1,2,2,1_5.0,1.0\n")
+    stream.readline()
+    assert columns_of(estimation.ingest_trajectories(stream)) == {
+        1: ([1, 2], [1, 2], [5.0, 15.0], [0.0, 1.0])
+    }
+
+
+def test_trajectory_columns_are_read_only():
+    grouped = estimation.ingest_trajectories(csv_stream("1,1,1,10.0,0.0", "1,2,2,12.0,1.0"))
+    for trajectory in (grouped[1], records_from([(1, 5.0), (2, 15.0)])):
+        assert len(trajectory) == 2
+        for column in (trajectory.frames, trajectory.lanes, trajectory.speeds, trajectory.positions):
+            with pytest.raises(ValueError):
+                column[0] = 0
+    with pytest.raises(ValueError, match="length"):
+        estimation.Trajectory(frames=[0, 1], lanes=[1, 1], speeds=[5.0], positions=[0.0, 1.0])
+
+
+def float_text(strategy):
+    return st.one_of(strategy.map(repr), strategy.map("{:.3f}".format), strategy.map("{:e}".format))
+
+
+CSV_FIELDS = {
+    "vehicle_id": st.integers(-2, 4).map(str),
+    "frame": st.integers(0, 40).map(str),
+    "lane": st.integers(1, 6).map(str),
+    "speed_mps": float_text(st.floats(0.0, 60.0, exclude_max=True)),
+    "pos_m": float_text(st.floats(-1e4, 1e4)),
+}
+# field texts at or near the edge of what int() and float() take
+CORRUPTIONS = st.one_of(
+    st.sampled_from([
+        "", "x", "3.0", "1_0", '"7"', " 7 ", "+3", "-1", "0", "7", "60.0", "-0.5", "nan", "inf",
+        "1e999", "99999999999999999999", "0x10", "5,6", "5\r", "\x1c5", "5\x1f", "\xa05",
+        "\u0663", "\u01fe", "\uff15", "5\x00", "#5",
+    ]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def trajectory_csv_texts(draw):
+    header = draw(st.permutations(estimation.CSV_COLUMNS))
+    rows = draw(st.lists(st.fixed_dictionaries(CSV_FIELDS), max_size=25))
+    lines = [[row[name] for name in header] for row in rows]
+    corrupt = draw(st.none() | st.tuples(st.integers(0, 24), st.integers(0, 4), CORRUPTIONS))
+    if corrupt is not None and lines:
+        row, field, text = corrupt
+        lines[row % len(lines)][field] = text
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    blanks = draw(st.sets(st.integers(0, 24), max_size=2))
+    out = [",".join(header)]
+    for index, fields in enumerate(lines):
+        out += [""] * (index in blanks) + [",".join(fields)]
+    return ending.join(out) + ending * draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(trajectory_csv_texts())
+def test_ingest_matches_loop_oracle(text):
+    assert_same_as_loop(text)
+
+
 # --- lane transitions ---
 
 def test_lane_transitions_hand_counted():
@@ -147,8 +349,8 @@ def test_lane_transitions_invariant_under_relabeling_and_shift():
     shifted = ["7,110,1,5.0,0.0", "7,120,2,15.0,5.0", "7,130,1,5.0,10.0", "7,140,1,6.0,15.0"]
     a = estimation.ingest_trajectories(csv_stream(*rows))[1]
     b = estimation.ingest_trajectories(csv_stream(*shifted))[7]
-    chain_a = estimation.estimate_lane_transitions([r.lane for r in a])
-    chain_b = estimation.estimate_lane_transitions([r.lane for r in b])
+    chain_a = estimation.estimate_lane_transitions(a.lanes)
+    chain_b = estimation.estimate_lane_transitions(b.lanes)
     assert np.array_equal(chain_a.entries, chain_b.entries)
 
 
@@ -227,7 +429,7 @@ def test_build_model_takes_last_record_state():
     model = estimation.build_vehicle_model(records)
     assert model.current_lane == 6
     assert model.current_speed == 30.0
-    assert model.current_position == records[-1].position
+    assert model.current_position == records.positions[-1]
 
 
 def test_build_model_self_loop_dominant_history():
@@ -262,6 +464,13 @@ def test_build_model_matches_loop_counting(pairs):
     assert model.lane_unobserved == lane_empty
     assert model.speed_unobserved == speed_empty
     assert model.observation.uniform_lanes == uniform
+
+
+def test_build_model_rejects_speed_out_of_range():
+    with pytest.raises(SpeedOutOfRange, match="speed 61.0 outside"):
+        estimation.build_vehicle_model(records_from([(1, 5.0), (1, 61.0), (1, 70.0)]))
+    with pytest.raises(SpeedOutOfRange):
+        estimation.estimate_observation_probs(records_from([(1, float("nan"))]))
 
 
 def test_build_model_too_short():
