@@ -254,7 +254,7 @@ def _read_columns(source) -> np.ndarray | None:
                 _plain_lines(source), delimiter=",", comments=None, ndmin=1,
                 dtype=[(name, _CSV_DTYPES[name]) for name in header],
             )
-    except Exception:  # the row walk names what is wrong, if anything
+    except (ValueError, OverflowError, Warning):  # the row walk names what is wrong, if anything
         return None
     lanes, speeds = table["lane"], table["speed_mps"]
     valid = (
