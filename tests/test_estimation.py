@@ -28,10 +28,9 @@ def csv_stream(*rows):
 
 def records_from(pairs):
     """(lane, speed) pairs -> trajectory with frames 0, 1, ... and positions 10 m apart."""
-    lanes = [lane for lane, _ in pairs]
     return estimation.Trajectory(
         frames=np.arange(len(pairs)),
-        lanes=lanes,
+        lanes=[lane for lane, _ in pairs],
         speeds=[speed for _, speed in pairs],
         positions=10.0 * np.arange(len(pairs)),
     )
