@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import simulator
@@ -36,19 +37,79 @@ EXIT_FLAGGED = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _round_floats(obj):
-    """Floats throughout a JSON-ready structure rounded to 6 significant digits."""
-    if isinstance(obj, float):
-        return float(f"{obj:.6g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+def _float(x: float) -> str:
+    """``repr`` of x rounded to 6 significant digits, as ``json`` writes it.
+
+    The ``.6g`` string is already ``repr`` of the rounded value unless it
+    needs a ``.0`` or holds an exponent, a NaN or an infinity.
+    """
+    s = f"{x:.6g}"
+    if "e" in s or "n" in s:
+        rounded = float(s)
+        if rounded != rounded:
+            return "NaN"
+        if rounded == math.inf:
+            return "Infinity"
+        if rounded == -math.inf:
+            return "-Infinity"
+        return float.__repr__(rounded)
+    return s if "." in s else s + ".0"
+
+
+def _write(obj, newline: str, out) -> None:
+    """Pass the JSON chunks of obj to out; newline ends with obj's indentation."""
+    if isinstance(obj, str):
+        out(encode_basestring_ascii(obj))
+    elif obj is None:
+        out("null")
+    elif obj is True:
+        out("true")
+    elif obj is False:
+        out("false")
+    elif isinstance(obj, int):
+        out(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out(_float(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out("{}")
+            return
+        inner = newline + "  "
+        head = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out(head + encode_basestring_ascii(key) + ": ")
+            _write(obj[key], inner, out)
+            head = "," + inner
+        out(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out("[]")
+            return
+        inner = newline + "  "
+        head = "[" + inner
+        for item in obj:
+            out(head)
+            _write(item, inner, out)
+            head = "," + inner
+        out(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dumps_stable(obj) -> str:
-    return json.dumps(_round_floats(obj), sort_keys=True, indent=2) + "\n"
+    """obj as JSON with sorted keys, an indent of 2, floats rounded to 6
+    significant digits and a final newline, written in one pass.
+
+    The bytes equal ``json.dumps`` with ``sort_keys=True, indent=2`` of obj
+    with every float rounded first, except that every dict key must be a
+    str (TypeError otherwise).
+    """
+    chunks = []
+    _write(obj, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -79,9 +79,12 @@ def require_field(data: dict, key: str, kind, where: str = ""):
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One vehicle's rows sorted by frame, as read-only columns of equal length."""
+    """One vehicle's rows sorted by frame, as read-only columns of equal length.
+
+    Compared and hashed by identity, as the array wrappers of ``markov`` are.
+    """
 
     frames: np.ndarray
     lanes: np.ndarray
@@ -100,12 +103,12 @@ class Trajectory:
         return len(self.frames)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationMatrix:
     """Per-lane speed-symbol distributions; column j is the lane-(j+1) column.
 
     ``uniform_lanes`` lists 1-based lanes that had no data and were filled
-    with the uniform distribution.
+    with the uniform distribution.  Compared and hashed by identity.
     """
 
     entries: np.ndarray

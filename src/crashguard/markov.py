@@ -50,6 +50,10 @@ __all__ = [
 ROW_SUM_TOLERANCE = 1e-9  # |row sum - 1| accepted before renormalizing
 DISTRIBUTION_TOLERANCE = 1e-9  # |vector sum - 1| accepted for probability vectors
 INTEGRAL_TIME_TOLERANCE = 1e-9  # |t - round(t)| treated as an integer exponent
+# largest 1-norm condition estimate ||V||_1 ||V^-1||_1 of the eigenvectors
+# that a fractional power trusts; a chain defective at eigenvalue 0 has
+# about 1e17, estimated and bundled chains at most about 40
+EIG_CONDITION_LIMIT = 1e8
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -76,20 +80,22 @@ class StochasticMatrix(_FrozenArray):
     """n x n row-stochastic matrix; every row sums to exactly 1."""
 
     @cached_property
-    def _eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Complex eigenvalues, V and V^-1 of the entries, read-only.
+    def _eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Complex eigenvalues, V and V^-1 of the entries, read-only, and the
+        condition estimate ||V||_1 ||V^-1||_1.
 
         Computed on first use and kept for the matrix's lifetime; a failed
         decomposition raises IllConditioned and is not kept.
         """
         try:
             evals, vecs = np.linalg.eig(self.entries)
-            parts = (evals.astype(complex), vecs, np.linalg.inv(vecs))
+            inverse = np.linalg.inv(vecs)
         except np.linalg.LinAlgError as exc:
             raise IllConditioned(str(exc)) from exc
+        parts = (evals.astype(complex), vecs, inverse)
         for a in parts:
             a.flags.writeable = False
-        return parts
+        return (*parts, float(np.linalg.norm(vecs, 1) * np.linalg.norm(inverse, 1)))
 
 
 class ProbabilityVector(_FrozenArray):
@@ -185,9 +191,14 @@ def _eig_power(P: StochasticMatrix, t: float) -> StochasticMatrix:
 
     The decomposition is P's memoised one.  Rows of the reconstructed
     matrix are clipped to [0, 1] and renormalized.  Raises IllConditioned
-    when the decomposition or this power of it cannot be trusted.
+    when the decomposition or this power of it cannot be trusted: the
+    eigenvectors' condition estimate exceeds EIG_CONDITION_LIMIT, as for a
+    chain defective at eigenvalue 0, or the power is not finite or its row
+    sums drift.
     """
-    evals, vecs, inverse = P._eig
+    evals, vecs, inverse, condition = P._eig
+    if condition > EIG_CONDITION_LIMIT:
+        raise IllConditioned(f"eigenvector condition estimate {condition:.3g} above {EIG_CONDITION_LIMIT:g}")
     real = np.real(vecs @ np.diag(evals ** t) @ inverse)
     if not np.all(np.isfinite(real)):
         raise IllConditioned("non-finite entries in reconstructed power")

@@ -7,6 +7,7 @@ Monte-Carlo simulation.
 
 import csv
 import itertools
+import json
 import math
 import os
 
@@ -221,3 +222,21 @@ def flow3_branch_table(m1, m2, t, front_car, pc_value, crash_threshold=0.3):
     if m1 > t or m2 > t:
         return ("acc_on", trailing)
     return ("lane_departure_steering", "both")
+
+
+def _round_floats(obj):
+    """Floats throughout a JSON-ready structure rounded to 6 significant digits."""
+    if isinstance(obj, float):
+        return float(f"{obj:.6g}")
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
+def stable_json(obj):
+    """The stable report format in two passes: round every float to 6
+    significant digits, then ``json.dumps`` with sorted keys, an indent of 2
+    and a final newline."""
+    return json.dumps(_round_floats(obj), sort_keys=True, indent=2) + "\n"

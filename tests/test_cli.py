@@ -3,10 +3,14 @@
 import hashlib
 import importlib.resources
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from crashguard import cli, synthetic
 from crashguard.estimation import DEFAULT_FRAME_INTERVAL, model_to_dict
 from crashguard.markov import validate_stochastic
@@ -387,8 +391,56 @@ def test_repeat_runs_are_byte_identical(tmp_path, capsys):
 
 
 def test_float_rounding_is_six_significant_digits():
-    rounded = cli._round_floats({"x": 0.12345678901, "y": [1.0, 123456.789]})
-    assert rounded == {"x": 0.123457, "y": [1.0, 123457.0]}
+    text = cli.dumps_stable({"x": 0.12345678901, "y": [1.0, 123456.789]})
+    assert json.loads(text) == {"x": 0.123457, "y": [1.0, 123457.0]}
+
+
+# floats where the .6g string and repr part ways: NaN, the infinities,
+# signed zero, subnormals, and the edges of repr's fixed notation (1e16)
+# and of .6g's (1e-4 and 1e6, also after rounding up)
+EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, 1e-4, 9.99999e-5, 9.999995e-5, 999999.0, 999999.4,
+    999999.5, 1e6, 123456.5, 1e15, 9.999995e15, 1e16, 1.2345678e16, -1e16,
+]
+json_floats = st.one_of(
+    st.floats(), st.sampled_from(EDGE_FLOATS), st.floats().map(np.float64),
+)
+json_keys = st.one_of(st.text(), st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é", "ключ", "\U0001f600"]))
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(2 ** 200), 2 ** 200), json_floats, json_keys,
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(json_keys, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(json_values)
+def test_dumps_stable_equals_the_two_pass_writer(value):
+    assert cli.dumps_stable(value) == oracles.stable_json(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1: "a"}, {"a": 1, 2: "b"}, {"a": [{None: 1}]}, {1.5: 0}, {True: 0}, {("a",): 0},
+])
+def test_dumps_stable_rejects_a_non_str_key(value):
+    with pytest.raises(TypeError):
+        cli.dumps_stable(value)
+
+
+@pytest.mark.parametrize("value", [object(), {"a": np.int64(1)}, [set()], {"a": b"x"}])
+def test_dumps_stable_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        oracles.stable_json(value)
+    with pytest.raises(TypeError):
+        cli.dumps_stable(value)
 
 
 def test_output_path_in_missing_directory_exits_2(tmp_path, banded_models, capsys):

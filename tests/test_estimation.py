@@ -265,6 +265,19 @@ def test_trajectory_columns_are_read_only():
         estimation.Trajectory(frames=[0, 1], lanes=[1, 1], speeds=[5.0], positions=[0.0, 1.0])
 
 
+def test_trajectories_and_models_compare_and_hash_by_identity():
+    rows = ("1,1,1,10.0,0.0", "1,2,2,12.0,1.0")
+    a = estimation.ingest_trajectories(csv_stream(*rows))
+    b = estimation.ingest_trajectories(csv_stream(*rows))
+    model_a = estimation.build_vehicle_model(a[1])
+    model_b = estimation.build_vehicle_model(b[1])
+    pairs = ((a[1], b[1]), (model_a.observation, model_b.observation), (model_a, model_b))
+    for first, second in pairs:
+        assert first == first and first != second
+        assert hash(first) == hash(first)
+    assert a != b
+
+
 def float_text(strategy):
     return st.one_of(strategy.map(repr), strategy.map("{:.3f}".format), strategy.map("{:e}".format))
 

@@ -239,15 +239,11 @@ def test_fractional_power_matches_schur_oracle_on_dense_chains():
             assert np.allclose(got, ref, atol=1e-9)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: _eig_power trusts a decomposition that is "
-    "defective at eigenvalue 0 and returns a wrong half power",
-)
 def test_half_power_of_a_chain_defective_at_zero_is_ill_conditioned():
     # state 0 goes to 1 and 1 to 2 surely: a nilpotent Jordan block of size
-    # 2 at eigenvalue 0, so P has no square root at all.  Today every row
-    # of the returned "half step" is [0, 0, 1] (cond(V) about 1e17).
+    # 2 at eigenvalue 0, so P has no square root at all.  Without the
+    # condition gate every row of the "half step" came back [0, 0, 1]
+    # (cond(V) about 1e17).
     P = markov.validate_stochastic([[0, 1, 0], [0, 0, 1], [0, 0, 1]])
     with pytest.raises(IllConditioned):
         markov.matrix_power_real(P, 0.5)
