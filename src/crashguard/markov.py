@@ -51,8 +51,8 @@ ROW_SUM_TOLERANCE = 1e-9  # |row sum - 1| accepted before renormalizing
 DISTRIBUTION_TOLERANCE = 1e-9  # |vector sum - 1| accepted for probability vectors
 INTEGRAL_TIME_TOLERANCE = 1e-9  # |t - round(t)| treated as an integer exponent
 # largest 1-norm condition estimate ||V||_1 ||V^-1||_1 of the eigenvectors
-# that a fractional power trusts; a chain defective at eigenvalue 0 has
-# about 1e17, estimated and bundled chains at most about 40
+# that a fractional power trusts; the bundled and sample-CSV chains read
+# below 60, a chain defective at eigenvalue 0 above 1e17
 EIG_CONDITION_LIMIT = 1e8
 
 

@@ -406,7 +406,9 @@ EDGE_FLOATS = [
 json_floats = st.one_of(
     st.floats(), st.sampled_from(EDGE_FLOATS), st.floats().map(np.float64),
 )
-json_keys = st.one_of(st.text(), st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é", "ключ", "\U0001f600"]))
+json_keys = st.one_of(
+    st.text(), st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é", "ключ", "\U0001f600"]),
+)
 json_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(-(2 ** 200), 2 ** 200), json_floats, json_keys,
 )

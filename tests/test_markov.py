@@ -241,9 +241,9 @@ def test_fractional_power_matches_schur_oracle_on_dense_chains():
 
 def test_half_power_of_a_chain_defective_at_zero_is_ill_conditioned():
     # state 0 goes to 1 and 1 to 2 surely: a nilpotent Jordan block of size
-    # 2 at eigenvalue 0, so P has no square root at all.  Without the
-    # condition gate every row of the "half step" came back [0, 0, 1]
-    # (cond(V) about 1e17).
+    # 2 at eigenvalue 0, so P has no square root at all.  Its eigenvectors
+    # are near parallel (cond(V) above 1e17) and the half power they give
+    # has every row [0, 0, 1], with row sums that pass.
     P = markov.validate_stochastic([[0, 1, 0], [0, 0, 1], [0, 0, 1]])
     with pytest.raises(IllConditioned):
         markov.matrix_power_real(P, 0.5)
