@@ -2,7 +2,9 @@
 
 Exit codes are a function of the result alone: 0 means no action / no
 crash, 1 means an action was emitted (assess) or the crash flag is set
-(simulate), 2 means bad input.  All JSON output is written with sorted
+(simulate), 2 means bad input: ``main`` turns a CrashguardError or an
+OSError into one ``error:`` line, and any other exception is a fault in
+the program and propagates.  All JSON output is written with sorted
 keys and floats rounded to 6 significant digits so identical runs are
 byte-identical.
 """
@@ -130,11 +132,8 @@ def _fail(message: str) -> int:
 def cmd_estimate(args) -> int:
     """Every model is built before the output directory is created, so a
     bad input in any vehicle writes nothing."""
-    try:
-        require_positive("frame_interval", args.frame_interval)
-        grouped = ingest_trajectories(args.csv)
-    except (CrashguardError, OSError) as exc:
-        return _fail(str(exc))
+    require_positive("frame_interval", args.frame_interval)
+    grouped = ingest_trajectories(args.csv)
     if not grouped:
         return _fail("no records")
     models = {}
@@ -144,66 +143,44 @@ def cmd_estimate(args) -> int:
         except CrashguardError as exc:
             return _fail(f"vehicle {vehicle_id}: {exc}")
     out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for vehicle_id, model in models.items():
-            path = out_dir / f"vehicle_{vehicle_id}.json"
-            path.write_text(dumps_stable(model_to_dict(model)), encoding="utf-8")
-            n = len(grouped[vehicle_id])
-            print(
-                f"vehicle {vehicle_id}: {n} records, {n - 1} transitions, "
-                f"unobserved lane rows {list(model.lane_unobserved)}, "
-                f"unobserved speed rows {list(model.speed_unobserved)} -> {path}"
-            )
-    except OSError as exc:
-        return _fail(str(exc))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for vehicle_id, model in models.items():
+        path = out_dir / f"vehicle_{vehicle_id}.json"
+        path.write_text(dumps_stable(model_to_dict(model)), encoding="utf-8")
+        n = len(grouped[vehicle_id])
+        print(
+            f"vehicle {vehicle_id}: {n} records, {n - 1} transitions, "
+            f"unobserved lane rows {list(model.lane_unobserved)}, "
+            f"unobserved speed rows {list(model.speed_unobserved)} -> {path}"
+        )
     return EXIT_OK
 
 
 # --- assess ---
 
 def cmd_assess(args) -> int:
-    try:
-        thresholds = Thresholds(speed_stability=args.speed_threshold, crash=args.crash_threshold)
-    except ValueError as exc:
-        return _fail(str(exc))
+    thresholds = Thresholds(speed_stability=args.speed_threshold, crash=args.crash_threshold)
     try:
         car1 = load_model(args.model1)
         car2 = load_model(args.model2)
     except (CrashguardError, OSError) as exc:
         return _fail(f"invalid model: {exc}")
-    try:
-        encounter = EncounterInput(car1, car2, args.gap, args.front, thresholds)
-        assessment = assess(encounter, horizon=args.t_override)
-    except (CrashguardError, ValueError) as exc:
-        return _fail(str(exc))
-
-    try:
-        _emit(dumps_stable(assessment_to_dict(assessment)), args.out)
-    except OSError as exc:
-        return _fail(str(exc))
+    encounter = EncounterInput(car1, car2, args.gap, args.front, thresholds)
+    assessment = assess(encounter, horizon=args.t_override)
+    _emit(dumps_stable(assessment_to_dict(assessment)), args.out)
     return EXIT_FLAGGED if assessment.actions else EXIT_OK
 
 
 # --- simulate ---
 
 def cmd_simulate(args) -> int:
-    try:
-        config = simulator.load_scenario(args.scenario)
-        if args.time_step is not None:
-            config = dataclasses.replace(config, time_step=args.time_step)
-    except (CrashguardError, OSError) as exc:
-        return _fail(str(exc))
+    config = simulator.load_scenario(args.scenario)
+    if args.time_step is not None:
+        config = dataclasses.replace(config, time_step=args.time_step)
     if args.force_same_lane:
         config = simulator.force_same_lane(config)
-    try:
-        report = simulator.run(config, disable_actions=args.disable_actions)
-    except CrashguardError as exc:
-        return _fail(str(exc))
-    try:
-        _emit(dumps_stable(simulator.report_to_dict(report)), args.report_path)
-    except OSError as exc:
-        return _fail(str(exc))
+    report = simulator.run(config, disable_actions=args.disable_actions)
+    _emit(dumps_stable(simulator.report_to_dict(report)), args.report_path)
     return EXIT_FLAGGED if report.crash else EXIT_OK
 
 
@@ -260,9 +237,11 @@ def _configure_logging() -> None:
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (CrashguardError, OSError) as exc:
+        return _fail(str(exc))
 
 
 def entry_point() -> None:

@@ -5,6 +5,10 @@ class CrashguardError(Exception):
     """Base class for all crashguard errors."""
 
 
+class InvalidValue(CrashguardError, ValueError):
+    """A number or label outside the range its parameter allows."""
+
+
 # --- matrix / vector validation ---
 
 class NotSquare(CrashguardError):

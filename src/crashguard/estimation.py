@@ -307,11 +307,14 @@ def ingest_trajectories(source) -> dict[int, Trajectory]:
     range check, the row walk re-reads the source from where it started:
     it raises the first bad row's error with its line number, or reads the
     CSV the C reader does not take.  A source it cannot rewind goes to the
-    row walk directly.
+    row walk directly.  A path whose bytes are not UTF-8 raises ParseError.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
-            return ingest_trajectories(handle)
+            try:
+                return ingest_trajectories(handle)
+            except UnicodeDecodeError as exc:  # its position is in a decoded block: left out
+                raise ParseError(f"not UTF-8: {exc.reason} {exc.object[exc.start:exc.end]!r}") from exc
     try:
         start = source.tell() if source.seekable() else None
     except (AttributeError, OSError):  # an iterable of lines, or a file iterated before
@@ -500,10 +503,14 @@ def model_from_dict(data: dict) -> VehicleModel:
     )
 
 
-def load_model(path) -> VehicleModel:
+def read_json(path):
+    """The JSON value in the file at ``path``; anything but UTF-8 JSON raises SchemaError."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            return json.load(handle)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise SchemaError("file", f"not valid JSON: {exc}") from exc
-    return model_from_dict(data)
+
+
+def load_model(path) -> VehicleModel:
+    return model_from_dict(read_json(path))

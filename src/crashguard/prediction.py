@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonClosingSpeeds, NotRegular
+from .errors import InvalidValue, NonClosingSpeeds, NotRegular
 from .estimation import N_LANES, VehicleModel, speed_bin_index
 from .markov import (
     StochasticMatrix,
@@ -79,7 +79,7 @@ class Thresholds:
     def __post_init__(self):
         for name, value in (("speed_stability", self.speed_stability), ("crash", self.crash)):
             if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} threshold must be in (0, 1), got {value!r}")
+                raise InvalidValue(f"{name} threshold must be in (0, 1), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,9 @@ class EncounterInput:
 
     def __post_init__(self):
         if not (math.isfinite(self.gap_d) and self.gap_d >= 0.0):
-            raise ValueError(f"gap must be finite and nonnegative, got {self.gap_d!r}")
+            raise InvalidValue(f"gap must be finite and nonnegative, got {self.gap_d!r}")
         if self.front_car not in CAR_LABELS:
-            raise ValueError(f"front_car must be one of {CAR_LABELS}, got {self.front_car!r}")
+            raise InvalidValue(f"front_car must be one of {CAR_LABELS}, got {self.front_car!r}")
 
     @property
     def trailing_car(self) -> str:
@@ -166,7 +166,7 @@ def flow2_crash_probabilities(car1: VehicleModel, car2: VehicleModel, t: float) 
     probability.
     """
     if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
+        raise InvalidValue(f"time must be finite and nonnegative, got {t!r}")
     pi1, pi2 = (
         propagate(unit_vector(N_LANES, car.current_lane - 1), car.lane_chain, t / car.frame_interval)
         for car in (car1, car2)

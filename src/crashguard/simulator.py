@@ -15,9 +15,9 @@ full sensing path runs every tick.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from .errors import CrashguardError, LeadBehindEgo, SchemaError
 from .estimation import (
@@ -26,6 +26,7 @@ from .estimation import (
     VehicleModel,
     load_model,
     model_from_dict,
+    read_json,
     require_field,
     require_positive,
 )
@@ -146,7 +147,7 @@ def _car_config(entry: dict, index: int, base_dir) -> CarConfig:
             model = model_from_dict(entry["model"])
         else:
             model = load_model(base_dir / require_field(entry, "model_path", str, where))
-    except CrashguardError as exc:
+    except (CrashguardError, OSError) as exc:
         raise SchemaError(f"{where}.model", f"invalid model: {exc}") from exc
     lane = require_field(entry, "lane", int, where)
     if not 1 <= lane <= N_LANES:
@@ -161,14 +162,8 @@ def _car_config(entry: dict, index: int, base_dir) -> CarConfig:
 
 def load_scenario(path) -> ScenarioConfig:
     """Parse and validate a scenario JSON file."""
-    from pathlib import Path
-
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("file", f"not valid JSON: {exc}") from exc
+    data = read_json(path)
     if not isinstance(data, dict):
         raise SchemaError("file", "top level must be an object")
 
@@ -213,9 +208,14 @@ def load_scenario(path) -> ScenarioConfig:
     )
 
 
+def _front_index(cars) -> int:
+    """Index of the leading car of two; car 1 leads a tie."""
+    return 0 if cars[0].position >= cars[1].position else 1
+
+
 def force_same_lane(config: ScenarioConfig) -> ScenarioConfig:
     """Both cars moved to the trailing car's initial lane."""
-    trail = min(config.cars, key=lambda c: c.position)
+    trail = config.cars[1 - _front_index(config.cars)]
     cars = tuple(replace(c, lane=trail.lane) for c in config.cars)
     return replace(config, cars=cars)
 
@@ -287,7 +287,7 @@ def step(
     all taken before the cars move.
     """
     cars = state.cars
-    front = 0 if cars[0].position >= cars[1].position else 1  # car1 leads a tie
+    front = _front_index(cars)
     gap = _lidar_gap(cars, config.lateral_offset)
     car1, car2 = (
         cfg.model.with_state(car.lane, car.speed, car.position)

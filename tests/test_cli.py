@@ -99,6 +99,33 @@ def test_estimate_writes_nothing_when_a_later_vehicle_fails(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+HEADER = b"vehicle_id,frame,lane,speed_mps,pos_m\n"
+ROWS = b"".join(b"1,%d,1,10.0,%d.0\n" % (frame, frame) for frame in range(8000))
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# a 0xff byte decoded with the header, where the C reader reads it, and one
+# past the first 64 KiB, which the row walk re-reads after the C reader fails
+@pytest.mark.parametrize("data", [
+    HEADER + b"1,0,1,10.0,0.0\xff\n" + ROWS,
+    HEADER + ROWS + b"1,8000,1,10.0,8000.0\xff\n",
+], ids=["header_chunk", "after_64k"])
+def test_estimate_non_utf8_csv_exits_2_and_writes_nothing(tmp_path, capsys, data):
+    assert len(data) > 1 << 16
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_bytes(data)
+    out_dir = tmp_path / "models"
+    code = cli.main(["estimate", "--csv", str(csv_path), "--out-dir", str(out_dir)])
+    assert code == 2
+    assert_one_error_line(capsys)
+    assert not out_dir.exists()
+
+
 # SHA-256 of each model `crashguard estimate` writes for the bundled sample
 # CSV; both vehicles have unobserved rows, so the fill rules are covered.
 GOLDEN_MODELS = {
@@ -172,8 +199,8 @@ def test_assess_rejects_broken_model(tmp_path, capsys):
     assert code == 2
 
 
-def _bad_model_texts():
-    """Model files that must be refused, by name."""
+def _bad_model_files():
+    """The bytes of model files that must be refused, by name."""
     good = model_to_dict(synthetic.make_model(synthetic.banded_chain(), lane=5, speed=30.0))
 
     def edited(path, value):
@@ -188,7 +215,7 @@ def _bad_model_texts():
             target[key] = value
         return json.dumps(data)
 
-    return {
+    texts = {
         "lane_9": edited(("current", "lane"), 9),
         "lane_chain_1x1": edited(("lane_chain",), [[1.0]]),
         "observation_1x1": edited(("observation",), [[1.0]]),
@@ -204,15 +231,18 @@ def _bad_model_texts():
         "top_level_list": "[]",
         "invalid_json": "{\"lane_chain\": ",
     }
+    files = {name: text.encode("utf-8") for name, text in texts.items()}
+    files["not_utf8"] = json.dumps(good).encode("utf-8").replace(b"current", b"curr\xffent", 1)
+    return files
 
 
-BAD_MODELS = _bad_model_texts()
+BAD_MODELS = _bad_model_files()
 
 
 @pytest.mark.parametrize("name", sorted(BAD_MODELS))
 def test_bad_model_file_exits_2_from_assess_and_simulate(tmp_path, capsys, name):
     bad = tmp_path / "bad.json"
-    bad.write_text(BAD_MODELS[name], encoding="utf-8")
+    bad.write_bytes(BAD_MODELS[name])
     good = write_model(tmp_path / "good.json", synthetic.banded_chain(), lane=6, speed=40.0)
     code = cli.main(["assess", "--model1", good, "--model2", str(bad),
                      "--gap", "40", "--front", "car1"])
@@ -231,6 +261,17 @@ def test_bad_model_file_exits_2_from_assess_and_simulate(tmp_path, capsys, name)
     assert code == 2
     assert err.startswith("error: cars[1].model: ")
     assert not report.exists()
+
+
+def test_unopenable_model_path_is_an_invalid_model(tmp_path, capsys):
+    scenario = json.loads((DATA / "scenario1.json").read_text())
+    del scenario["cars"][1]["model"]
+    scenario["cars"][1]["model_path"] = "nope.json"
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario), encoding="utf-8")
+    code = cli.main(["simulate", "--scenario", str(scenario_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cars[1].model: invalid model: [Errno 2] ")
 
 
 def test_assess_t_override_runs_flows_2_and_3(tmp_path, capsys):
@@ -305,6 +346,16 @@ def test_simulate_scenario3_exit_0_empty_actions(tmp_path):
 def test_simulate_missing_scenario_exit_2(capsys):
     code = cli.main(["simulate", "--scenario", "/nope/missing.json"])
     assert code == 2
+
+
+def test_simulate_non_utf8_scenario_exits_2_and_writes_nothing(tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    scenario.write_bytes((DATA / "scenario1.json").read_bytes().replace(b"duration", b"dur\xffation", 1))
+    report = tmp_path / "report.json"
+    code = cli.main(["simulate", "--scenario", str(scenario), "--report-path", str(report)])
+    assert code == 2
+    assert_one_error_line(capsys)
+    assert not report.exists()
 
 
 def test_simulate_time_step_flag(tmp_path):
@@ -456,6 +507,16 @@ def test_output_path_in_missing_directory_exits_2(tmp_path, banded_models, capsy
     code = cli.main(["simulate", "--scenario", SCENARIO3,
                      "--report-path", "/nonexistent/dir/r.json"])
     assert code == 2
+
+
+@pytest.mark.parametrize("fault", [RuntimeError("fault"), ValueError("fault")])
+def test_main_lets_a_fault_outside_bad_input_propagate(monkeypatch, fault):
+    def run(config, disable_actions=False):
+        raise fault
+
+    monkeypatch.setattr(cli.simulator, "run", run)
+    with pytest.raises(type(fault), match="fault"):
+        cli.main(["simulate", "--scenario", SCENARIO3])
 
 
 def test_log_env_var_smoke(monkeypatch, tmp_path):

@@ -125,6 +125,21 @@ def test_force_same_lane_uses_trailing_lane():
     assert config.cars[1].lane == 5
 
 
+def test_force_same_lane_and_step_break_a_tie_alike():
+    config = load("scenario2")
+    tied = dataclasses.replace(
+        config, cars=tuple(dataclasses.replace(c, position=0.0) for c in config.cars)
+    )
+    state = simulator.SimState(
+        cars=tuple(CarState(c.lane, c.speed, c.position, c.acceleration) for c in tied.cars)
+    )
+    front, _, _ = simulator.step(state, tied)
+    assert front == 0  # car 1 leads a tie
+    trailing_lane = tied.cars[1].lane
+    assert trailing_lane == 5
+    assert [c.lane for c in simulator.force_same_lane(tied).cars] == [trailing_lane] * 2
+
+
 # --- kinematic stepping ---
 
 def test_integrate_constant_speed():
