@@ -5,13 +5,15 @@
 
 Each run is ``python3 perfbench/run.py --workload W --seed S --seconds X
 --trace T`` in one checkout, one process at a time, with X the
-``run_seconds`` of BENCHMARK.json.  The plan is ten pairs on every
-workload of BENCHMARK.json (seeds 1-10, the workloads interleaved, the
-side that runs first alternating), then one traced run (seed 1) per side
-per workload.  The output keeps every run's ``perfbench`` record and
-result line as printed, plus, per workload and end-to-end metric, the
-medians, the parent's interquartile range, the median of the per-pair
-ratios change/parent and the pairs the change won.
+``run_seconds`` of BENCHMARK.json.  The plan is ten untraced pairs on
+every workload of BENCHMARK.json (seeds 1-10, the workloads interleaved,
+the side that runs first alternating), then three traced pairs (seed 1)
+per workload in the same way.  The output keeps every run's
+``perfbench`` record and result line as printed.  Per workload it
+summarises the untraced pairs over the end-to-end metrics and the traced
+pairs over the per-layer metrics: the medians, the parent's
+interquartile range, the median of the per-pair ratios change/parent
+(null when the parent reads 0) and the pairs the change won.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PAIRS = 10  # per workload
+PAIRS = 10  # untraced, per workload
+TRACED_PAIRS = 3  # per workload, at seed 1
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -38,6 +41,22 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
             "record": json.loads(record.split(" ", 1)[1]), "result": json.loads(result)}
 
 
+def alternating_pairs(sides: dict[str, Path], plan: list[tuple[str, int]], seconds: float,
+                      trace: int) -> list[dict]:
+    """One pair of runs per (workload, seed) of ``plan``, the side that runs
+    first alternating from pair to pair."""
+    headline = "trace.overhead_pct" if trace else "ops_per_s"
+    pairs = []
+    for index, (workload, seed) in enumerate(plan):
+        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        pair = {side: run(sides[side], workload, seed, seconds, trace) for side in order}
+        pairs.append({"workload": workload, "seed": seed, "first": order[0], **pair})
+        print(f"{workload} seed {seed} trace {trace}: " + ", ".join(
+            f"{side} {headline} {pair[side]['result']['metrics'][headline]['value']:.1f}" for side in order
+        ), file=sys.stderr)
+    return pairs
+
+
 def summary(pairs: list[dict], better: dict[str, str]) -> dict:
     out = {}
     for name, direction in better.items():
@@ -49,7 +68,7 @@ def summary(pairs: list[dict], better: dict[str, str]) -> dict:
             "parent_median": statistics.median(parent),
             "change_median": statistics.median(change),
             "parent_iqr": quartiles[2] - quartiles[0],
-            "median_ratio": statistics.median(c / p for p, c in zip(parent, change)),
+            "median_ratio": statistics.median(c / p for p, c in zip(parent, change)) if all(parent) else None,
             "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "pairs": len(pairs),
         }
@@ -66,24 +85,22 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     sides = {"parent": args.parent, "change": args.change}
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    layer_better = {m["name"]: m["better"] for m in bench["per_layer"]}
 
     workloads = [w["name"] for w in bench["workloads"]]
     plan = [(workload, seed) for seed in range(1, PAIRS + 1) for workload in workloads]
-    pairs = []
-    for index, (workload, seed) in enumerate(plan):
-        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-        pair = {side: run(sides[side], workload, seed, seconds, 0) for side in order}
-        pairs.append({"workload": workload, "seed": seed, "first": order[0], **pair})
-        print(f"{workload} seed {seed}: " + ", ".join(
-            f"{side} {pair[side]['result']['metrics']['ops_per_s']['value']:.1f} ops/s" for side in order
-        ), file=sys.stderr)
-    traced = {w: {side: run(sides[side], w, 1, seconds, 1) for side in sides} for w in workloads}
+    pairs = alternating_pairs(sides, plan, seconds, 0)
+    traced_plan = [(workload, 1) for _ in range(TRACED_PAIRS) for workload in workloads]
+    traced = alternating_pairs(sides, traced_plan, seconds, 1)
 
     report = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds X --trace T",
         "seconds": seconds,
         "env": pairs[0]["parent"]["record"]["env"],
         "summary": {w: summary([p for p in pairs if p["workload"] == w], better) for w in workloads},
+        "traced_summary": {
+            w: summary([p for p in traced if p["workload"] == w], layer_better) for w in workloads
+        },
         "pairs": pairs,
         "traced": traced,
     }

@@ -10,11 +10,7 @@ from .estimation import (
     ObservationMatrix,
     Trajectory,
     VehicleModel,
-    bin_speed,
     build_vehicle_model,
-    estimate_lane_transitions,
-    estimate_observation_probs,
-    estimate_speed_transitions,
     ingest_trajectories,
     load_model,
     model_from_dict,

@@ -33,12 +33,8 @@ __all__ = [
     "Trajectory",
     "ObservationMatrix",
     "VehicleModel",
-    "bin_speed",
     "speed_bin_index",
     "ingest_trajectories",
-    "estimate_lane_transitions",
-    "estimate_speed_transitions",
-    "estimate_observation_probs",
     "build_vehicle_model",
     "model_to_dict",
     "model_from_dict",
@@ -163,11 +159,6 @@ def speed_bin_index(v: float) -> int:
     return int(v // SPEED_BIN_WIDTH)
 
 
-def bin_speed(v: float) -> str:
-    """Symbol a-f of the bin containing v."""
-    return SPEED_SYMBOLS[speed_bin_index(v)]
-
-
 def _parse_row(row: dict, line: int) -> tuple:
     try:
         vehicle_id = int(row["vehicle_id"])
@@ -257,6 +248,8 @@ def _read_columns(source) -> np.ndarray | None:
                 _plain_lines(source), delimiter=",", comments=None, ndmin=1,
                 dtype=[(name, _CSV_DTYPES[name]) for name in header],
             )
+    except UnicodeDecodeError:  # the row walk would re-read the file only to raise it again
+        raise
     except (ValueError, OverflowError, Warning):  # the row walk names what is wrong, if anything
         return None
     lanes, speeds = table["lane"], table["speed_mps"]
@@ -369,33 +362,6 @@ def _observation(lanes: np.ndarray, bins: np.ndarray) -> ObservationMatrix:
     np.add.at(counts, (lanes, bins), 1.0)
     rows, uniform = _normalized_rows(counts, np.full(counts.shape, 1.0 / len(SPEED_SYMBOLS)))
     return ObservationMatrix(rows.T, uniform)
-
-
-def estimate_lane_transitions(lanes) -> StochasticMatrix:
-    """Transition-frequency lane chain from an ordered lane sequence."""
-    lanes = list(lanes)
-    if len(lanes) < 2:
-        raise TooShort(f"need at least 2 samples, got {len(lanes)}")
-    return _chain(_lane_indices(lanes), N_LANES)[0]
-
-
-def estimate_speed_transitions(speeds) -> StochasticMatrix:
-    """Speed chain over symbols a-f after binning an ordered speed sequence."""
-    speeds = list(speeds)
-    if len(speeds) < 2:
-        raise TooShort(f"need at least 2 samples, got {len(speeds)}")
-    return _chain(_speed_bins(speeds), len(SPEED_SYMBOLS))[0]
-
-
-def estimate_observation_probs(trajectory: Trajectory) -> ObservationMatrix:
-    """Per-lane distribution of observed speed symbols.
-
-    Column j holds P(symbol | lane j+1); lanes with no rows get the
-    uniform column and are flagged in ``uniform_lanes``.
-    """
-    if not len(trajectory):
-        raise TooShort("need at least 1 record")
-    return _observation(_lane_indices(trajectory.lanes), _speed_bins(trajectory.speeds))
 
 
 def build_vehicle_model(trajectory: Trajectory, frame_interval: float = DEFAULT_FRAME_INTERVAL) -> VehicleModel:

@@ -13,6 +13,7 @@ worst computes the same value twice.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     IllConditioned,
+    InvalidValue,
     NegativeEntry,
     NotRegular,
     NotSquare,
@@ -164,25 +166,22 @@ def unit_vector(n: int, state: int) -> ProbabilityVector:
 
 
 def is_regular(P: StochasticMatrix) -> bool:
-    """True iff some power P^k, k <= n**2, has all entries > 0.
+    """True iff some power of P has all entries > 0.
 
-    Positivity patterns are tracked with boolean reachability products,
-    which are exact for nonnegative matrices.  n**2 steps are enough to
-    establish primitivity for the small chains used here.
+    A primitive n x n matrix has every power from (n - 1)**2 + 1 on
+    positive, and an imprimitive one has none (Wielandt's bound), so one
+    boolean power of the positivity pattern decides it exactly.
     """
-    base = (P.entries > 0.0).astype(np.uint8)
-    acc = base.copy()
-    for _ in range(P.n * P.n):
-        if acc.all():
-            return True
-        acc = ((acc @ base) > 0).astype(np.uint8)
-    return False
+    return bool(np.linalg.matrix_power(P.entries > 0.0, (P.n - 1) ** 2 + 1).all())
 
 
 def matrix_power(P: StochasticMatrix, k: int) -> StochasticMatrix:
-    """P^k by binary powering (repeated squaring); the result is row-stochastic."""
-    if k < 0 or k != int(k):
-        raise ValueError(f"power must be a nonnegative integer, got {k!r}")
+    """P^k by binary powering (repeated squaring); the result is row-stochastic.
+
+    A k that is negative, not integral, NaN or infinite raises InvalidValue.
+    """
+    if not (0 <= k < math.inf and k == int(k)):  # NaN fails the first test
+        raise InvalidValue(f"power must be a nonnegative integer, got {k!r}")
     return validate_stochastic(np.linalg.matrix_power(P.entries, int(k)))
 
 
@@ -215,11 +214,12 @@ def _eig_power(P: StochasticMatrix, t: float) -> StochasticMatrix:
 def matrix_power_real(P: StochasticMatrix, t: float) -> StochasticMatrix:
     """P^t for real t >= 0; equals matrix_power(P, t) when t is integral.
 
-    Raises IllConditioned when the eigendecomposition fails; callers fall
-    back to ``matrix_power(P, round(t))`` (see :func:`propagate`).
+    A t that is negative, NaN or infinite raises InvalidValue.  Raises
+    IllConditioned when the eigendecomposition fails; callers fall back to
+    ``matrix_power(P, round(t))`` (see :func:`propagate`).
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
+    if not 0 <= t < math.inf:  # NaN fails too
+        raise InvalidValue(f"time must be finite and nonnegative, got {t!r}")
     nearest = round(t)
     if abs(t - nearest) <= INTEGRAL_TIME_TOLERANCE:
         return matrix_power(P, nearest)

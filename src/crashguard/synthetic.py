@@ -17,7 +17,6 @@ from .markov import StochasticMatrix, validate_stochastic
 __all__ = [
     "banded_chain",
     "with_rows",
-    "convergence_chains",
     "smoothed_diagonal_observation",
     "make_model",
 ]
@@ -44,23 +43,6 @@ def with_rows(chain: StochasticMatrix, overrides: dict[int, list[float]]) -> Sto
     for row, values in overrides.items():
         P[row - 1] = values
     return validate_stochastic(P)
-
-
-def convergence_chains(count: int = 5, n: int = N_LANES, seed: int = 90) -> list[StochasticMatrix]:
-    """Dense, rapidly mixing regular chains for exercising limit theorems.
-
-    Every entry is bounded away from zero, so the second eigenvalue is
-    small and P^k is numerically indistinguishable from the limiting
-    matrix well before k = 100.  The scenario chains deliberately mix far
-    more slowly (cars hold their lanes for seconds), which is why this
-    separate family exists.
-    """
-    rng = np.random.default_rng(seed)
-    chains = []
-    for _ in range(count):
-        raw = rng.random((n, n)) + 0.1
-        chains.append(validate_stochastic(raw / raw.sum(axis=1, keepdims=True)))
-    return chains
 
 
 def smoothed_diagonal_observation(weight: float = 0.7) -> ObservationMatrix:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crashguard import synthetic
+from crashguard import estimation, synthetic
 from crashguard.markov import validate_stochastic
 
 
@@ -25,3 +25,13 @@ def scenario1_lane_chains():
         synthetic.banded_chain(), {5: [0, 0, 0, 0.025, 0.95, 0.025]}
     )
     return car1, car2
+
+
+def records_from(pairs):
+    """(lane, speed) pairs -> trajectory with frames 0, 1, ... and positions 10 m apart."""
+    return estimation.Trajectory(
+        frames=np.arange(len(pairs)),
+        lanes=[lane for lane, _ in pairs],
+        speeds=[speed for _, speed in pairs],
+        positions=10.0 * np.arange(len(pairs)),
+    )

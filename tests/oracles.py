@@ -14,6 +14,7 @@ import os
 import numpy as np
 
 from crashguard.errors import DuplicateFrame, LaneOutOfRange, ParseError, SpeedOutOfRange
+from crashguard.markov import validate_stochastic
 
 
 def two_state_analytic(a, b):
@@ -30,6 +31,35 @@ def two_state_analytic(a, b):
 def power_iteration_limit(P, k=200):
     """P^k via numpy's matrix power, used as the limiting-matrix oracle."""
     return np.linalg.matrix_power(np.asarray(P, dtype=float), k)
+
+
+def convergence_chains(count=5, n=6, seed=90):
+    """Dense, rapidly mixing regular chains for exercising limit theorems.
+
+    Every entry is bounded away from zero, so the second eigenvalue is
+    small and P^k is numerically indistinguishable from the limiting
+    matrix well before k = 100.  The scenario chains deliberately mix far
+    more slowly (cars hold their lanes for seconds), which is why this
+    separate family exists.
+    """
+    rng = np.random.default_rng(seed)
+    chains = []
+    for _ in range(count):
+        raw = rng.random((n, n)) + 0.1
+        chains.append(validate_stochastic(raw / raw.sum(axis=1, keepdims=True)))
+    return chains
+
+
+def loop_is_regular(P):
+    """True iff one of P^1 .. P^(n^2) has all entries > 0, by boolean
+    reachability products, which are exact for nonnegative matrices."""
+    base = (np.asarray(P) > 0.0).astype(np.uint8)
+    acc = base.copy()
+    for _ in range(len(base) ** 2):
+        if acc.all():
+            return True
+        acc = ((acc @ base) > 0).astype(np.uint8)
+    return False
 
 
 def mc_first_passage(P, start, target, replicas=100_000, seed=0):

@@ -14,6 +14,7 @@ import pytest
 import scipy.linalg
 
 import oracles
+from conftest import records_from
 from crashguard import cli, estimation, markov, prediction, sensing, simulator
 from crashguard.prediction import EncounterInput, SafetyAction, Thresholds
 
@@ -72,12 +73,10 @@ def test_criterion_1_markov_core_exactness():
 
 
 def test_criterion_2_limit_convergence():
-    # the dedicated fast-mixing bundled chains meet the 100-step bound;
+    # the fast-mixing chains of the test oracles meet the 100-step bound;
     # the scenario chains hold lanes for seconds (second eigenvalue ~0.98)
     # so they are checked on the exact-stationarity half only
-    from crashguard.synthetic import convergence_chains
-
-    fast = convergence_chains()
+    fast = oracles.convergence_chains()
     for P in fast:
         w = markov.stationary_distribution(P)
         W = markov.limiting_matrix(P)
@@ -87,8 +86,8 @@ def test_criterion_2_limit_convergence():
         w = markov.stationary_distribution(P)
         assert np.max(np.abs(w.entries @ P.entries - w.entries)) < 1e-10
     print(
-        f"ACCEPTANCE 2 PASS: P^100 -> W within 1e-6 on {len(fast)} bundled convergence "
-        f"chains; wP = w within 1e-10 on all {len(fast) + len(bundled_chains())} bundled chains"
+        f"ACCEPTANCE 2 PASS: P^100 -> W within 1e-6 on {len(fast)} convergence chains; "
+        f"wP = w within 1e-10 on those and the {len(bundled_chains())} bundled chains"
     )
 
 
@@ -108,7 +107,8 @@ def test_criterion_4_estimation_matches_exhaustive_oracle():
     start = time.perf_counter()
     checked = 0
     for seq in oracles.all_sequences((1, 2), 8):
-        got = estimation.estimate_lane_transitions(list(seq)).entries
+        model = estimation.build_vehicle_model(records_from([(lane, 5.0) for lane in seq]))
+        got = model.lane_chain.entries
         want = oracles.pair_count_matrix(seq, 6)
         assert np.array_equal(got, want), seq
         checked += 1

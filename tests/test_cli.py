@@ -307,6 +307,18 @@ def test_assess_rejects_non_finite_numbers(banded_models, capsys, flags):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_assess_horizon_of_infinitely_many_steps_exits_2(tmp_path, capsys):
+    # 1e308 s over the sample models' 0.1 s frames is an infinite exponent
+    out_dir = tmp_path / "models"
+    assert cli.main(["estimate", "--csv", SAMPLE_CSV, "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    code = cli.main(["assess", "--model1", str(out_dir / "vehicle_1.json"),
+                     "--model2", str(out_dir / "vehicle_2.json"), "--gap", "5",
+                     "--front", "car2", "--t-override", "1e308"])
+    assert code == 2
+    assert_one_error_line(capsys)
+
+
 def test_assess_writes_out_file(tmp_path, banded_models):
     m1, m2 = banded_models
     out = tmp_path / "assessment.json"

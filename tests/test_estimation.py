@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import records_from
 from crashguard import cli, estimation
 from crashguard.errors import (
     DuplicateFrame,
@@ -26,34 +27,44 @@ def csv_stream(*rows):
     return io.StringIO(HEADER + "".join(r + "\n" for r in rows))
 
 
-def records_from(pairs):
-    """(lane, speed) pairs -> trajectory with frames 0, 1, ... and positions 10 m apart."""
-    return estimation.Trajectory(
-        frames=np.arange(len(pairs)),
-        lanes=[lane for lane, _ in pairs],
-        speeds=[speed for _, speed in pairs],
-        positions=10.0 * np.arange(len(pairs)),
-    )
+def lane_chain(lanes):
+    """The lane chain estimated from a lane sequence at a constant speed."""
+    return estimation.build_vehicle_model(records_from([(lane, 5.0) for lane in lanes])).lane_chain
+
+
+def speed_chain(speeds):
+    """The speed chain estimated from a speed sequence in one lane."""
+    return estimation.build_vehicle_model(records_from([(1, v) for v in speeds])).speed_chain
+
+
+def observation(pairs):
+    """The observation matrix estimated from (lane, speed) pairs."""
+    return estimation.build_vehicle_model(records_from(pairs)).observation
+
+
+def speed_symbol(v):
+    """Symbol a-f of the bin containing v."""
+    return estimation.SPEED_SYMBOLS[estimation.speed_bin_index(v)]
 
 
 # --- speed binning ---
 
-def test_bin_speed_lower_boundary():
-    assert estimation.bin_speed(0.0) == "a"
+def test_speed_bin_lower_boundary():
+    assert speed_symbol(0.0) == "a"
 
 
-def test_bin_speed_table_value():
-    assert estimation.bin_speed(35.0) == "d"
+def test_speed_bin_table_value():
+    assert speed_symbol(35.0) == "d"
 
 
-def test_bin_speed_boundary_goes_up():
-    assert estimation.bin_speed(10.0) == "b"
+def test_speed_bin_boundary_goes_up():
+    assert speed_symbol(10.0) == "b"
 
 
-def test_bin_speed_rejects_out_of_range():
-    for v in (-0.1, 60.0, 1e9):
+def test_speed_bin_rejects_out_of_range():
+    for v in (-0.1, 60.0, 1e9, float("nan")):
         with pytest.raises(SpeedOutOfRange):
-            estimation.bin_speed(v)
+            estimation.speed_bin_index(v)
 
 
 # --- ingestion ---
@@ -254,6 +265,22 @@ def test_ingest_rereads_a_stream_from_where_it_started():
     }
 
 
+def test_ingest_of_a_path_not_utf8_past_the_first_block_reads_it_once(tmp_path, monkeypatch):
+    # the C reader meets the 0xff byte past the first 64 KiB; a row walk
+    # would re-read the file from the start only to raise the same error
+    rows = "".join(f"1,{frame},1,10.0,{frame}.0\n" for frame in range(8000))
+    path = tmp_path / "trajectories.csv"
+    path.write_bytes((HEADER + rows).encode("ascii") + b"1,8000,1,10.0,8000.0\xff\n")
+    assert path.stat().st_size > 1 << 16
+
+    def no_walk(source):
+        raise AssertionError("the row walk re-read the file")
+
+    monkeypatch.setattr(estimation, "_walk_rows", no_walk)
+    with pytest.raises(ParseError, match="^not UTF-8: invalid start byte "):
+        estimation.ingest_trajectories(str(path))
+
+
 def test_trajectory_columns_are_read_only():
     grouped = estimation.ingest_trajectories(csv_stream("1,1,1,10.0,0.0", "1,2,2,12.0,1.0"))
     for trajectory in (grouped[1], records_from([(1, 5.0), (2, 15.0)])):
@@ -326,34 +353,22 @@ def test_ingest_matches_loop_oracle(text):
 # --- lane transitions ---
 
 def test_lane_transitions_hand_counted():
-    chain = estimation.estimate_lane_transitions([1, 1, 2, 1])
+    chain = lane_chain([1, 1, 2, 1])
     assert np.allclose(chain.entries[0], [0.5, 0.5, 0, 0, 0, 0])
     assert np.allclose(chain.entries[1], [1.0, 0, 0, 0, 0, 0])
 
 
 def test_lane_transitions_single_state():
-    chain = estimation.estimate_lane_transitions([3, 3, 3, 3])
+    chain = lane_chain([3, 3, 3, 3])
     assert chain.entries[2, 2] == 1.0
     for row in (0, 1, 3, 4, 5):
         assert chain.entries[row, row] == 1.0  # self-loop fill
 
 
 def test_lane_transitions_alternating():
-    chain = estimation.estimate_lane_transitions([1, 2, 1, 2, 1])
+    chain = lane_chain([1, 2, 1, 2, 1])
     assert chain.entries[0, 1] == 1.0
     assert chain.entries[1, 0] == 1.0
-
-
-def test_lane_transitions_too_short():
-    with pytest.raises(TooShort):
-        estimation.estimate_lane_transitions([4])
-
-
-def test_lane_transitions_match_exhaustive_oracle():
-    for seq in oracles.all_sequences((1, 2), 8):
-        got = estimation.estimate_lane_transitions(list(seq)).entries
-        want = oracles.pair_count_matrix(seq, 6)
-        assert np.array_equal(got, want), seq
 
 
 def test_lane_transitions_invariant_under_relabeling_and_shift():
@@ -361,9 +376,9 @@ def test_lane_transitions_invariant_under_relabeling_and_shift():
     shifted = ["7,110,1,5.0,0.0", "7,120,2,15.0,5.0", "7,130,1,5.0,10.0", "7,140,1,6.0,15.0"]
     a = estimation.ingest_trajectories(csv_stream(*rows))[1]
     b = estimation.ingest_trajectories(csv_stream(*shifted))[7]
-    chain_a = estimation.estimate_lane_transitions(a.lanes)
-    chain_b = estimation.estimate_lane_transitions(b.lanes)
-    assert np.array_equal(chain_a.entries, chain_b.entries)
+    model_a = estimation.build_vehicle_model(a)
+    model_b = estimation.build_vehicle_model(b)
+    assert np.array_equal(model_a.lane_chain.entries, model_b.lane_chain.entries)
 
 
 def test_lane_transition_counts_concatenation_seam():
@@ -372,7 +387,7 @@ def test_lane_transition_counts_concatenation_seam():
     doubled = seq + seq
     base = oracles.pair_count_matrix(seq, 6)
     both = oracles.pair_count_matrix(doubled, 6)
-    got = estimation.estimate_lane_transitions(doubled).entries
+    got = lane_chain(doubled).entries
     assert np.array_equal(got, both)
     assert not np.array_equal(base, both)  # seam 1->1 changes row 1
 
@@ -380,32 +395,25 @@ def test_lane_transition_counts_concatenation_seam():
 # --- speed transitions ---
 
 def test_speed_transitions_alternating_bins():
-    chain = estimation.estimate_speed_transitions([5, 15, 5, 15])
+    chain = speed_chain([5, 15, 5, 15])
     assert chain.entries[0, 1] == 1.0  # a -> b
     assert chain.entries[1, 0] == 1.0  # b -> a
 
 
 def test_speed_transitions_constant():
-    chain = estimation.estimate_speed_transitions([25.0, 25.0, 25.0])
+    chain = speed_chain([25.0, 25.0, 25.0])
     assert chain.entries[2, 2] == 1.0
 
 
 def test_speed_transitions_hand_counted():
-    chain = estimation.estimate_speed_transitions([5, 5, 15])
+    chain = speed_chain([5, 5, 15])
     assert np.allclose(chain.entries[0], [0.5, 0.5, 0, 0, 0, 0])
-
-
-def test_speed_transitions_errors():
-    with pytest.raises(TooShort):
-        estimation.estimate_speed_transitions([5.0])
-    with pytest.raises(SpeedOutOfRange):
-        estimation.estimate_speed_transitions([5.0, 61.0])
 
 
 # --- observation probabilities ---
 
 def test_observation_single_lane_unit_column():
-    obs = estimation.estimate_observation_probs(records_from([(1, 5.0), (1, 5.0)]))
+    obs = observation([(1, 5.0), (1, 5.0)])
     assert obs.entries[0, 0] == 1.0
     assert obs.uniform_lanes == (2, 3, 4, 5, 6)
     for lane in range(1, 6):
@@ -413,17 +421,13 @@ def test_observation_single_lane_unit_column():
 
 
 def test_observation_even_split():
-    obs = estimation.estimate_observation_probs(
-        records_from([(2, 5.0), (2, 15.0), (2, 5.0), (2, 15.0)])
-    )
+    obs = observation([(2, 5.0), (2, 15.0), (2, 5.0), (2, 15.0)])
     assert obs.entries[0, 1] == pytest.approx(0.5)
     assert obs.entries[1, 1] == pytest.approx(0.5)
 
 
 def test_observation_columns_sum_to_one():
-    obs = estimation.estimate_observation_probs(
-        records_from([(1, 5.0), (2, 25.0), (3, 45.0), (1, 55.0)])
-    )
+    obs = observation([(1, 5.0), (2, 25.0), (3, 45.0), (1, 55.0)])
     assert np.allclose(obs.entries.sum(axis=0), 1.0)
 
 
@@ -481,13 +485,20 @@ def test_build_model_matches_loop_counting(pairs):
 def test_build_model_rejects_speed_out_of_range():
     with pytest.raises(SpeedOutOfRange, match="speed 61.0 outside"):
         estimation.build_vehicle_model(records_from([(1, 5.0), (1, 61.0), (1, 70.0)]))
-    with pytest.raises(SpeedOutOfRange):
-        estimation.estimate_observation_probs(records_from([(1, float("nan"))]))
+    for speeds in ([5.0, 61.0], [float("nan"), 5.0]):
+        with pytest.raises(SpeedOutOfRange):
+            speed_chain(speeds)
+
+
+def test_build_model_rejects_lane_out_of_range():
+    with pytest.raises(LaneOutOfRange, match="lane 7 outside"):
+        lane_chain([1, 7])
 
 
 def test_build_model_too_short():
-    with pytest.raises(TooShort):
-        estimation.build_vehicle_model(records_from([(1, 5.0)]))
+    for pairs in ([], [(1, 5.0)]):
+        with pytest.raises(TooShort):
+            estimation.build_vehicle_model(records_from(pairs))
 
 
 @pytest.mark.parametrize("frame_interval", [0.0, -1.0, float("nan"), float("inf")])

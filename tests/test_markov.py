@@ -1,5 +1,7 @@
 """Tests for the Markov chain core."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from crashguard import markov
 from crashguard.errors import (
     DimensionMismatch,
     IllConditioned,
+    InvalidValue,
     NegativeEntry,
     NotRegular,
     NotSquare,
@@ -109,6 +112,21 @@ def test_regular_at_second_power():
     assert markov.is_regular(P)
 
 
+def test_is_regular_matches_loop_oracle_on_sparse_patterns():
+    rng = np.random.default_rng(31)
+    seen = set()
+    for _ in range(3000):
+        n = int(rng.integers(1, 8))
+        mask = rng.random((n, n)) < rng.uniform(0.05, 0.6)
+        mask[np.arange(n), rng.integers(0, n, n)] = True  # every row has an entry
+        W = np.where(mask, rng.uniform(0.05, 1.0, (n, n)), 0.0)
+        P = markov.validate_stochastic(W / W.sum(axis=1, keepdims=True))
+        want = oracles.loop_is_regular(P.entries)
+        assert markov.is_regular(P) is want, P.entries
+        seen.add(want)
+    assert seen == {True, False}
+
+
 # --- integer powers ---
 
 def test_power_zero_is_identity():
@@ -146,6 +164,22 @@ def test_huge_exponent_power_and_fallback_are_exact():
     with pytest.warns(RuntimeWarning, match="approximate"):
         out = markov.propagate(markov.unit_vector(3, 0), cycle, 1e13 + 0.5)
     assert np.array_equal(out.entries, [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("exponent", [-1, -0.5, 2.5, math.inf, -math.inf, math.nan])
+def test_matrix_power_rejects_an_exponent_that_is_not_a_nonnegative_integer(exponent):
+    with pytest.raises(InvalidValue, match="nonnegative integer"):
+        markov.matrix_power(markov.validate_stochastic(HAND_P), exponent)
+
+
+@pytest.mark.parametrize("t", [-1.0, math.inf, -math.inf, math.nan])
+def test_real_power_and_propagate_reject_a_negative_or_non_finite_time(t):
+    # 1e308 s over a 0.1 s frame is an infinite number of steps
+    P = markov.validate_stochastic(HAND_P)
+    with pytest.raises(InvalidValue, match="finite and nonnegative"):
+        markov.matrix_power_real(P, t)
+    with pytest.raises(InvalidValue, match="finite and nonnegative"):
+        markov.propagate(markov.unit_vector(2, 0), P, t)
 
 
 # --- real powers ---
@@ -245,6 +279,16 @@ def test_half_power_of_a_chain_defective_at_zero_is_ill_conditioned():
     # are near parallel (cond(V) above 1e17) and the half power they give
     # has every row [0, 0, 1], with row sums that pass.
     P = markov.validate_stochastic([[0, 1, 0], [0, 0, 1], [0, 0, 1]])
+    with pytest.raises(IllConditioned):
+        markov.matrix_power_real(P, 0.5)
+
+
+@pytest.mark.xfail(strict=True, reason="a negative eigenvalue gives a power that is not one of P")
+def test_half_power_of_a_chain_with_a_negative_eigenvalue_is_ill_conditioned():
+    # eigenvalues 1 and -0.7, condition estimate 2.06: the principal half
+    # power is complex, and its clipped real part is the limiting matrix,
+    # whose square misses P by 0.37
+    P = markov.validate_stochastic([[0.2, 0.8], [0.9, 0.1]])
     with pytest.raises(IllConditioned):
         markov.matrix_power_real(P, 0.5)
 
