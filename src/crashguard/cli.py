@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import math
 import os
@@ -58,9 +59,27 @@ def _float(x: float) -> str:
     return s if "." in s else s + ".0"
 
 
+@functools.lru_cache(maxsize=256)
+def _key_heads(keys: tuple) -> tuple[tuple[str, str], ...]:
+    """``(key, '"key": ')`` for each key of a dict, in sorted order.
+
+    Memoised by the dict's key tuple, since a report writes many dicts
+    with the same keys; a key that is not a str raises TypeError, and a
+    call that raises is not cached.
+    """
+    heads = []
+    for key in sorted(keys):
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        heads.append((key, encode_basestring_ascii(key) + ": "))
+    return tuple(heads)
+
+
 def _write(obj, newline: str, out) -> None:
     """Pass the JSON chunks of obj to out; newline ends with obj's indentation."""
-    if isinstance(obj, str):
+    if isinstance(obj, float):
+        out(_float(obj))
+    elif isinstance(obj, str):
         out(encode_basestring_ascii(obj))
     elif obj is None:
         out("null")
@@ -70,18 +89,14 @@ def _write(obj, newline: str, out) -> None:
         out("false")
     elif isinstance(obj, int):
         out(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out(_float(obj))
     elif isinstance(obj, dict):
         if not obj:
             out("{}")
             return
         inner = newline + "  "
         head = "{" + inner
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out(head + encode_basestring_ascii(key) + ": ")
+        for key, text in _key_heads(tuple(obj)):
+            out(head + text)
             _write(obj[key], inner, out)
             head = "," + inner
         out(newline + "}")

@@ -4,6 +4,15 @@ Row-stochastic matrices, regularity, integer and real matrix powers,
 stationary and limiting matrices, the fundamental matrix, mean first
 passage times, and state-probability propagation.
 
+Integer powers renormalise every row after each product of the binary
+powering.  A fractional power P^t is built row by row under one rule:
+the principal power through the eigendecomposition, its real part, then
+each row that is built clipped to [0, 1] and renormalised.  The clip is
+a projection, not a power of the chain (a stochastic matrix need not
+have a stochastic t-th power).  ``propagate`` builds only the rows in the
+support of its start vector, so the drift and vanished-row checks run on
+those rows, and ``matrix_power_real`` builds and checks every row.
+
 All types are immutable after construction and every operation is a pure
 function of its inputs, so values can be shared freely across threads.
 A StochasticMatrix memoises its eigendecomposition on first use; that is
@@ -175,40 +184,71 @@ def is_regular(P: StochasticMatrix) -> bool:
     return bool(np.linalg.matrix_power(P.entries > 0.0, (P.n - 1) ** 2 + 1).all())
 
 
+def _renormalized(a: np.ndarray) -> np.ndarray:
+    return a / a.sum(axis=1, keepdims=True)
+
+
 def matrix_power(P: StochasticMatrix, k: int) -> StochasticMatrix:
     """P^k by binary powering (repeated squaring); the result is row-stochastic.
 
-    A k that is negative, not integral, NaN or infinite raises InvalidValue.
+    Every product is renormalised to unit row sums, so the rows stay
+    stochastic to rounding at any k, 1e16 included.  A k that is negative,
+    not integral, NaN or infinite raises InvalidValue.
     """
     if not (0 <= k < math.inf and k == int(k)):  # NaN fails the first test
         raise InvalidValue(f"power must be a nonnegative integer, got {k!r}")
-    return validate_stochastic(np.linalg.matrix_power(P.entries, int(k)))
+    k = int(k)
+    result = np.eye(P.n)
+    square = P.entries
+    while k:
+        if k & 1:
+            result = _renormalized(result @ square)
+        k >>= 1
+        if k:
+            square = _renormalized(square @ square)
+    return StochasticMatrix(result)
 
 
-def _eig_power(P: StochasticMatrix, t: float) -> StochasticMatrix:
-    """P^t through eigendecomposition with principal powers of eigenvalues.
+def _eig_rows(P: StochasticMatrix, t: float, rows) -> np.ndarray:
+    """Rows ``rows`` (an index array or a slice) of P^t by the fractional-power
+    rule: the principal power through P's memoised eigendecomposition,
+    ``(V[rows] * λ^t) @ V⁻¹``, its real part, each row clipped to [0, 1] and
+    renormalised.
 
-    The decomposition is P's memoised one.  Rows of the reconstructed
-    matrix are clipped to [0, 1] and renormalized.  Raises IllConditioned
-    when the decomposition or this power of it cannot be trusted: the
-    eigenvectors' condition estimate exceeds EIG_CONDITION_LIMIT, as for a
-    chain defective at eigenvalue 0, or the power is not finite or its row
-    sums drift.
+    Raises IllConditioned when the decomposition or this power of it cannot
+    be trusted: the eigenvectors' condition estimate exceeds
+    EIG_CONDITION_LIMIT, as for a chain defective at eigenvalue 0, or a
+    requested row is not finite, its sum drifts from 1 by more than 1e-6,
+    or it vanishes after clipping.
     """
     evals, vecs, inverse, condition = P._eig
     if condition > EIG_CONDITION_LIMIT:
         raise IllConditioned(f"eigenvector condition estimate {condition:.3g} above {EIG_CONDITION_LIMIT:g}")
-    real = np.real(vecs @ np.diag(evals ** t) @ inverse)
-    if not np.all(np.isfinite(real)):
+    real = np.real((vecs[rows] * evals ** t) @ inverse)
+    if not np.isfinite(real).all():
         raise IllConditioned("non-finite entries in reconstructed power")
     sums = real.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-6):
+    if (np.abs(sums - 1.0) > 1e-6).any():
         raise IllConditioned(f"row sums drifted to {sums} after reconstruction")
-    real = np.clip(real, 0.0, 1.0)
+    real = real.clip(0.0, 1.0)
     totals = real.sum(axis=1)
-    if np.any(totals <= 0.0):
+    if (totals <= 0.0).any():
         raise IllConditioned("a row vanished after clipping")
-    return StochasticMatrix(real / totals[:, None])
+    return real / totals[:, None]
+
+
+def _power_rows(P: StochasticMatrix, t: float, rows) -> np.ndarray:
+    """Rows ``rows`` of P^t for real t >= 0: the exact integer power when t
+    is within INTEGRAL_TIME_TOLERANCE of an integer, else :func:`_eig_rows`.
+
+    A t that is negative, NaN or infinite raises InvalidValue.
+    """
+    if not 0 <= t < math.inf:  # NaN fails too
+        raise InvalidValue(f"time must be finite and nonnegative, got {t!r}")
+    nearest = round(t)
+    if abs(t - nearest) <= INTEGRAL_TIME_TOLERANCE:
+        return matrix_power(P, nearest).entries[rows]
+    return _eig_rows(P, t, rows)
 
 
 def matrix_power_real(P: StochasticMatrix, t: float) -> StochasticMatrix:
@@ -218,12 +258,7 @@ def matrix_power_real(P: StochasticMatrix, t: float) -> StochasticMatrix:
     IllConditioned when the eigendecomposition fails; callers fall back to
     ``matrix_power(P, round(t))`` (see :func:`propagate`).
     """
-    if not 0 <= t < math.inf:  # NaN fails too
-        raise InvalidValue(f"time must be finite and nonnegative, got {t!r}")
-    nearest = round(t)
-    if abs(t - nearest) <= INTEGRAL_TIME_TOLERANCE:
-        return matrix_power(P, nearest)
-    return _eig_power(P, t)
+    return StochasticMatrix(_power_rows(P, t, slice(None)))
 
 
 def stationary_distribution(P: StochasticMatrix) -> ProbabilityVector:
@@ -281,15 +316,18 @@ def mean_first_passage(Z: np.ndarray, w: ProbabilityVector) -> PassageMatrix:
 def propagate(pi0: ProbabilityVector, P: StochasticMatrix, t: float) -> ProbabilityVector:
     """State probabilities after time t: pi0 . P^t.
 
-    Integral t uses the exact integer power.  Fractional t uses the
-    eigendecomposition power; if that is ill-conditioned the exponent is
-    rounded half-up and a warning is emitted, since the result is then
+    Only the rows of P^t in pi0's support are built, so a unit vector costs
+    one row; the result equals ``pi0 @ matrix_power_real(P, t)`` up to
+    rounding.  Integral t uses the exact integer power.  Fractional t uses
+    the eigendecomposition power; if that is ill-conditioned the exponent
+    is rounded half-up and a warning is emitted, since the result is then
     only approximate.
     """
     if pi0.n != P.n:
         raise DimensionMismatch(f"vector length {pi0.n} does not match matrix size {P.n}")
+    support = pi0.entries.nonzero()[0]
     try:
-        Pt = matrix_power_real(P, t)
+        rows = _power_rows(P, t, support)
     except IllConditioned:
         rounded = int(np.floor(t + 0.5))
         warnings.warn(
@@ -297,5 +335,5 @@ def propagate(pi0: ProbabilityVector, P: StochasticMatrix, t: float) -> Probabil
             RuntimeWarning,
             stacklevel=2,
         )
-        Pt = matrix_power(P, rounded)
-    return probability_vector(pi0.entries @ Pt.entries)
+        rows = matrix_power(P, rounded).entries[support]
+    return probability_vector(pi0.entries[support] @ rows)

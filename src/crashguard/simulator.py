@@ -44,6 +44,7 @@ from .sensing import SPEED_OF_LIGHT, hypotenuse_from_tof, longitudinal_distance
 __all__ = [
     "ACC_GAP_GAIN",
     "ACC_SPEED_GAIN",
+    "MAX_STEPS",
     "AccParams",
     "CarConfig",
     "ScenarioConfig",
@@ -61,6 +62,9 @@ __all__ = [
 
 ACC_GAP_GAIN = 0.23  # 1/s^2, on spacing error
 ACC_SPEED_GAIN = 0.74  # 1/s, on speed error
+# most ticks a scenario may ask for (duration / time_step); a run holds
+# one timeline entry per tick
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,8 @@ class ScenarioConfig:
         require_positive("time_step", self.time_step)
         if not self.duration >= self.time_step:
             raise SchemaError("duration", f"must be at least one time step ({self.time_step})")
+        if not self.duration / self.time_step <= MAX_STEPS:  # an infinite ratio fails too
+            raise SchemaError("duration", f"must be at most {MAX_STEPS} time steps of {self.time_step} s")
 
 
 @dataclass

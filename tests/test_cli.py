@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from crashguard import cli, synthetic
+from crashguard import cli, simulator, synthetic
 from crashguard.estimation import DEFAULT_FRAME_INTERVAL, model_to_dict
 from crashguard.markov import validate_stochastic
 from crashguard.prediction import Thresholds
@@ -319,6 +319,21 @@ def test_assess_horizon_of_infinitely_many_steps_exits_2(tmp_path, capsys):
     assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("horizon", ["1e14", "1e15"])
+def test_assess_horizon_of_a_huge_integral_step_count_exits_0(tmp_path, capsys, horizon):
+    # 1e15 s over 0.1 s frames is the integral power 1e16, which must stay
+    # row-stochastic however many squarings it takes
+    out_dir = tmp_path / "models"
+    assert cli.main(["estimate", "--csv", SAMPLE_CSV, "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    code = cli.main(["assess", "--model1", str(out_dir / "vehicle_1.json"),
+                     "--model2", str(out_dir / "vehicle_2.json"), "--gap", "5",
+                     "--front", "car2", "--t-override", horizon])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert json.loads(captured.out)["t"] == float(horizon)
+
+
 def test_assess_writes_out_file(tmp_path, banded_models):
     m1, m2 = banded_models
     out = tmp_path / "assessment.json"
@@ -396,6 +411,24 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, edit, flags):
     code = cli.main(["simulate", "--scenario", str(scenario), *flags])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("edit", [
+    {"duration": 1e308},
+    # one step above the cap
+    {"time_step": 0.5, "duration": 0.5 * (simulator.MAX_STEPS + 1)},
+])
+def test_simulate_rejects_a_step_count_above_the_cap_before_running(tmp_path, capsys, monkeypatch, edit):
+    def run(config, disable_actions=False):
+        raise AssertionError("a scenario above the step cap must not run")
+
+    monkeypatch.setattr(cli.simulator, "run", run)
+    data = json.loads((DATA / "scenario1.json").read_text())
+    data.update(edit)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(data))
+    assert cli.main(["simulate", "--scenario", str(scenario)]) == 2
+    assert_one_error_line(capsys)
 
 
 # SHA-256 of each bundled scenario's report, as-is and forced into one lane
@@ -490,6 +523,44 @@ json_values = st.recursive(
 @given(json_values)
 def test_dumps_stable_equals_the_two_pass_writer(value):
     assert cli.dumps_stable(value) == oracles.stable_json(value)
+
+
+# a simulation timeline: many dicts with one key tuple, some of them with
+# the same keys inserted in another order
+TICK_KEYS = ("clock", "gap", "t", "speed_stable", "pc", "actions", "diagnostics")
+ticks = st.fixed_dictionaries({
+    "clock": json_floats,
+    "gap": json_floats,
+    "t": st.none() | json_floats,
+    "speed_stable": st.none() | st.booleans(),
+    "pc": st.none() | st.lists(json_floats, min_size=6, max_size=6),
+    "actions": st.lists(st.fixed_dictionaries({
+        "lane": st.integers(1, 6), "action": json_keys, "target": json_keys,
+    }), max_size=2),
+    "diagnostics": st.none() | st.fixed_dictionaries({
+        "lane": st.integers(1, 6), "m1_entry": json_floats, "m2_entry": json_floats, "branch": json_keys,
+    }),
+})
+
+
+@st.composite
+def timelines(draw):
+    entries = draw(st.lists(ticks, min_size=1, max_size=30))
+    order = draw(st.permutations(TICK_KEYS))
+    return [{key: tick[key] for key in (order if i % 3 == 2 else TICK_KEYS)}
+            for i, tick in enumerate(entries)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(timelines(), st.sampled_from([{1: "a"}, {True: 0}, {("clock",): 0}, {None: 1, "clock": 0}]))
+def test_dumps_stable_writes_timelines_like_the_two_pass_writer(timeline, bad):
+    report = {"crash": False, "min_gap": 3.25, "timeline": timeline}
+    assert cli.dumps_stable(report) == oracles.stable_json(report)
+    # the first call memoised the ticks' key tuples; a non-str key after
+    # them still raises, on every call
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            cli.dumps_stable({"timeline": [*timeline, bad]})
 
 
 @pytest.mark.parametrize("value", [

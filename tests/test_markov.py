@@ -1,5 +1,6 @@
 """Tests for the Markov chain core."""
 
+import importlib.resources
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import scenario1_lane_chains
-from crashguard import markov
+from crashguard import estimation, markov, simulator
 from crashguard.errors import (
     DimensionMismatch,
     IllConditioned,
@@ -166,6 +167,15 @@ def test_huge_exponent_power_and_fallback_are_exact():
     assert np.array_equal(out.entries, [0.0, 0.0, 1.0])
 
 
+def test_huge_power_of_a_regular_chain_is_the_limiting_matrix():
+    # every product is renormalised, so 10**16 steps do not drift off the
+    # stochastic matrices the way an unnormalised binary power does
+    rng = np.random.default_rng(29)
+    for P in (*scenario1_lane_chains(), random_stochastic(6, rng)):
+        Pk = markov.matrix_power(P, 10**16).entries
+        np.testing.assert_allclose(Pk, markov.limiting_matrix(P), atol=1e-12, rtol=0)
+
+
 @pytest.mark.parametrize("exponent", [-1, -0.5, 2.5, math.inf, -math.inf, math.nan])
 def test_matrix_power_rejects_an_exponent_that_is_not_a_nonnegative_integer(exponent):
     with pytest.raises(InvalidValue, match="nonnegative integer"):
@@ -205,7 +215,7 @@ def test_eig_path_matches_integer_powers():
     rng = np.random.default_rng(11)
     P = random_stochastic(5, rng)
     for k in range(1, 9):
-        got = markov._eig_power(P, float(k)).entries
+        got = markov._eig_rows(P, float(k), slice(None))
         want = markov.matrix_power(P, k).entries
         assert np.allclose(got, want, atol=1e-9)
 
@@ -303,6 +313,35 @@ def test_propagate_through_a_memoised_chain_is_bit_identical_to_a_fresh_one():
                 fresh = markov.StochasticMatrix(P.entries)
                 got = markov.propagate(pi0, P, t).entries
                 assert np.array_equal(got, markov.propagate(pi0, fresh, t).entries)
+
+
+def row_path_chains():
+    """The bundled scenarios' lane chains, the lane and speed chains that
+    the sample CSV estimates, and seeded random chains."""
+    data = importlib.resources.files("crashguard") / "data"
+    chains = []
+    for name in ("scenario1", "scenario2", "scenario3"):
+        chains += [car.model.lane_chain for car in simulator.load_scenario(data / f"{name}.json").cars]
+    for trajectory in estimation.ingest_trajectories(data / "sample_trajectories.csv").values():
+        model = estimation.build_vehicle_model(trajectory)
+        chains += [model.lane_chain, model.speed_chain]
+    rng = np.random.default_rng(31)
+    return chains + [random_stochastic(6, rng) for _ in range(4)]
+
+
+def test_propagate_builds_the_rows_of_the_full_power_it_reads():
+    # propagate reconstructs only the rows in pi0's support; the full
+    # power times pi0 is the reference, unit and spread pi0 alike
+    rng = np.random.default_rng(37)
+    for P in row_path_chains():
+        starts = [markov.unit_vector(P.n, state) for state in range(P.n)]
+        starts.append(markov.probability_vector([0.25, 0, 0, 0.75, 0, 0]))
+        starts.append(markov.probability_vector(rng.dirichlet(np.ones(P.n))))
+        for t in (0.3, 2.7, 17.25, 250.5):
+            full = markov.matrix_power_real(P, t).entries
+            for pi0 in starts:
+                got = markov.propagate(pi0, P, t).entries
+                np.testing.assert_allclose(got, pi0.entries @ full, atol=1e-15, rtol=0)
 
 
 # --- stationary / limiting ---

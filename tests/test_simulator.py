@@ -312,6 +312,14 @@ def test_zero_duration_is_rejected():
         dataclasses.replace(load("scenario1"), duration=0.0)
 
 
+def test_step_count_cap_is_inclusive_and_checked_at_construction():
+    # neither config runs; 20 s over the tiniest step is infinitely many steps
+    base = load("scenario1")
+    dataclasses.replace(base, time_step=0.5, duration=0.5 * simulator.MAX_STEPS)
+    with pytest.raises(SchemaError, match="duration: must be at most"):
+        dataclasses.replace(base, time_step=5e-324)
+
+
 def test_run_is_deterministic():
     a = simulator.report_to_dict(simulator.run(load("scenario1")))
     b = simulator.report_to_dict(simulator.run(load("scenario1")))
