@@ -413,6 +413,21 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, edit, flags):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_simulate_through_a_huge_rounded_horizon_writes_a_report(tmp_path):
+    # car 1 braking at 1 m/s^2 brings the closing speed down to about
+    # 1e-13 m/s, so flow 1's horizon is about 1.2e14 steps; the eig power
+    # gives up there, and the rounded integer power must stay stochastic
+    data = json.loads((DATA / "scenario1.json").read_text())
+    data["cars"][0]["acceleration"] = -1.0
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(data))
+    report = tmp_path / "report.json"
+    with pytest.warns(RuntimeWarning, match="approximate"):
+        code = cli.main(["simulate", "--scenario", str(scenario), "--report-path", str(report)])
+    assert code == 0
+    assert json.loads(report.read_text())["timeline"]
+
+
 @pytest.mark.parametrize("edit", [
     {"duration": 1e308},
     # one step above the cap
