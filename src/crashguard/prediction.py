@@ -179,13 +179,12 @@ def flow2_crash_probabilities(car1: VehicleModel, car2: VehicleModel, t: float) 
 _PASSAGE_STEPS: weakref.WeakKeyDictionary[StochasticMatrix, np.ndarray] = weakref.WeakKeyDictionary()
 
 
-def _passage_seconds(model: VehicleModel, label: str) -> np.ndarray:
-    """Mean first passage times of one car's lane chain, in seconds.
+def _passage_steps(model: VehicleModel, label: str) -> np.ndarray:
+    """Mean first passage times of one car's lane chain, in chain steps.
 
-    Chain steps, built once per chain object, are multiplied by the
-    model's frame interval.  The chain must be regular; the error names
-    the car and its unobserved lane rows, and is raised again on every
-    call.
+    Built once per chain object.  The chain must be regular; the error
+    names the car and its unobserved lane rows, and is raised again on
+    every call.
     """
     chain = model.lane_chain
     steps = _PASSAGE_STEPS.get(chain)
@@ -197,7 +196,7 @@ def _passage_seconds(model: VehicleModel, label: str) -> np.ndarray:
             raise NotRegular(f"{label}: lane chain is not regular{hint}") from exc
         Z = fundamental_matrix(chain, limiting_matrix(chain))
         steps = _PASSAGE_STEPS[chain] = mean_first_passage(Z, w).entries
-    return steps * model.frame_interval
+    return steps
 
 
 def flow3_select_actions(
@@ -215,15 +214,13 @@ def flow3_select_actions(
     """
     pc = np.asarray(pc, dtype=float)
     flagged = [k for k in range(N_LANES) if pc[k] >= encounter.thresholds.crash]
-    seconds = {}  # car label -> passage matrix, built on first off-diagonal read
 
     def entry(label: str, lane: int) -> float:
         model = encounter.model(label)
         if lane == model.current_lane:
             return 0.0
-        if label not in seconds:
-            seconds[label] = _passage_seconds(model, label)
-        return float(seconds[label][model.current_lane - 1, lane - 1])
+        steps = _passage_steps(model, label)
+        return float(steps[model.current_lane - 1, lane - 1] * model.frame_interval)
 
     actions = []
     for k in flagged:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import CrashguardError, LeadBehindEgo, SchemaError
+from .errors import CrashguardError, InvalidValue, LeadBehindEgo, SchemaError
 from .estimation import (
     N_LANES,
     SPEED_MAX,
@@ -79,6 +79,15 @@ class AccParams:
     min_gap: float = 10.0  # m
     accel_limit: float = 3.0  # m/s^2, symmetric clip
 
+    def __post_init__(self):
+        for name, value in (("time_gap", self.time_gap), ("accel_limit", self.accel_limit)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise InvalidValue(f"{name} must be finite and positive, got {value!r}")
+        if not (math.isfinite(self.min_gap) and self.min_gap >= 0.0):
+            raise InvalidValue(f"min_gap must be finite and nonnegative, got {self.min_gap!r}")
+        if self.set_speed is not None and not math.isfinite(self.set_speed):
+            raise InvalidValue(f"set_speed must be finite, got {self.set_speed!r}")
+
     def set_speed_for(self, speed: float) -> float:
         """The set speed ACC holds for a car engaging at ``speed``."""
         return self.set_speed if self.set_speed is not None else speed
@@ -103,6 +112,8 @@ class ScenarioConfig:
     acc_params: AccParams = field(default_factory=AccParams)
 
     def __post_init__(self):
+        if not (math.isfinite(self.lateral_offset) and self.lateral_offset >= 0.0):
+            raise SchemaError("lateral_offset", f"must be finite and nonnegative, got {self.lateral_offset!r}")
         require_positive("time_step", self.time_step)
         if not self.duration >= self.time_step:
             raise SchemaError("duration", f"must be at least one time step ({self.time_step})")
@@ -112,10 +123,10 @@ class ScenarioConfig:
 
 @dataclass
 class CarState:
-    lane: int
+    """What a tick moves; lanes and scripted accelerations stay on ``CarConfig``."""
+
     speed: float
     position: float
-    acceleration: float  # scripted base acceleration
 
 
 @dataclass(frozen=True)
@@ -148,11 +159,9 @@ def _car_config(entry: dict, index: int, base_dir) -> CarConfig:
     has_path = "model_path" in entry
     if has_inline == has_path:
         raise SchemaError(where, "exactly one of 'model' or 'model_path' required")
+    path = None if has_inline else base_dir / require_field(entry, "model_path", str, where)
     try:
-        if has_inline:
-            model = model_from_dict(entry["model"])
-        else:
-            model = load_model(base_dir / require_field(entry, "model_path", str, where))
+        model = model_from_dict(entry["model"]) if path is None else load_model(path)
     except (CrashguardError, OSError) as exc:
         raise SchemaError(f"{where}.model", f"invalid model: {exc}") from exc
     lane = require_field(entry, "lane", int, where)
@@ -178,40 +187,24 @@ def load_scenario(path) -> ScenarioConfig:
         raise SchemaError("cars", "exactly two cars required")
     car_configs = tuple(_car_config(entry, i, path.parent) for i, entry in enumerate(cars))
 
-    lateral_offset = require_field(data, "lateral_offset", float)
-    if lateral_offset < 0.0:
-        raise SchemaError("lateral_offset", "must be nonnegative")
-    duration = require_field(data, "duration", float)
-    time_step = ScenarioConfig.time_step
-    if "time_step" in data:
-        time_step = require_field(data, "time_step", float)
-
-    thresholds_data = data.get("thresholds", {})
-    if not isinstance(thresholds_data, dict):
-        raise SchemaError("thresholds", "expected an object")
-    try:
-        thresholds = Thresholds(**thresholds_data)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("thresholds", str(exc)) from exc
-
-    acc_data = data.get("acc_params", {})
-    if not isinstance(acc_data, dict):
-        raise SchemaError("acc_params", "expected an object")
-    try:
-        acc_params = AccParams(**{key: require_field(acc_data, key, float, "acc_params") for key in acc_data})
-    except TypeError as exc:  # a key AccParams does not have
-        raise SchemaError("acc_params", str(exc)) from exc
-    if acc_params.accel_limit <= 0 or acc_params.time_gap <= 0 or acc_params.min_gap < 0:
-        raise SchemaError("acc_params", "limits must be positive")
-
     return ScenarioConfig(
         cars=car_configs,
-        lateral_offset=lateral_offset,
-        duration=duration,
-        time_step=time_step,
-        thresholds=thresholds,
-        acc_params=acc_params,
+        lateral_offset=require_field(data, "lateral_offset", float),
+        duration=require_field(data, "duration", float),
+        time_step=require_field(data, "time_step", float) if "time_step" in data else ScenarioConfig.time_step,
+        thresholds=_params(data, "thresholds", Thresholds),
+        acc_params=_params(data, "acc_params", AccParams),
     )
+
+
+def _params(data: dict, key: str, kind):
+    """``kind`` built from the finite numbers in the object ``data[key]``;
+    absent, ``kind``'s defaults.  ``kind`` checks its own ranges."""
+    values = require_field(data, key, dict) if key in data else {}
+    try:
+        return kind(**{name: require_field(values, name, float, key) for name in values})
+    except (TypeError, InvalidValue) as exc:  # a key ``kind`` does not have, or a value out of range
+        raise SchemaError(key, str(exc)) from exc
 
 
 def _front_index(cars) -> int:
@@ -228,9 +221,7 @@ def force_same_lane(config: ScenarioConfig) -> ScenarioConfig:
 
 # --- ACC policy ---
 
-def acc_command(
-    ego: CarState, lead: CarState | None, params: AccParams, set_speed: float | None = None
-) -> float:
+def acc_command(ego: CarState, lead: CarState | None, params: AccParams, set_speed: float) -> float:
     """Constant-time-gap spacing acceleration for the ego car.
 
     With nothing ahead (``lead`` None) or above the desired gap the ego
@@ -239,8 +230,6 @@ def acc_command(
     never accelerates past the set speed.  The command is clipped to the
     configured limits.
     """
-    if set_speed is None:
-        set_speed = params.set_speed_for(ego.speed)
     a = ACC_SPEED_GAIN * (set_speed - ego.speed)
     if lead is not None:
         gap = lead.position - ego.position
@@ -296,7 +285,7 @@ def step(
     front = _front_index(cars)
     gap = _lidar_gap(cars, config.lateral_offset)
     car1, car2 = (
-        cfg.model.with_state(car.lane, car.speed, car.position)
+        cfg.model.with_state(cfg.lane, car.speed, car.position)
         for cfg, car in zip(config.cars, cars)
     )
     assessment = assess(EncounterInput(car1, car2, gap, CAR_LABELS[front], config.thresholds))
@@ -315,7 +304,7 @@ def step(
             state.events.append(TriggeredAction(state.clock, action.lane, action.action, action.target))
 
     # both commands read the cars before either one moves
-    accels = [car.acceleration for car in cars]
+    accels = [cfg.acceleration for cfg in config.cars]
     for index, label in enumerate(CAR_LABELS):
         if label in state.acc_set_speed:
             ego, other = cars[index], cars[1 - index]
@@ -348,10 +337,9 @@ def run(config: ScenarioConfig, disable_actions: bool = False) -> SimReport:
     closed to zero or less.  An unstable flow-1 gate simply leaves this
     step actionless; the next step resamples the state.
     """
-    state = SimState(
-        cars=tuple(CarState(c.lane, c.speed, c.position, c.acceleration) for c in config.cars)
-    )
+    state = SimState(cars=tuple(CarState(c.speed, c.position) for c in config.cars))
     cars = state.cars
+    same_lane = config.cars[0].lane == config.cars[1].lane
     n_steps = int(math.floor(config.duration / config.time_step + 1e-9))
 
     min_gap = abs(cars[0].position - cars[1].position)
@@ -372,7 +360,7 @@ def run(config: ScenarioConfig, disable_actions: bool = False) -> SimReport:
         if gap_after < min_gap:
             min_gap = gap_after
             min_gap_time = state.clock
-        if cars[0].lane == cars[1].lane and gap_after <= 0.0:
+        if same_lane and gap_after <= 0.0:
             crash_time = state.clock
             break
 

@@ -274,6 +274,18 @@ def test_unopenable_model_path_is_an_invalid_model(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cars[1].model: invalid model: [Errno 2] ")
 
 
+def test_non_string_model_path_is_a_field_error(tmp_path, capsys):
+    # a wrong type is the scenario's own error, not a model that failed to load
+    scenario = json.loads((DATA / "scenario1.json").read_text())
+    del scenario["cars"][0]["model"]
+    scenario["cars"][0]["model_path"] = 5
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario), encoding="utf-8")
+    code = cli.main(["simulate", "--scenario", str(scenario_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: cars[0].model_path: expected str\n"
+
+
 def test_assess_t_override_runs_flows_2_and_3(tmp_path, capsys):
     chains = synthetic.with_rows(
         synthetic.banded_chain(), {6: [0, 0, 0, 0, 0.18, 0.82], 5: [0, 0, 0, 0.05, 0.9, 0.05]}
@@ -399,6 +411,9 @@ def test_simulate_time_step_flag(tmp_path):
     ({"acc_params": {"accel_limit": "3"}}, []),
     ({"acc_params": {"time_gap": float("inf")}}, []),
     ({"acc_params": {"set_speed": None}}, []),
+    ({"acc_params": {"time_gap": 0}}, []),
+    ({"thresholds": {"crash": True}}, []),
+    ({"thresholds": {"crash": "0.3"}}, []),
     ({}, ["--time-step", "nan"]),
     ({}, ["--time-step", "inf"]),
     ({}, ["--time-step", "1000"]),  # longer than the 20 s run
@@ -410,7 +425,7 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, edit, flags):
     scenario.write_text(json.dumps(data))  # NaN and Infinity are written bare
     code = cli.main(["simulate", "--scenario", str(scenario), *flags])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert_one_error_line(capsys)
 
 
 def test_simulate_through_a_huge_rounded_horizon_writes_a_report(tmp_path):

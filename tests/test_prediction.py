@@ -150,6 +150,27 @@ def test_flow2_propagates_t_over_frame_interval_steps():
     assert np.abs(pc_fast - pc_slow).max() > 1e-3
 
 
+@pytest.mark.xfail(strict=True, reason="FOUND (CHANGES.md): flow 1's speed gate reads one chain step, "
+                                        "whatever the frame interval")
+def test_flow1_speed_gate_reads_the_same_process_alike_at_any_frame_interval():
+    # speed chain Q stepped every 0.5 s is the same process as Q.Q stepped
+    # every 1 s; today the gate reads 0.4 (stable) on the first and 0.56
+    # (unstable) on the second
+    Q = banded_chain(self_loop=0.6)
+    probabilities, verdicts = [], []
+    for speed_chain, frame_interval in ((Q, 0.5), (validate_stochastic(Q.entries @ Q.entries), 1.0)):
+        # leader at 30 m/s, trailer at 35 m/s: both in the interior bin d
+        lead, trail = (
+            make_model(banded_chain(), speed_chain=speed_chain, lane=lane, speed=speed,
+                       frame_interval=frame_interval)
+            for lane, speed in ((6, 30.0), (5, 35.0))
+        )
+        probabilities.append(prediction.speed_change_probability(lead))
+        verdicts.append(prediction.flow1_probable_time(encounter(lead, trail, gap=40.0)).speed_stable)
+    assert abs(probabilities[0] - probabilities[1]) <= 1e-12
+    assert verdicts[0] == verdicts[1]
+
+
 # --- flow 3 ---
 
 def test_flow3_threshold_gate_empty():

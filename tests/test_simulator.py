@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from crashguard import prediction, simulator
-from crashguard.errors import LeadBehindEgo, SchemaError
+from crashguard.errors import InvalidValue, LeadBehindEgo, SchemaError
 from crashguard.prediction import SafetyAction
 from crashguard.simulator import AccParams, CarState
 
@@ -92,9 +92,9 @@ def test_load_rejects_non_finite_numbers(tmp_path):
 
 def test_lidar_gap_when_cars_abreast():
     # laterally side by side: the round trip must not trip the geometry check
-    cars = (CarState(1, 30.0, 100.0, 0.0), CarState(2, 30.0, 100.0 + 1e-12, 0.0))
+    cars = (CarState(30.0, 100.0), CarState(30.0, 100.0 + 1e-12))
     assert simulator._lidar_gap(cars, 3.7) == pytest.approx(0.0, abs=1e-6)
-    far = (CarState(1, 30.0, 0.0, 0.0), CarState(2, 30.0, 40.0, 0.0))
+    far = (CarState(30.0, 0.0), CarState(30.0, 40.0))
     assert simulator._lidar_gap(far, 3.7) == pytest.approx(40.0, rel=1e-9)
 
 
@@ -130,9 +130,7 @@ def test_force_same_lane_and_step_break_a_tie_alike():
     tied = dataclasses.replace(
         config, cars=tuple(dataclasses.replace(c, position=0.0) for c in config.cars)
     )
-    state = simulator.SimState(
-        cars=tuple(CarState(c.lane, c.speed, c.position, c.acceleration) for c in tied.cars)
-    )
+    state = simulator.SimState(cars=tuple(CarState(c.speed, c.position) for c in tied.cars))
     front, _, _ = simulator.step(state, tied)
     assert front == 0  # car 1 leads a tie
     trailing_lane = tied.cars[1].lane
@@ -143,28 +141,28 @@ def test_force_same_lane_and_step_break_a_tie_alike():
 # --- kinematic stepping ---
 
 def test_integrate_constant_speed():
-    car = CarState(lane=1, speed=10.0, position=0.0, acceleration=0.0)
+    car = CarState(speed=10.0, position=0.0)
     simulator._integrate(car, 0.0, 0.1)
     assert car.position == pytest.approx(1.0)
     assert car.speed == 10.0
 
 
 def test_integrate_accelerating():
-    car = CarState(lane=1, speed=30.0, position=0.0, acceleration=0.6)
+    car = CarState(speed=30.0, position=0.0)
     simulator._integrate(car, 0.6, 0.1)
     assert car.position == pytest.approx(3.003)
     assert car.speed == pytest.approx(30.06)
 
 
 def test_integrate_clamps_at_zero_speed():
-    car = CarState(lane=1, speed=0.0, position=5.0, acceleration=-1.0)
+    car = CarState(speed=0.0, position=5.0)
     simulator._integrate(car, -1.0, 0.1)
     assert car.speed == 0.0
     assert car.position == 5.0  # no backward drift
 
 
 def test_integrate_stops_mid_step():
-    car = CarState(lane=1, speed=0.1, position=0.0, acceleration=-3.0)
+    car = CarState(speed=0.1, position=0.0)
     simulator._integrate(car, -3.0, 0.1)
     assert car.speed == 0.0
     # travels v^2 / (2|a|), not the full-step displacement
@@ -174,49 +172,55 @@ def test_integrate_stops_mid_step():
 # --- ACC policy ---
 
 def test_acc_at_set_speed_with_huge_gap():
-    params = AccParams(set_speed=40.0)
-    ego = CarState(1, 40.0, 0.0, 0.0)
-    lead = CarState(1, 35.0, 500.0, 0.0)
-    assert simulator.acc_command(ego, lead, params) == pytest.approx(0.0)
+    ego = CarState(40.0, 0.0)
+    lead = CarState(35.0, 500.0)
+    assert simulator.acc_command(ego, lead, AccParams(), set_speed=40.0) == pytest.approx(0.0)
 
 
 def test_acc_spacing_equilibrium():
-    params = AccParams(set_speed=40.0)
-    ego = CarState(1, 30.0, 0.0, 0.0)
-    lead = CarState(1, 30.0, 10.0 + 1.4 * 30.0, 0.0)  # gap exactly g*
-    assert simulator.acc_command(ego, lead, params) == pytest.approx(0.0)
+    ego = CarState(30.0, 0.0)
+    lead = CarState(30.0, 10.0 + 1.4 * 30.0)  # gap exactly g*
+    assert simulator.acc_command(ego, lead, AccParams(), set_speed=40.0) == pytest.approx(0.0)
 
 
 def test_acc_hard_brake_clipped():
-    params = AccParams(set_speed=30.0)
-    ego = CarState(1, 30.0, 0.0, 0.0)
-    lead = CarState(1, 30.0, 20.0, 0.0)  # gap 20 < g* = 52
-    assert simulator.acc_command(ego, lead, params) == -3.0
+    ego = CarState(30.0, 0.0)
+    lead = CarState(30.0, 20.0)  # gap 20 < g* = 52
+    assert simulator.acc_command(ego, lead, AccParams(), set_speed=30.0) == -3.0
 
 
 def test_acc_with_nothing_ahead_tracks_set_speed_within_limits():
-    params = AccParams(set_speed=40.0)
-    assert simulator.acc_command(CarState(1, 39.0, 0.0, 0.0), None, params) == pytest.approx(0.74)
-    assert simulator.acc_command(CarState(1, 30.0, 0.0, 0.0), None, params) == 3.0
-    assert simulator.acc_command(CarState(1, 50.0, 0.0, 0.0), None, params) == -3.0
+    params = AccParams()
+    assert simulator.acc_command(CarState(39.0, 0.0), None, params, set_speed=40.0) == pytest.approx(0.74)
+    assert simulator.acc_command(CarState(30.0, 0.0), None, params, set_speed=40.0) == 3.0
+    assert simulator.acc_command(CarState(50.0, 0.0), None, params, set_speed=40.0) == -3.0
 
 
 def test_acc_rejects_lead_behind():
-    params = AccParams(set_speed=30.0)
     with pytest.raises(LeadBehindEgo):
-        simulator.acc_command(CarState(1, 30.0, 10.0, 0.0), CarState(1, 30.0, 0.0, 0.0), params)
+        simulator.acc_command(CarState(30.0, 10.0), CarState(30.0, 0.0), AccParams(), set_speed=30.0)
 
 
 def test_acc_never_exceeds_limits_or_set_speed():
-    params = AccParams(set_speed=35.0, accel_limit=3.0)
+    params = AccParams(accel_limit=3.0)
+    set_speed = 35.0
     rng = np.random.default_rng(47)
     for _ in range(500):
-        ego = CarState(1, rng.uniform(0, 59), 0.0, 0.0)
-        lead = CarState(1, rng.uniform(0, 59), rng.uniform(0.1, 200.0), 0.0)
-        a = simulator.acc_command(ego, lead, params)
+        ego = CarState(rng.uniform(0, 59), 0.0)
+        lead = CarState(rng.uniform(0, 59), rng.uniform(0.1, 200.0))
+        a = simulator.acc_command(ego, lead, params, set_speed)
         assert -3.0 <= a <= 3.0
-        if ego.speed >= params.set_speed:
+        if ego.speed >= set_speed:
             assert a <= 0.0  # never pushes past the set speed
+
+
+@pytest.mark.parametrize("field,value", [
+    ("accel_limit", 0.0), ("time_gap", 0.0), ("time_gap", float("nan")),
+    ("min_gap", -1.0), ("set_speed", float("inf")),
+])
+def test_acc_params_reject_bad_limits_at_construction(field, value):
+    with pytest.raises(InvalidValue, match=field):
+        AccParams(**{field: value})
 
 
 # --- full runs ---
@@ -306,6 +310,13 @@ def test_scenario3_no_actions():
     assert all(not entry["actions"] for entry in report.timeline)
 
 
+@pytest.mark.parametrize("offset", [-1.0, float("nan"), float("inf")])
+def test_lateral_offset_is_checked_at_construction(offset):
+    # the file's rule holds for a config built in code, too
+    with pytest.raises(SchemaError, match="lateral_offset"):
+        dataclasses.replace(load("scenario1"), lateral_offset=offset)
+
+
 def test_zero_duration_is_rejected():
     # a run shorter than one step is refused at construction, as in the file
     with pytest.raises(SchemaError, match="duration"):
@@ -330,12 +341,7 @@ def test_acc_commands_within_limits_throughout_run():
     config = load("scenario1")
     limit = config.acc_params.accel_limit
     set_speed = config.acc_params.set_speed
-    state = simulator.SimState(
-        cars=tuple(
-            simulator.CarState(c.lane, c.speed, c.position, c.acceleration)
-            for c in config.cars
-        )
-    )
+    state = simulator.SimState(cars=tuple(CarState(c.speed, c.position) for c in config.cars))
     for _ in range(200):
         prev_speed = state.cars[1].speed
         simulator.step(state, config)
