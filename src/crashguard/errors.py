@@ -98,7 +98,8 @@ class GeometryViolation(CrashguardError):
 
 
 class NonClosingSpeeds(CrashguardError):
-    """Relative speed is not positive; the encounter is not closing."""
+    """Relative speed is not above the closing-speed floor; the encounter is
+    not closing."""
 
 
 # --- simulation ---

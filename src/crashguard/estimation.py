@@ -19,7 +19,9 @@ import numpy as np
 from .errors import (
     DuplicateFrame,
     LaneOutOfRange,
+    NegativeEntry,
     ParseError,
+    RowSumOutOfTolerance,
     SchemaError,
     SpeedOutOfRange,
     TooShort,
@@ -456,10 +458,17 @@ def model_from_dict(data: dict) -> VehicleModel:
     frame_interval = DEFAULT_FRAME_INTERVAL
     if "frame_interval_s" in data:
         frame_interval = require_field(data, "frame_interval_s", float)
+    lane_chain = validate_stochastic(_matrix(data, "lane_chain"), MODEL_FILE_TOLERANCE)
+    speed_chain = validate_stochastic(_matrix(data, "speed_chain"), MODEL_FILE_TOLERANCE)
+    observation = _matrix(data, "observation")
+    try:  # each row is one lane's distribution over the speed symbols, kept as written
+        validate_stochastic(observation, MODEL_FILE_TOLERANCE)
+    except (NegativeEntry, RowSumOutOfTolerance) as exc:
+        raise SchemaError("observation", str(exc)) from exc
     return VehicleModel(
-        lane_chain=validate_stochastic(_matrix(data, "lane_chain"), MODEL_FILE_TOLERANCE),
-        speed_chain=validate_stochastic(_matrix(data, "speed_chain"), MODEL_FILE_TOLERANCE),
-        observation=ObservationMatrix(_matrix(data, "observation").T, tuple(rows["observation"])),
+        lane_chain=lane_chain,
+        speed_chain=speed_chain,
+        observation=ObservationMatrix(observation.T, tuple(rows["observation"])),
         current_lane=lane,
         current_speed=speed,
         current_position=require_field(current, "pos_m", float, "current"),

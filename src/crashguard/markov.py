@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -75,12 +75,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _FrozenArray:
-    """A float array copied on construction and made read-only."""
+    """A float array made read-only; an array passed in is copied first."""
 
     entries: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _frozen(self.entries))
+
+    @classmethod
+    def _built(cls, a: np.ndarray):
+        """Wrap a float array that this module has just built and that no
+        caller holds, made read-only in place instead of copied."""
+        a.flags.writeable = False
+        wrapped = object.__new__(cls)
+        object.__setattr__(wrapped, "entries", a)
+        return wrapped
 
     @property
     def n(self) -> int:
@@ -106,7 +115,9 @@ class StochasticMatrix(_FrozenArray):
         parts = (evals.astype(complex), vecs, inverse)
         for a in parts:
             a.flags.writeable = False
-        return (*parts, float(np.linalg.norm(vecs, 1) * np.linalg.norm(inverse, 1)))
+        # the largest column sum of absolute values is the 1-norm that
+        # np.linalg.norm(a, 1) computes, without its dispatch
+        return (*parts, float(np.abs(vecs).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()))
 
 
 class ProbabilityVector(_FrozenArray):
@@ -134,15 +145,15 @@ def validate_stochastic(raw, tolerance: float = ROW_SUM_TOLERANCE) -> Stochastic
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise NotSquare(f"expected a square matrix, got shape {a.shape}")
     sums = a.sum(axis=1)
-    rows_ok = np.abs(sums - 1.0) <= tolerance  # False for a NaN sum
-    if not ((a >= 0.0).all() and rows_ok.all()):
+    # a NaN entry or sum fails both tests
+    if not (a.min() >= 0.0 and np.abs(sums - 1.0).max() <= tolerance):
         neg = np.argwhere(a < 0.0)
         if neg.size:
             i, j = neg[0]
             raise NegativeEntry(int(i), int(j), float(a[i, j]))
-        i = int(np.argwhere(~rows_ok)[0][0])
+        i = int(np.argwhere(~(np.abs(sums - 1.0) <= tolerance))[0][0])
         raise RowSumOutOfTolerance(i, float(sums[i]))
-    return StochasticMatrix(a / sums[:, None])
+    return StochasticMatrix._built(a / sums[:, None])
 
 
 def probability_vector(raw) -> ProbabilityVector:
@@ -154,24 +165,32 @@ def probability_vector(raw) -> ProbabilityVector:
     v = np.asarray(raw, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise DimensionMismatch(f"expected a 1-d vector, got shape {v.shape}")
-    clipped = np.clip(v, 0.0, None)
-    total = clipped.sum()
-    if not ((v >= -DISTRIBUTION_TOLERANCE).all() and abs(total - 1.0) <= DISTRIBUTION_TOLERANCE):
+    clipped = np.maximum(v, 0.0)  # -0.0 becomes +0.0
+    total = float(clipped.sum())
+    # a NaN entry fails both tests
+    if not (v.min() >= -DISTRIBUTION_TOLERANCE and abs(total - 1.0) <= DISTRIBUTION_TOLERANCE):
         neg = np.argwhere(v < -DISTRIBUTION_TOLERANCE)
         if neg.size:
             i = int(neg[0][0])
             raise NegativeEntry(i, 0, float(v[i]))
-        raise RowSumOutOfTolerance(0, float(total))
-    return ProbabilityVector(clipped / total)
+        raise RowSumOutOfTolerance(0, total)
+    return ProbabilityVector._built(clipped / total)
 
 
+@lru_cache(maxsize=256, typed=True)
 def unit_vector(n: int, state: int) -> ProbabilityVector:
-    """Probability vector concentrated on one 0-based state index."""
+    """Probability vector concentrated on one 0-based state index.
+
+    The result is immutable, so each (n, state) is built once and shared.
+    Its entries are a view of a read-only array, which numpy refuses to
+    make writeable again.
+    """
     if not 0 <= state < n:
         raise DimensionMismatch(f"state {state} outside 0..{n - 1}")
     v = np.zeros(n)
     v[state] = 1.0
-    return ProbabilityVector(v)
+    v.flags.writeable = False
+    return ProbabilityVector._built(v.view())
 
 
 def is_regular(P: StochasticMatrix) -> bool:
@@ -206,7 +225,7 @@ def matrix_power(P: StochasticMatrix, k: int) -> StochasticMatrix:
         k >>= 1
         if k:
             square = _renormalized(square @ square)
-    return StochasticMatrix(result)
+    return StochasticMatrix._built(result)
 
 
 def _eig_rows(P: StochasticMatrix, t: float, rows) -> np.ndarray:
@@ -224,15 +243,19 @@ def _eig_rows(P: StochasticMatrix, t: float, rows) -> np.ndarray:
     evals, vecs, inverse, condition = P._eig
     if condition > EIG_CONDITION_LIMIT:
         raise IllConditioned(f"eigenvector condition estimate {condition:.3g} above {EIG_CONDITION_LIMIT:g}")
-    real = np.real((vecs[rows] * evals ** t) @ inverse)
-    if not np.isfinite(real).all():
-        raise IllConditioned("non-finite entries in reconstructed power")
+    real = ((vecs[rows] * evals ** t) @ inverse).real
     sums = real.sum(axis=1)
-    if (np.abs(sums - 1.0) > 1e-6).any():
-        raise IllConditioned(f"row sums drifted to {sums} after reconstruction")
-    real = real.clip(0.0, 1.0)
+    drift = np.abs(sums - 1.0)
+    # a non-finite entry makes its row's drift non-finite, which fails this
+    # test; the initial value lets an empty row set through
+    if not drift.max(initial=0.0) <= 1e-6:
+        if not np.isfinite(real).all():
+            raise IllConditioned("non-finite entries in reconstructed power")
+        if (drift > 1e-6).any():  # not a NaN sum of finite entries
+            raise IllConditioned(f"row sums drifted to {sums} after reconstruction")
+    real = real.clip(0.0, 1.0)  # keeps -0.0, where np.maximum would not
     totals = real.sum(axis=1)
-    if (totals <= 0.0).any():
+    if not totals.min(initial=1.0) > 0.0:
         raise IllConditioned("a row vanished after clipping")
     return real / totals[:, None]
 
@@ -258,7 +281,7 @@ def matrix_power_real(P: StochasticMatrix, t: float) -> StochasticMatrix:
     IllConditioned when the eigendecomposition fails; callers fall back to
     ``matrix_power(P, round(t))`` (see :func:`propagate`).
     """
-    return StochasticMatrix(_power_rows(P, t, slice(None)))
+    return StochasticMatrix._built(_power_rows(P, t, slice(None)))
 
 
 def stationary_distribution(P: StochasticMatrix) -> ProbabilityVector:
@@ -310,7 +333,7 @@ def mean_first_passage(Z: np.ndarray, w: ProbabilityVector) -> PassageMatrix:
         raise ZeroStationaryEntry("stationary vector has a nonpositive entry")
     M = (np.diag(Z)[None, :] - Z) / w.entries[None, :]
     np.fill_diagonal(M, 0.0)
-    return PassageMatrix(M)
+    return PassageMatrix._built(M)
 
 
 def propagate(pi0: ProbabilityVector, P: StochasticMatrix, t: float) -> ProbabilityVector:

@@ -141,10 +141,10 @@ def flow1_probable_time(encounter: EncounterInput) -> Flow1Result:
     """Probable crash time from the gap and the closing speed.
 
     The closing speed is trailing minus leading.  Raises NonClosingSpeeds
-    when it is not positive (the flow-chart "GOTO START").  Speed
-    stability requires both cars' change probability to be under the
-    threshold; an unstable result is returned flagged rather than looped,
-    the simulator owns the resampling.
+    when it is not above ``sensing.CLOSING_SPEED_FLOOR`` (the flow-chart
+    "GOTO START").  Speed stability requires both cars' change probability
+    to be under the threshold; an unstable result is returned flagged
+    rather than looped, the simulator owns the resampling.
     """
     front = encounter.model(encounter.front_car)
     trail = encounter.model(encounter.trailing_car)

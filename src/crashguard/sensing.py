@@ -19,6 +19,10 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
+# a closing speed at or below this is not closing: two speeds that meet
+# after different float operations differ by about 1e-13 m/s, and 1e-9 m/s
+# closes a 1 km gap in 1e12 s, some 30 000 years
+CLOSING_SPEED_FLOOR = 1e-9  # m/s
 
 
 def hypotenuse_from_tof(ltime: float) -> float:
@@ -40,10 +44,11 @@ def longitudinal_distance(hyp: float, lateral_offset: float) -> float:
 def probable_crash_time(d: float, v1: float, v2: float) -> float:
     """Closing time d / (v2 - v1); v2 is the trailing (faster) car's speed.
 
-    Raises NonClosingSpeeds when the relative speed is not positive, which
-    signals the caller to restart its sensing loop.
+    Raises NonClosingSpeeds when the relative speed is at or below
+    CLOSING_SPEED_FLOOR, rounding noise included, which signals the caller
+    to restart its sensing loop.
     """
     closing = v2 - v1
-    if closing <= 0.0:
-        raise NonClosingSpeeds(f"relative speed {closing!r} is not positive")
+    if closing <= CLOSING_SPEED_FLOOR:
+        raise NonClosingSpeeds(f"relative speed {closing!r} is not above {CLOSING_SPEED_FLOOR!r} m/s")
     return d / closing

@@ -13,8 +13,25 @@ import os
 
 import numpy as np
 
-from crashguard.errors import DuplicateFrame, LaneOutOfRange, ParseError, SpeedOutOfRange
-from crashguard.markov import validate_stochastic
+from crashguard.errors import (
+    DimensionMismatch,
+    DuplicateFrame,
+    IllConditioned,
+    LaneOutOfRange,
+    NegativeEntry,
+    NotSquare,
+    ParseError,
+    RowSumOutOfTolerance,
+    SpeedOutOfRange,
+)
+from crashguard.markov import (
+    DISTRIBUTION_TOLERANCE,
+    EIG_CONDITION_LIMIT,
+    ROW_SUM_TOLERANCE,
+    ProbabilityVector,
+    StochasticMatrix,
+    validate_stochastic,
+)
 
 
 def two_state_analytic(a, b):
@@ -270,3 +287,62 @@ def stable_json(obj):
     significant digits, then ``json.dumps`` with sorted keys, an indent of 2
     and a final newline."""
     return json.dumps(_round_floats(obj), sort_keys=True, indent=2) + "\n"
+
+
+# --- the Markov primitives as first written, one numpy reduction per check ---
+#
+# The library's versions fuse these checks into fewer reductions; they must
+# return the same bytes and raise the same errors.  The bodies are kept as
+# they were, so the fused versions are compared with the originals.
+
+def eig_condition(vecs, inverse):
+    """The condition estimate ||V||_1 ||V^-1||_1 through numpy's norm."""
+    return float(np.linalg.norm(vecs, 1) * np.linalg.norm(inverse, 1))
+
+
+def reference_validate_stochastic(raw, tolerance: float = ROW_SUM_TOLERANCE) -> StochasticMatrix:
+    a = np.asarray(raw, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise NotSquare(f"expected a square matrix, got shape {a.shape}")
+    sums = a.sum(axis=1)
+    rows_ok = np.abs(sums - 1.0) <= tolerance  # False for a NaN sum
+    if not ((a >= 0.0).all() and rows_ok.all()):
+        neg = np.argwhere(a < 0.0)
+        if neg.size:
+            i, j = neg[0]
+            raise NegativeEntry(int(i), int(j), float(a[i, j]))
+        i = int(np.argwhere(~rows_ok)[0][0])
+        raise RowSumOutOfTolerance(i, float(sums[i]))
+    return StochasticMatrix(a / sums[:, None])
+
+
+def reference_probability_vector(raw) -> ProbabilityVector:
+    v = np.asarray(raw, dtype=float)
+    if v.ndim != 1 or v.size < 1:
+        raise DimensionMismatch(f"expected a 1-d vector, got shape {v.shape}")
+    clipped = np.clip(v, 0.0, None)
+    total = clipped.sum()
+    if not ((v >= -DISTRIBUTION_TOLERANCE).all() and abs(total - 1.0) <= DISTRIBUTION_TOLERANCE):
+        neg = np.argwhere(v < -DISTRIBUTION_TOLERANCE)
+        if neg.size:
+            i = int(neg[0][0])
+            raise NegativeEntry(i, 0, float(v[i]))
+        raise RowSumOutOfTolerance(0, float(total))
+    return ProbabilityVector(clipped / total)
+
+
+def reference_eig_rows(P: StochasticMatrix, t: float, rows) -> np.ndarray:
+    evals, vecs, inverse, condition = P._eig
+    if condition > EIG_CONDITION_LIMIT:
+        raise IllConditioned(f"eigenvector condition estimate {condition:.3g} above {EIG_CONDITION_LIMIT:g}")
+    real = np.real((vecs[rows] * evals ** t) @ inverse)
+    if not np.isfinite(real).all():
+        raise IllConditioned("non-finite entries in reconstructed power")
+    sums = real.sum(axis=1)
+    if (np.abs(sums - 1.0) > 1e-6).any():
+        raise IllConditioned(f"row sums drifted to {sums} after reconstruction")
+    real = real.clip(0.0, 1.0)
+    totals = real.sum(axis=1)
+    if (totals <= 0.0).any():
+        raise IllConditioned("a row vanished after clipping")
+    return real / totals[:, None]

@@ -4,6 +4,7 @@ import hashlib
 import importlib.resources
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,7 @@ def _bad_model_files():
         "lane_9": edited(("current", "lane"), 9),
         "lane_chain_1x1": edited(("lane_chain",), [[1.0]]),
         "observation_1x1": edited(("observation",), [[1.0]]),
+        "observation_row_not_a_distribution": edited(("observation",), [[-5, 3, 3, 0, 0, 0]] * 6),
         "speed_75": edited(("current", "speed_mps"), 75.0),
         "unobserved_row_x": edited(("unobserved_rows",), [{"chain": "lane", "row": "x"}]),
         "unobserved_chain_unknown": edited(("unobserved_rows",), [{"chain": "gear", "row": 1}]),
@@ -261,6 +263,14 @@ def test_bad_model_file_exits_2_from_assess_and_simulate(tmp_path, capsys, name)
     assert code == 2
     assert err.startswith("error: cars[1].model: ")
     assert not report.exists()
+
+
+def test_an_observation_row_that_is_not_a_distribution_names_observation(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(BAD_MODELS["observation_row_not_a_distribution"])
+    code = cli.main(["assess", "--model1", str(bad), "--model2", str(bad), "--gap", "40", "--front", "car1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: invalid model: observation: negative entry -5.0 at (0, 0)\n"
 
 
 def test_unopenable_model_path_is_an_invalid_model(tmp_path, capsys):
@@ -429,18 +439,23 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, edit, flags):
 
 
 def test_simulate_through_a_huge_rounded_horizon_writes_a_report(tmp_path):
-    # car 1 braking at 1 m/s^2 brings the closing speed down to about
-    # 1e-13 m/s, so flow 1's horizon is about 1.2e14 steps; the eig power
-    # gives up there, and the rounded integer power must stay stochastic
+    # car 1 braking at 1 m/s^2 makes the speeds meet at the 5 s tick with a
+    # closing speed of about 1e-13 m/s, rounding noise below the closing
+    # floor: that tick is non-closing, not a 1.2e14 s horizon (test_markov
+    # propagates that horizon directly)
     data = json.loads((DATA / "scenario1.json").read_text())
     data["cars"][0]["acceleration"] = -1.0
     scenario = tmp_path / "s.json"
     scenario.write_text(json.dumps(data))
     report = tmp_path / "report.json"
-    with pytest.warns(RuntimeWarning, match="approximate"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = cli.main(["simulate", "--scenario", str(scenario), "--report-path", str(report)])
     assert code == 0
-    assert json.loads(report.read_text())["timeline"]
+    timeline = json.loads(report.read_text())["timeline"]
+    assert timeline
+    assert next(tick for tick in timeline if tick["clock"] == 5.0)["t"] is None
+    assert max(tick["t"] or 0.0 for tick in timeline) < 1e5
 
 
 @pytest.mark.parametrize("edit", [

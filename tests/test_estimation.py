@@ -548,6 +548,29 @@ def test_model_round_trip(tmp_path):
     assert loaded.frame_interval == 0.5
 
 
+@pytest.mark.parametrize("row, message", [
+    ([-5, 3, 3, 0, 0, 0], "observation: negative entry -5.0 at (2, 0)"),
+    ([0.5, 0.5, 2e-5, 0, 0, 0], "observation: row 2 sums to 1.00002, not 1"),
+    ([float("nan")] + [0.2] * 5, None),  # not a finite matrix
+])
+def test_model_from_dict_checks_that_each_observation_row_is_a_distribution(row, message):
+    data = estimation.model_to_dict(estimation.build_vehicle_model(records_from([(1, 5.0), (2, 15.0)])))
+    data["observation"][2] = row
+    with pytest.raises(SchemaError) as exc:
+        estimation.model_from_dict(data)
+    assert exc.value.field == "observation"
+    if message is not None:
+        assert str(exc.value) == message
+
+
+def test_model_from_dict_keeps_observation_rows_within_the_file_tolerance():
+    # 6 significant digits leave a row off 1 by a few 1e-6; it loads as written
+    data = estimation.model_to_dict(estimation.build_vehicle_model(records_from([(1, 5.0), (2, 15.0)])))
+    data["observation"][3] = [0.333333, 0.333333, 0.333333, 0, 0, 0]
+    loaded = estimation.model_from_dict(data)
+    assert loaded.observation.entries[:, 3].tolist() == [0.333333, 0.333333, 0.333333, 0, 0, 0]
+
+
 def test_model_dict_schema():
     model = estimation.build_vehicle_model(records_from([(1, 5.0), (2, 15.0)]))
     data = estimation.model_to_dict(model)

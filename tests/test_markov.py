@@ -1,5 +1,6 @@
 """Tests for the Markov chain core."""
 
+import functools
 import importlib.resources
 import math
 
@@ -165,6 +166,21 @@ def test_huge_exponent_power_and_fallback_are_exact():
     with pytest.warns(RuntimeWarning, match="approximate"):
         out = markov.propagate(markov.unit_vector(3, 0), cycle, 1e13 + 0.5)
     assert np.array_equal(out.entries, [0.0, 0.0, 1.0])
+
+
+def test_propagate_through_a_huge_rounded_horizon_reads_the_limiting_matrix():
+    # the horizon that a 1e-13 m/s closing speed gave flow 1 on scenario 1
+    # before the closing floor: the eig power drifts there, and the rounded
+    # integer power it falls back to must stay stochastic
+    scenario = simulator.load_scenario(importlib.resources.files("crashguard") / "data" / "scenario1.json")
+    t = 117281240296103.33
+    for P in (car.model.lane_chain for car in scenario.cars):
+        W = markov.limiting_matrix(P)
+        for state in range(P.n):
+            with pytest.warns(RuntimeWarning, match=f"t={t}; using integer power 117281240296103"):
+                out = markov.propagate(markov.unit_vector(P.n, state), P, t).entries
+            assert out.min() >= 0.0 and abs(out.sum() - 1.0) <= 1e-15
+            np.testing.assert_allclose(out, W[state], atol=1e-12, rtol=0)
 
 
 def test_huge_power_of_a_regular_chain_is_the_limiting_matrix():
@@ -342,6 +358,140 @@ def test_propagate_builds_the_rows_of_the_full_power_it_reads():
             for pi0 in starts:
                 got = markov.propagate(pi0, P, t).entries
                 np.testing.assert_allclose(got, pi0.entries @ full, atol=1e-15, rtol=0)
+
+
+# --- the fused checks against the originals in oracles ---
+
+# edits that put a value on a check's boundary, or past it
+EDGE_VALUES = (math.nan, math.inf, -math.inf, -0.0, -5e-324, -1e-12, -markov.DISTRIBUTION_TOLERANCE, -2e-9, 1.5)
+SUM_SHIFTS = (1e-9, -1e-9, 1.0000001e-9, 1e-5, -1e-5, 2e-5)
+EDGE_TIMES = (0.0, 1e13 + 0.5, 117281240296103.33, 1e300, -0.5, -3.0)
+
+
+@functools.cache
+def fixed_chains():
+    return tuple(row_path_chains()) + (markov.validate_stochastic([[0, 1, 0], [0, 0, 1], [0, 0, 1]]),)
+
+
+@st.composite
+def raw_chains(draw):
+    """A 6x6 chain from the bundled scenarios, the sample CSV, a dense or a
+    sparse seeded draw (or the 3x3 chain defective at 0), with 0-3 entries
+    set to an edge value or shifted so that a row sum is off."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("fixed", "dense", "sparse")))
+    if kind == "fixed":
+        a = np.array(fixed_chains()[draw(st.integers(0, len(fixed_chains()) - 1))].entries)
+    else:
+        a = rng.random((6, 6)) * (rng.random((6, 6)) < (0.3 if kind == "sparse" else 1.0))
+        a[np.arange(6), rng.integers(0, 6, 6)] += 0.05  # no empty row
+        a /= a.sum(axis=1, keepdims=True)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, len(a) - 1)), draw(st.integers(0, len(a) - 1))
+        if draw(st.booleans()):
+            a[i, j] = draw(st.sampled_from(EDGE_VALUES))
+        else:
+            a[i, j] += draw(st.sampled_from(SUM_SHIFTS))
+    return a
+
+
+def assert_same_outcome(fused, reference, *args):
+    """Byte-equal results, signed zeros included, or the same error class
+    with the same fields and message."""
+    with np.errstate(all="ignore"):  # NaN and infinite entries are inputs here
+        try:
+            want = reference(*args)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as got:
+                fused(*args)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+            assert repr(vars(got.value)) == repr(vars(exc))
+            return
+        got = fused(*args)
+    assert type(got) is type(want)
+    if isinstance(got, markov._FrozenArray):
+        assert not got.entries.flags.writeable
+        got, want = got.entries, want.entries
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(raw_chains(), st.sampled_from((markov.ROW_SUM_TOLERANCE, estimation.MODEL_FILE_TOLERANCE)))
+def test_validate_stochastic_matches_the_original_checks(a, tolerance):
+    assert_same_outcome(markov.validate_stochastic, oracles.reference_validate_stochastic, a, tolerance)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(raw_chains(), st.integers(0, 5), st.sampled_from(("row", "product", "shape")))
+def test_probability_vector_matches_the_original_checks(a, i, kind):
+    # a chain row as edited, a start vector times the row-normalised chain
+    # (what propagate hands over), or a wrong shape
+    i %= len(a)
+    if kind == "row":
+        v = a[i]
+    elif kind == "product":
+        with np.errstate(all="ignore"):  # an edited row may sum to 0 or NaN
+            v = a[i] @ (a / a.sum(axis=1, keepdims=True))
+    else:
+        v = a[: i % 3]
+    assert_same_outcome(markov.probability_vector, oracles.reference_probability_vector, v)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    raw_chains(),
+    st.one_of(
+        st.floats(0.0, 40.0),
+        st.integers(0, 60).map(float),
+        st.sampled_from(EDGE_TIMES),
+    ),
+    st.one_of(st.just(slice(None)), st.lists(st.integers(0, 5), max_size=6, unique=True)),
+)
+def test_eig_rows_matches_the_original_checks(a, t, rows):
+    # the entries go in as they are, edited or not, so that the condition,
+    # drift and non-finite branches run; a negative t is never passed by
+    # propagate, but reaches the non-finite branch on a chain with
+    # eigenvalue 0
+    P = markov.StochasticMatrix(a)
+    if not isinstance(rows, slice):
+        rows = np.array([r for r in rows if r < P.n], dtype=np.intp)
+    try:
+        evals, vecs, inverse, condition = P._eig
+    except IllConditioned:
+        return  # a NaN or infinite entry; the decomposition is not compared
+    assert condition == oracles.eig_condition(vecs, inverse)
+    assert_same_outcome(markov._eig_rows, oracles.reference_eig_rows, P, t, rows)
+
+
+def test_eig_rows_matches_the_original_checks_on_a_row_whose_sum_overflows():
+    # no 6x6 chain gets here: finite entries whose pairwise sum over 16
+    # columns is inf - inf.  The drift test reads a NaN sum as no drift,
+    # and both versions clip and renormalise the row.
+    n = 16
+    row = np.zeros(n)
+    row[[0, 8]], row[[1, 9]] = 1e308, -1e308
+    P = markov.StochasticMatrix(np.eye(n))
+    inverse = np.eye(n, dtype=complex)
+    inverse[0] = row
+    P.__dict__["_eig"] = (np.ones(n, dtype=complex), np.eye(n, dtype=complex), inverse, 1.0)
+    assert_same_outcome(markov._eig_rows, oracles.reference_eig_rows, P, 0.5, np.array([0, 3]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert markov._eig_rows(P, 0.5, np.array([0]))[0, [0, 8]].tolist() == [0.5, 0.5]
+
+
+def test_unit_vector_is_built_once_and_keeps_its_errors():
+    assert markov.unit_vector(6, 2) is markov.unit_vector(6, 2)
+    v = markov.unit_vector(6, 2).entries
+    with pytest.raises(ValueError):  # the shared result cannot be made writeable
+        v.flags.writeable = True
+    assert v.tobytes() == np.eye(6)[2].tobytes()
+    for bad in ((6, 6), (6, -1), (0, 0)):
+        with pytest.raises(DimensionMismatch):
+            markov.unit_vector(*bad)
+    with pytest.raises(TypeError):  # typed cache keys: 6.0 does not hit the cached 6
+        markov.unit_vector(6.0, 2)
 
 
 # --- stationary / limiting ---

@@ -52,6 +52,17 @@ def test_crash_time_rejects_non_closing():
         sensing.probable_crash_time(10.0, 35.0, 30.0)
 
 
+def test_crash_time_reads_rounding_noise_as_non_closing():
+    # 25 m/s reached by different float operations: a difference of one
+    # ulp is no closing speed, and neither is the floor itself
+    speeds = ((25.0, np.nextafter(25.0, 30.0)), (25.0, 25.0 + 1.4e-13), (0.0, sensing.CLOSING_SPEED_FLOOR))
+    for v1, v2 in speeds:
+        with pytest.raises(NonClosingSpeeds, match="not above 1e-09 m/s"):
+            sensing.probable_crash_time(15.0, v1, v2)
+    assert sensing.probable_crash_time(15.0, 0.0, 2e-9) == 7.5e9
+    assert sensing.probable_crash_time(15.0, 25.0, 25.001) == pytest.approx(15e3, rel=1e-9)
+
+
 def test_round_trip_property():
     rng = np.random.default_rng(31)
     for _ in range(200):
