@@ -13,6 +13,14 @@ have a stochastic t-th power).  ``propagate`` builds only the rows in the
 support of its start vector, so the drift and vanished-row checks run on
 those rows, and ``matrix_power_real`` builds and checks every row.
 
+``propagate_many`` gives ``propagate``'s bytes for many times at once.  It
+stacks the times as a ``(K, 1, n)`` array of rows before the product with
+V⁻¹, so numpy runs the same ``(1, n) @ (n, n)`` kernel once per time; a flat
+``(K, n) @ (n, n)`` product goes through another kernel and changes the
+last bits of most rows.  It leaves ``t == 0.5`` to ``propagate``, because
+numpy takes ``evals ** 0.5`` with a scalar exponent as a square root, whose
+bits differ from the general power that an array of exponents gets.
+
 All types are immutable after construction and every operation is a pure
 function of its inputs, so values can be shared freely across threads.
 A StochasticMatrix memoises its eigendecomposition on first use; that is
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -56,6 +65,7 @@ __all__ = [
     "fundamental_matrix",
     "mean_first_passage",
     "propagate",
+    "propagate_many",
 ]
 
 ROW_SUM_TOLERANCE = 1e-9  # |row sum - 1| accepted before renormalizing
@@ -97,7 +107,21 @@ class _FrozenArray:
 
 
 class StochasticMatrix(_FrozenArray):
-    """n x n row-stochastic matrix; every row sums to exactly 1."""
+    """n x n row-stochastic matrix; every row sums to exactly 1.
+
+    Its entries are a view of a read-only array, which numpy refuses to make
+    writeable again, so the memoised eigendecomposition cannot go stale.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "entries", self.entries.view())
+
+    @classmethod
+    def _built(cls, a: np.ndarray):
+        wrapped = super()._built(a)
+        object.__setattr__(wrapped, "entries", a.view())
+        return wrapped
 
     @cached_property
     def _eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -228,36 +252,37 @@ def matrix_power(P: StochasticMatrix, k: int) -> StochasticMatrix:
     return StochasticMatrix._built(result)
 
 
-def _eig_rows(P: StochasticMatrix, t: float, rows) -> np.ndarray:
+def _eig_rows(P: StochasticMatrix, t, rows) -> np.ndarray:
     """Rows ``rows`` (an index array or a slice) of P^t by the fractional-power
     rule: the principal power through P's memoised eigendecomposition,
     ``(V[rows] * λ^t) @ V⁻¹``, its real part, each row clipped to [0, 1] and
     renormalised.
 
+    ``t`` is one time, or K times stacked as a ``(K, 1, 1)`` array; then the
+    result holds the rows of each time, shape ``(K, len(rows), n)``.
+
     Raises IllConditioned when the decomposition or this power of it cannot
     be trusted: the eigenvectors' condition estimate exceeds
     EIG_CONDITION_LIMIT, as for a chain defective at eigenvalue 0, or a
-    requested row is not finite, its sum drifts from 1 by more than 1e-6,
-    or it vanishes after clipping.
+    requested row is not finite, its sum is NaN or drifts from 1 by more
+    than 1e-6, or it vanishes after clipping.
     """
     evals, vecs, inverse, condition = P._eig
     if condition > EIG_CONDITION_LIMIT:
         raise IllConditioned(f"eigenvector condition estimate {condition:.3g} above {EIG_CONDITION_LIMIT:g}")
     real = ((vecs[rows] * evals ** t) @ inverse).real
-    sums = real.sum(axis=1)
-    drift = np.abs(sums - 1.0)
-    # a non-finite entry makes its row's drift non-finite, which fails this
-    # test; the initial value lets an empty row set through
-    if not drift.max(initial=0.0) <= 1e-6:
+    sums = real.sum(axis=-1)
+    # a NaN sum, of non-finite entries or of finite ones that overflow,
+    # fails this test; the initial value lets an empty row set through
+    if not np.abs(sums - 1.0).max(initial=0.0) <= 1e-6:
         if not np.isfinite(real).all():
             raise IllConditioned("non-finite entries in reconstructed power")
-        if (drift > 1e-6).any():  # not a NaN sum of finite entries
-            raise IllConditioned(f"row sums drifted to {sums} after reconstruction")
+        raise IllConditioned(f"row sums drifted to {sums} after reconstruction")
     real = real.clip(0.0, 1.0)  # keeps -0.0, where np.maximum would not
-    totals = real.sum(axis=1)
+    totals = real.sum(axis=-1)
     if not totals.min(initial=1.0) > 0.0:
         raise IllConditioned("a row vanished after clipping")
-    return real / totals[:, None]
+    return real / totals[..., None]
 
 
 def _power_rows(P: StochasticMatrix, t: float, rows) -> np.ndarray:
@@ -360,3 +385,61 @@ def propagate(pi0: ProbabilityVector, P: StochasticMatrix, t: float) -> Probabil
         )
         rows = matrix_power(P, rounded).entries[support]
     return probability_vector(pi0.entries[support] @ rows)
+
+
+def _raising_errstate() -> np.errstate:
+    """numpy error handling that raises FloatingPointError for each kind of
+    floating-point event the caller's settings do not ignore."""
+    return np.errstate(**{kind: "raise" if mode != "ignore" else mode for kind, mode in np.geterr().items()})
+
+
+def _stacked_propagations(pi0: ProbabilityVector, P: StochasticMatrix, times: list) -> dict:
+    """Time index -> ``propagate(pi0, P, t)`` for the times that one stacked
+    product can take, in one pass of each check; empty when any check or
+    floating-point event would have made ``propagate`` raise, warn or fall
+    back.
+
+    Left out, so left to ``propagate``: a time that is invalid, integral or
+    exactly 0.5, and every time of a mismatched or ill-conditioned chain.
+    """
+    picked = [
+        i for i, t in enumerate(times)
+        if 0 <= t < math.inf and abs(t - round(t)) > INTEGRAL_TIME_TOLERANCE and t != 0.5
+    ]
+    if not picked or pi0.n != P.n:
+        return {}
+    support = pi0.entries.nonzero()[0]
+    try:
+        with _raising_errstate():
+            stacked = np.array([times[i] for i in picked], dtype=float)[:, None, None]
+            # (K, len(support), n); each time's rows as propagate builds them
+            v = pi0.entries[support] @ _eig_rows(P, stacked, support)
+            clipped = np.maximum(v, 0.0)
+            totals = clipped.sum(axis=-1)
+            # probability_vector's test, on every row at once
+            if not (v.min() >= -DISTRIBUTION_TOLERANCE
+                    and np.abs(totals - 1.0).max() <= DISTRIBUTION_TOLERANCE):
+                return {}
+            result = clipped / totals[:, None]
+    except (IllConditioned, FloatingPointError):
+        return {}
+    result.flags.writeable = False
+    return {i: ProbabilityVector._built(row) for i, row in zip(picked, result)}
+
+
+def propagate_many(
+    pi0: ProbabilityVector, P: StochasticMatrix, times: Iterable[float]
+) -> Iterator[ProbabilityVector]:
+    """Yield ``propagate(pi0, P, t)`` for each real t of ``times``, in order.
+
+    The fractional times go through one stacked eigendecomposition product
+    when it passes every check, on the first ``next``.  The rest, or all of
+    them when a check fails, go through ``propagate`` one at a time as they
+    are reached.  So each result has ``propagate``'s bytes, and its warning
+    or error comes when the consumer reaches that time and not before.
+    """
+    times = list(times)
+    stacked = _stacked_propagations(pi0, P, times)
+    for i, t in enumerate(times):
+        result = stacked.get(i)
+        yield propagate(pi0, P, t) if result is None else result

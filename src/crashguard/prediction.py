@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import weakref
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .markov import (
     limiting_matrix,
     mean_first_passage,
     propagate,
+    propagate_many,
     stationary_distribution,
     unit_vector,
 )
@@ -45,6 +47,7 @@ __all__ = [
     "flow2_crash_probabilities",
     "flow3_select_actions",
     "assess",
+    "assess_many",
     "assessment_to_dict",
 ]
 
@@ -260,6 +263,57 @@ def assess(encounter: EncounterInput, horizon: float | None = None) -> CrashAsse
     pc = flow2_crash_probabilities(encounter.car1, encounter.car2, t)
     actions = () if stable is False else flow3_select_actions(encounter, pc, t)
     return CrashAssessment(t=t, speed_stable=stable, pc=pc, actions=actions)
+
+
+def _lane_marginals(chain: StochasticMatrix, lane: int, times: list) -> Iterator:
+    """``propagate_many`` from ``lane``; its start vector is built on the first
+    ``next``, so that a lane out of range raises where flow 2 would."""
+    yield from propagate_many(unit_vector(N_LANES, lane - 1), chain, times)
+
+
+def assess_many(encounters: Iterable[EncounterInput]) -> Iterator[CrashAssessment]:
+    """Yield ``assess(e)`` for each encounter, in order, with flow 2 batched.
+
+    Flows 1 and 3 run per encounter.  Flow 2 propagates each (lane chain,
+    current lane) pair through one :func:`markov.propagate_many` over every
+    encounter's steps, so an assessment has the bytes ``assess`` gives it.
+    An encounter's error, and any fallback warning of its propagation, comes
+    only when the consumer reaches that encounter: a consumer that stops
+    early never sees the errors or warnings of the encounters it skipped.
+    """
+    encounters = list(encounters)
+    flows1 = []  # per encounter: a Flow1Result, None if non-closing, or its error
+    steps = {}  # (lane chain, lane) -> the steps of every propagation through it, in order
+    for encounter in encounters:
+        try:
+            flow1 = flow1_probable_time(encounter)
+        except NonClosingSpeeds:
+            flow1 = None
+        except Exception as exc:  # raised when reached; no later encounter is
+            flows1.append(exc)
+            break
+        flows1.append(flow1)
+        if flow1 is not None and math.isfinite(flow1.t) and flow1.t >= 0.0:
+            for car in (encounter.car1, encounter.car2):
+                steps.setdefault((car.lane_chain, car.current_lane), []).append(flow1.t / car.frame_interval)
+    marginals = {key: _lane_marginals(*key, times) for key, times in steps.items()}
+
+    for encounter, flow1 in zip(encounters, flows1):
+        if isinstance(flow1, Exception):
+            raise flow1
+        if flow1 is None:
+            yield CrashAssessment(t=None, speed_stable=None, pc=None, actions=())
+            continue
+        t, stable = flow1.t, flow1.speed_stable
+        if math.isfinite(t) and t >= 0.0:
+            car1, car2 = encounter.car1, encounter.car2
+            pi1 = next(marginals[car1.lane_chain, car1.current_lane])
+            pi2 = next(marginals[car2.lane_chain, car2.current_lane])
+            pc = pi1.entries * pi2.entries
+        else:
+            pc = flow2_crash_probabilities(encounter.car1, encounter.car2, t)  # raises
+        actions = () if stable is False else flow3_select_actions(encounter, pc, t)
+        yield CrashAssessment(t=t, speed_stable=stable, pc=pc, actions=actions)
 
 
 def assessment_to_dict(assessment: CrashAssessment) -> dict:

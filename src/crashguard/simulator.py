@@ -1,12 +1,14 @@
 """Deterministic two-vehicle kinematic simulation.
 
-Replays a scenario file step by step: each tick re-runs the crash
+Replays a scenario file tick by tick: each tick re-runs the crash
 assessment on the current state, latches any selected safety action,
 applies ACC to the targeted car, and integrates constant-acceleration
-kinematics.  Lanes are held constant (the lane chains drive prediction,
-never the motion), steering assist is recorded as a signal only, and
-there is no randomness anywhere, so identical configs give identical
-reports.
+kinematics.  ``run`` moves the cars a segment ahead of their assessments
+and assesses the segment's ticks together; ``step`` is one tick of the
+same helpers.  Lanes are held constant (the lane chains drive
+prediction, never the motion), steering assist is recorded as a signal
+only, and there is no randomness anywhere, so identical configs give
+identical reports.
 
 The longitudinal gap fed to the assessment goes through the Lidar
 round trip (time of flight to diagonal range to Pythagorean leg), so the
@@ -37,6 +39,7 @@ from .prediction import (
     SafetyAction,
     Thresholds,
     assess,
+    assess_many,
     assessment_to_dict,
 )
 from .sensing import SPEED_OF_LIGHT, hypotenuse_from_tof, longitudinal_distance
@@ -65,6 +68,11 @@ ACC_SPEED_GAIN = 0.74  # 1/s, on speed error
 # most ticks a scenario may ask for (duration / time_step); a run holds
 # one timeline entry per tick
 MAX_STEPS = 100_000
+# most ticks ``run`` moves ahead of their assessments.  A segment's
+# encounters live until it is consumed: the cap bounds that memory, and a
+# small one lets them die young, before the garbage collector moves them to
+# its oldest generation and sweeps a long run's whole timeline for them.
+SEGMENT_TICKS = 256
 
 
 @dataclass(frozen=True)
@@ -273,6 +281,56 @@ def _lidar_gap(cars, lateral_offset: float) -> float:
     return longitudinal_distance(measured, lateral_offset)
 
 
+def _encounter(config: ScenarioConfig, cars, front: int, gap: float) -> EncounterInput:
+    (cfg1, cfg2), (car1, car2) = config.cars, cars
+    return EncounterInput(
+        cfg1.model.with_state(cfg1.lane, car1.speed, car1.position),
+        cfg2.model.with_state(cfg2.lane, car2.speed, car2.position),
+        gap,
+        CAR_LABELS[front],
+        config.thresholds,
+    )
+
+
+def _latch(
+    state: SimState, config: ScenarioConfig, encounter: EncounterInput, assessment: CrashAssessment, clock: float
+) -> bool:
+    """Latch the actions of the tick's assessment that are not on yet into
+    ``state``, as events at ``clock``.
+
+    Returns whether a car newly engaged ACC, which changes the tick's motion.
+    """
+    engaged = False
+    for action in assessment.actions:
+        if action.action is SafetyAction.ACC_ON:
+            if action.target in state.acc_set_speed:
+                continue
+            speed = encounter.model(action.target).current_speed
+            state.acc_set_speed[action.target] = config.acc_params.set_speed_for(speed)
+            engaged = True
+        else:  # lane departure and steering: a signal only, lanes never move
+            if state.steering_on:
+                continue
+            state.steering_on = True
+        state.events.append(TriggeredAction(clock, action.lane, action.action, action.target))
+    return engaged
+
+
+def _advance(state: SimState, config: ScenarioConfig) -> None:
+    """Command ACC for the engaged cars and integrate both one tick, in place."""
+    cars = state.cars
+    # both commands read the cars before either one moves
+    accels = [cfg.acceleration for cfg in config.cars]
+    for index, label in enumerate(CAR_LABELS):
+        if label in state.acc_set_speed:
+            ego, other = cars[index], cars[1 - index]
+            lead = other if other.position > ego.position else None
+            accels[index] = acc_command(ego, lead, config.acc_params, state.acc_set_speed[label])
+    for car, accel in zip(cars, accels):
+        _integrate(car, accel, config.time_step)
+    state.clock = state.clock + config.time_step
+
+
 def step(
     state: SimState, config: ScenarioConfig, disable_actions: bool = False
 ) -> tuple[int, float, CrashAssessment]:
@@ -284,35 +342,11 @@ def step(
     cars = state.cars
     front = _front_index(cars)
     gap = _lidar_gap(cars, config.lateral_offset)
-    car1, car2 = (
-        cfg.model.with_state(cfg.lane, car.speed, car.position)
-        for cfg, car in zip(config.cars, cars)
-    )
-    assessment = assess(EncounterInput(car1, car2, gap, CAR_LABELS[front], config.thresholds))
-
+    encounter = _encounter(config, cars, front, gap)
+    assessment = assess(encounter)
     if not disable_actions:
-        for action in assessment.actions:
-            if action.action is SafetyAction.ACC_ON:
-                if action.target in state.acc_set_speed:
-                    continue
-                ego = cars[CAR_LABELS.index(action.target)]
-                state.acc_set_speed[action.target] = config.acc_params.set_speed_for(ego.speed)
-            else:  # lane departure and steering: a signal only, lanes never move
-                if state.steering_on:
-                    continue
-                state.steering_on = True
-            state.events.append(TriggeredAction(state.clock, action.lane, action.action, action.target))
-
-    # both commands read the cars before either one moves
-    accels = [cfg.acceleration for cfg in config.cars]
-    for index, label in enumerate(CAR_LABELS):
-        if label in state.acc_set_speed:
-            ego, other = cars[index], cars[1 - index]
-            lead = other if other.position > ego.position else None
-            accels[index] = acc_command(ego, lead, config.acc_params, state.acc_set_speed[label])
-    for car, accel in zip(cars, accels):
-        _integrate(car, accel, config.time_step)
-    state.clock = state.clock + config.time_step
+        _latch(state, config, encounter, assessment, state.clock)
+    _advance(state, config)
     return front, gap, assessment
 
 
@@ -330,17 +364,54 @@ class SimReport:
     timeline: tuple[dict, ...]
 
 
+def _gap_after(cars, front: int) -> float:
+    """Signed gap after a move: the car that led before it minus the other one."""
+    return cars[front].position - cars[1 - front].position
+
+
+def _move_ahead(state: SimState, config: ScenarioConfig, ticks: int, same_lane: bool):
+    """Move the cars up to ``ticks`` ticks with no new ACC engagement,
+    stopping after a crash or before a tick whose encounter cannot be built.
+
+    Returns each tick's ``(clock, encounter, signed gap after the move)``,
+    the encounter holding the cars' states before the move, and the error
+    that stopped the segment, or None.
+    """
+    cars = state.cars
+    segment = []
+    for _ in range(ticks):
+        clock, front = state.clock, _front_index(cars)
+        try:
+            encounter = _encounter(config, cars, front, _lidar_gap(cars, config.lateral_offset))
+        except Exception as exc:  # raised only if the run reaches this tick
+            return segment, exc
+        _advance(state, config)
+        gap_after = _gap_after(cars, front)
+        segment.append((clock, encounter, gap_after))
+        if same_lane and gap_after <= 0.0:
+            break
+    return segment, None
+
+
 def run(config: ScenarioConfig, disable_actions: bool = False) -> SimReport:
-    """Step the scenario until its duration or a crash, collecting a report.
+    """Run the scenario until its duration or a crash, collecting a report.
 
     A crash is both cars in the same lane with the longitudinal gap
     closed to zero or less.  An unstable flow-1 gate simply leaves this
-    step actionless; the next step resamples the state.
+    tick actionless; the next tick resamples the state.
+
+    The report is the one ``step`` gives tick by tick, built in segments:
+    the cars move ahead with the ACC set speeds they have, at most
+    SEGMENT_TICKS ticks, and ``assess_many`` assesses the segment's ticks
+    together.  A tick that newly engages ACC moves again with it on, and
+    the next segment starts after it; the ticks moved past it are dropped
+    unread, their errors and warnings included.  Each car engages ACC at
+    most once, so actions add at most two segments to a run.
     """
     state = SimState(cars=tuple(CarState(c.speed, c.position) for c in config.cars))
     cars = state.cars
     same_lane = config.cars[0].lane == config.cars[1].lane
-    n_steps = int(math.floor(config.duration / config.time_step + 1e-9))
+    ticks_left = int(math.floor(config.duration / config.time_step + 1e-9))
 
     min_gap = abs(cars[0].position - cars[1].position)
     min_gap_time = 0.0
@@ -348,21 +419,34 @@ def run(config: ScenarioConfig, disable_actions: bool = False) -> SimReport:
     predicted_crash_time = None
     timeline = []
 
-    for _ in range(n_steps):
-        clock = state.clock
-        front, gap, assessment = step(state, config, disable_actions=disable_actions)
-        timeline.append({"clock": clock, "gap": gap, **assessment_to_dict(assessment)})
-        if predicted_crash_time is None and assessment.t is not None:
-            predicted_crash_time = clock + assessment.t
+    while ticks_left and crash_time is None:
+        segment, error = _move_ahead(state, config, min(ticks_left, SEGMENT_TICKS), same_lane)
+        assessments = assess_many(encounter for _, encounter, _ in segment)
+        for (clock, encounter, gap_after), assessment in zip(segment, assessments):
+            ticks_left -= 1
+            timeline.append({"clock": clock, "gap": encounter.gap_d, **assessment_to_dict(assessment)})
+            if predicted_crash_time is None and assessment.t is not None:
+                predicted_crash_time = clock + assessment.t
 
-        # signed: the car that led before the tick minus the other one
-        gap_after = cars[front].position - cars[1 - front].position
-        if gap_after < min_gap:
-            min_gap = gap_after
-            min_gap_time = state.clock
-        if same_lane and gap_after <= 0.0:
-            crash_time = state.clock
-            break
+            engaged = not disable_actions and _latch(state, config, encounter, assessment, clock)
+            if engaged:  # this tick moves again, from where it started
+                state.clock = clock
+                for car, model in zip(cars, (encounter.car1, encounter.car2)):
+                    car.speed, car.position = model.current_speed, model.current_position
+                _advance(state, config)
+                gap_after = _gap_after(cars, CAR_LABELS.index(encounter.front_car))
+            clock_after = clock + config.time_step  # the sum _advance takes
+            if gap_after < min_gap:
+                min_gap = gap_after
+                min_gap_time = clock_after
+            if same_lane and gap_after <= 0.0:
+                crash_time = clock_after
+                break
+            if engaged:
+                break
+        else:
+            if error is not None:
+                raise error
 
     crash = crash_time is not None
     return SimReport(

@@ -24,6 +24,7 @@ from crashguard.errors import (
     RowSumOutOfTolerance,
     SpeedOutOfRange,
 )
+from crashguard import simulator
 from crashguard.markov import (
     DISTRIBUTION_TOLERANCE,
     EIG_CONDITION_LIMIT,
@@ -293,7 +294,8 @@ def stable_json(obj):
 #
 # The library's versions fuse these checks into fewer reductions; they must
 # return the same bytes and raise the same errors.  The bodies are kept as
-# they were, so the fused versions are compared with the originals.
+# they were, so the fused versions are compared with the originals, except
+# that a row whose finite entries sum to NaN now counts as drifted.
 
 def eig_condition(vecs, inverse):
     """The condition estimate ||V||_1 ||V^-1||_1 through numpy's norm."""
@@ -339,10 +341,57 @@ def reference_eig_rows(P: StochasticMatrix, t: float, rows) -> np.ndarray:
     if not np.isfinite(real).all():
         raise IllConditioned("non-finite entries in reconstructed power")
     sums = real.sum(axis=1)
-    if (np.abs(sums - 1.0) > 1e-6).any():
+    if not (np.abs(sums - 1.0) <= 1e-6).all():  # a NaN sum of finite entries drifts too
         raise IllConditioned(f"row sums drifted to {sums} after reconstruction")
     real = real.clip(0.0, 1.0)
     totals = real.sum(axis=1)
     if (totals <= 0.0).any():
         raise IllConditioned("a row vanished after clipping")
     return real / totals[:, None]
+
+
+# --- the simulation run as first written, one ``step`` per tick ---
+#
+# ``simulator.run`` moves the cars a segment ahead and assesses the
+# segment's ticks together; it must give this loop's report, raise its
+# errors at the same tick and emit its warnings.
+
+def reference_run(config, disable_actions=False):
+    state = simulator.SimState(cars=tuple(simulator.CarState(c.speed, c.position) for c in config.cars))
+    cars = state.cars
+    same_lane = config.cars[0].lane == config.cars[1].lane
+    n_steps = int(math.floor(config.duration / config.time_step + 1e-9))
+
+    min_gap = abs(cars[0].position - cars[1].position)
+    min_gap_time = 0.0
+    crash_time = None
+    predicted_crash_time = None
+    timeline = []
+
+    for _ in range(n_steps):
+        clock = state.clock
+        front, gap, assessment = simulator.step(state, config, disable_actions=disable_actions)
+        timeline.append({"clock": clock, "gap": gap, **simulator.assessment_to_dict(assessment)})
+        if predicted_crash_time is None and assessment.t is not None:
+            predicted_crash_time = clock + assessment.t
+
+        # signed: the car that led before the tick minus the other one
+        gap_after = cars[front].position - cars[1 - front].position
+        if gap_after < min_gap:
+            min_gap = gap_after
+            min_gap_time = state.clock
+        if same_lane and gap_after <= 0.0:
+            crash_time = state.clock
+            break
+
+    crash = crash_time is not None
+    return simulator.SimReport(
+        crash=crash,
+        crash_time=crash_time,
+        min_gap=min_gap,
+        min_gap_time=min_gap_time,
+        predicted_crash_time=predicted_crash_time,
+        closest_approach_time=crash_time if crash else min_gap_time,
+        triggered_actions=tuple(state.events),
+        timeline=tuple(timeline),
+    )

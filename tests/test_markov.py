@@ -3,6 +3,7 @@
 import functools
 import importlib.resources
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,17 @@ def test_entries_are_immutable():
     m = markov.validate_stochastic(UNIFORM2)
     with pytest.raises(ValueError):
         m.entries[0, 0] = 0.9
+
+
+def test_stochastic_matrix_entries_cannot_be_made_writeable():
+    # a chain memoises its eigendecomposition, so an edit would leave
+    # propagate reading a stale one
+    P = markov.validate_stochastic(TWO_STATE)
+    before = markov.propagate(markov.unit_vector(2, 0), P, 0.5).entries
+    for M in (P, markov.StochasticMatrix(TWO_STATE), markov.matrix_power(P, 3), markov.matrix_power_real(P, 0.5)):
+        with pytest.raises(ValueError):
+            M.entries.flags.writeable = True
+    assert markov.propagate(markov.unit_vector(2, 0), P, 0.5).entries.tobytes() == before.tobytes()
 
 
 # --- regularity ---
@@ -374,10 +386,11 @@ def fixed_chains():
 
 
 @st.composite
-def raw_chains(draw):
+def raw_chains(draw, edits=True):
     """A 6x6 chain from the bundled scenarios, the sample CSV, a dense or a
     sparse seeded draw (or the 3x3 chain defective at 0), with 0-3 entries
-    set to an edge value or shifted so that a row sum is off."""
+    set to an edge value or shifted so that a row sum is off (none when
+    ``edits`` is False)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(("fixed", "dense", "sparse")))
     if kind == "fixed":
@@ -386,7 +399,7 @@ def raw_chains(draw):
         a = rng.random((6, 6)) * (rng.random((6, 6)) < (0.3 if kind == "sparse" else 1.0))
         a[np.arange(6), rng.integers(0, 6, 6)] += 0.05  # no empty row
         a /= a.sum(axis=1, keepdims=True)
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, 3)) if edits else 0):
         i, j = draw(st.integers(0, len(a) - 1)), draw(st.integers(0, len(a) - 1))
         if draw(st.booleans()):
             a[i, j] = draw(st.sampled_from(EDGE_VALUES))
@@ -467,8 +480,8 @@ def test_eig_rows_matches_the_original_checks(a, t, rows):
 
 def test_eig_rows_matches_the_original_checks_on_a_row_whose_sum_overflows():
     # no 6x6 chain gets here: finite entries whose pairwise sum over 16
-    # columns is inf - inf.  The drift test reads a NaN sum as no drift,
-    # and both versions clip and renormalise the row.
+    # columns is inf - inf.  A NaN sum is drift, in the one-time and the
+    # stacked form alike, so the row is never clipped into a distribution.
     n = 16
     row = np.zeros(n)
     row[[0, 8]], row[[1, 9]] = 1e308, -1e308
@@ -478,7 +491,109 @@ def test_eig_rows_matches_the_original_checks_on_a_row_whose_sum_overflows():
     P.__dict__["_eig"] = (np.ones(n, dtype=complex), np.eye(n, dtype=complex), inverse, 1.0)
     assert_same_outcome(markov._eig_rows, oracles.reference_eig_rows, P, 0.5, np.array([0, 3]))
     with np.errstate(over="ignore", invalid="ignore"):
-        assert markov._eig_rows(P, 0.5, np.array([0]))[0, [0, 8]].tolist() == [0.5, 0.5]
+        for t in (0.5, np.array([0.3, 0.5])[:, None, None]):
+            with pytest.raises(IllConditioned, match="row sums drifted to .*nan"):
+                markov._eig_rows(P, t, np.array([0]))
+        assert markov._eig_rows(P, 0.5, np.array([3])).tobytes() == np.eye(n)[[3]].tobytes()
+
+
+# --- many times at once ---
+
+# a half goes to the scalar path (numpy takes it as a square root), huge
+# fractional times fail the drift check, and the last three are invalid
+BATCH_TIMES = (0.5, 2.0, 1e13 + 0.5, 117281240296103.33, 1e300, -0.5, math.nan, math.inf)
+
+
+def one_outcome(call):
+    """A result's bytes, or an error's class and message, and every warning
+    the call emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = call()
+        except Exception as exc:
+            outcome = (type(exc), str(exc))
+        else:
+            assert type(got) is markov.ProbabilityVector and not got.entries.flags.writeable
+            outcome = (got.entries.dtype, got.entries.shape, got.entries.tobytes())
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+@st.composite
+def propagation_batches(draw):
+    """Entries of a bundled, sample-CSV, dense or sparse chain, or of an
+    edited one left unvalidated, a start state or spread start vector (or
+    one of the wrong length, or one not validated as a distribution), and
+    0-12 times of every kind."""
+    kind = draw(st.sampled_from(("chain", "chain", "edited")))
+    if kind == "chain":
+        a = draw(raw_chains(edits=False))
+    else:
+        a = draw(raw_chains())
+    n = len(a)
+    start = draw(st.one_of(
+        st.integers(0, n - 1), st.sampled_from(("spread", "spread", "spread", "mismatch", "unchecked"))
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if start == "spread":
+        pi0 = markov.probability_vector(rng.dirichlet(np.ones(n)))
+    elif start == "unchecked":
+        pi0 = markov.ProbabilityVector(rng.uniform(-0.2, 1.0, n))
+    else:
+        pi0 = markov.unit_vector(n + 1, 0) if start == "mismatch" else markov.unit_vector(n, start)
+    times = draw(st.lists(st.one_of(st.floats(0.0, 300.0), st.integers(0, 60).map(float)), max_size=12))
+    for special in draw(st.lists(st.sampled_from(BATCH_TIMES), max_size=2)):
+        times.insert(draw(st.integers(0, len(times))), special)
+    return a, pi0, times
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(propagation_batches())
+def test_propagate_many_gives_propagate_at_every_time(batch):
+    # each next() has propagate's bytes, error and warnings, in order; the
+    # two sides get chains of the same entries, each decomposed afresh
+    a, pi0, times = batch
+    many = markov.propagate_many(pi0, markov.StochasticMatrix(a), times)
+    P = markov.StochasticMatrix(a)
+    for t in times:
+        got = one_outcome(lambda: next(many))
+        want = one_outcome(lambda: markov.propagate(pi0, P, t))
+        assert got == want
+        if len(want[0]) == 2:  # an error ends both
+            break
+    else:
+        assert next(many, None) is None
+
+
+def test_propagate_many_keeps_the_start_vector_check_of_propagate():
+    # a start vector built without validation, whose negative entry
+    # probability_vector refuses although the clipped rest sums to 1
+    P = markov.validate_stochastic(np.eye(3))
+    pi0 = markov.ProbabilityVector([0.5, -0.25, 0.5])
+    with pytest.raises(NegativeEntry) as want:
+        markov.propagate(pi0, P, 0.3)
+    with pytest.raises(NegativeEntry) as got:
+        next(markov.propagate_many(pi0, P, [0.3, 0.7]))
+    assert str(got.value) == str(want.value)
+
+
+def test_propagate_many_stacks_the_fractional_times_but_a_half():
+    P = simulator.load_scenario(importlib.resources.files("crashguard") / "data" / "scenario2.json").cars[0].model.lane_chain
+    times = [0.3, 0.5, 2.0, 7.25, 1e-12, 33.3]
+    assert sorted(markov._stacked_propagations(markov.unit_vector(6, 4), P, times)) == [0, 3, 5]
+
+
+def test_propagate_many_warns_only_when_the_consumer_reaches_the_time():
+    # one time past the drift check sends the batch to propagate, which
+    # falls back and warns at that time only
+    P = scenario1_lane_chains()[0]
+    many = markov.propagate_many(markov.unit_vector(6, 5), P, [0.3, 1e13 + 0.5, 2.7])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = next(many)
+    assert first.entries.tobytes() == markov.propagate(markov.unit_vector(6, 5), P, 0.3).entries.tobytes()
+    with pytest.warns(RuntimeWarning, match="eigendecomposition failed for t=10000000000000.5"):
+        next(many)
 
 
 def test_unit_vector_is_built_once_and_keeps_its_errors():

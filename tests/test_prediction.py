@@ -1,5 +1,7 @@
 """Tests for the three prediction flows."""
 
+import importlib.resources
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 
 import oracles
 from conftest import scenario1_lane_chains
-from crashguard import prediction
-from crashguard.errors import NonClosingSpeeds, NotRegular
+from crashguard import cli, prediction, simulator
+from crashguard.errors import DimensionMismatch, NonClosingSpeeds, NotRegular, SpeedOutOfRange
 from crashguard.markov import validate_stochastic
 from crashguard.prediction import EncounterInput, SafetyAction, Thresholds
 from crashguard.synthetic import banded_chain, make_model, with_rows
@@ -420,3 +422,72 @@ def test_thresholds_validated():
         Thresholds(crash=1.01)
     with pytest.raises(ValueError):
         Thresholds(speed_stability=0.0)
+
+
+# --- many encounters at once ---
+
+def assessed(call):
+    """An assessment's report bytes and pc bytes, or an error's class and
+    message, and every warning the call emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = call()
+        except Exception as exc:
+            outcome = (type(exc), str(exc))
+        else:
+            outcome = (
+                cli.dumps_stable(prediction.assessment_to_dict(got)),
+                None if got.pc is None else got.pc.tobytes(),
+                got.actions,
+            )
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+def test_assess_many_gives_assess_for_each_encounter():
+    # the bundled models at seeded lanes, speeds, gaps and thresholds:
+    # non-closing, unstable, below-threshold and acting encounters, and
+    # some at 60 m/s, which flow 1 refuses
+    data = importlib.resources.files("crashguard") / "data"
+    models = [car.model for i in (1, 2, 3) for car in simulator.load_scenario(data / f"scenario{i}.json").cars]
+    rng = np.random.default_rng(41)
+    encounters = []
+    for _ in range(300):
+        speeds = 60.0 if rng.random() < 0.02 else rng.uniform(0, 59.9), rng.uniform(0, 59.9)
+        car1, car2 = (
+            models[k].with_state(int(rng.integers(1, 7)), float(speed), 0.0)
+            for k, speed in zip(rng.integers(0, len(models), 2), speeds)
+        )
+        thresholds = Thresholds(float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.01, 0.9)))
+        front = "car1" if rng.random() < 0.5 else "car2"
+        encounters.append(EncounterInput(car1, car2, float(rng.uniform(0, 300)), front, thresholds))
+    many = prediction.assess_many(encounters)
+    errors = 0
+    for index, e in enumerate(encounters):
+        got = assessed(lambda: next(many))
+        assert got == assessed(lambda: prediction.assess(e))
+        if len(got[0]) == 2:  # an error ends the batch; start again after it
+            errors += 1
+            many = prediction.assess_many(encounters[index + 1:])
+    assert errors  # the refused speeds were reached
+
+
+def test_assess_many_raises_an_encounters_error_only_when_it_is_reached():
+    car1 = make_model(banded_chain(), lane=6, speed=30.0)
+    car2 = make_model(banded_chain(), lane=5, speed=40.0)
+    closing = encounter(car1, car2)
+    too_fast = encounter(car1, car2.with_state(5, 60.0, 0.0))
+    bad_lane = encounter(car1, car2.with_state(7, 40.0, 0.0))
+    non_closing_bad_lane = encounter(car1, car2.with_state(7, 20.0, 0.0))
+    for error, bad in ((SpeedOutOfRange, too_fast), (DimensionMismatch, bad_lane)):
+        with pytest.raises(error):
+            prediction.assess(bad)
+        many = prediction.assess_many([closing, non_closing_bad_lane, bad, closing])
+        assert next(many).actions == prediction.assess(closing).actions
+        assert next(many).non_closing  # its lane is never read
+        with pytest.raises(error):
+            next(many)
+        assert next(many, None) is None
+        # a consumer that stops before it never sees it
+        stopped = [a.t for _, a in zip(range(2), prediction.assess_many([closing, closing, bad]))]
+        assert stopped == [4.0, 4.0]

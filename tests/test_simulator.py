@@ -4,14 +4,18 @@ import dataclasses
 import importlib.resources
 import json
 import time
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from crashguard import prediction, simulator
-from crashguard.errors import InvalidValue, LeadBehindEgo, SchemaError
-from crashguard.prediction import SafetyAction
+from crashguard import cli, markov, prediction, simulator
+from crashguard.errors import GeometryViolation, InvalidValue, LeadBehindEgo, SchemaError, SpeedOutOfRange
+from crashguard.prediction import SafetyAction, Thresholds
 from crashguard.simulator import AccParams, CarState
 
 DATA = importlib.resources.files("crashguard") / "data"
@@ -368,3 +372,132 @@ def test_report_dict_shape():
     assert data["crash"] is False
     entry = data["timeline"][0]
     assert {"clock", "gap", "t", "speed_stable", "pc", "actions", "diagnostics"} <= set(entry)
+
+
+# --- the segmented run against the per-tick loop ---
+
+# regular, but its eigenvectors are singular: every fractional horizon falls
+# back to a rounded integer power with a warning
+UNDECOMPOSABLE = markov.validate_stochastic(0.9 * (np.eye(6, k=1) + np.diag([0, 0, 0, 0, 0, 1.0])) + 0.1 / 6)
+
+
+def run_outcome(run, config, disable_actions):
+    """The report's bytes and triggered actions, or the error's class and
+    message, and every warning the run emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            report = run(config, disable_actions=disable_actions)
+        except Exception as exc:
+            outcome = (type(exc), str(exc))
+        else:
+            outcome = (cli.dumps_stable(simulator.report_to_dict(report)), report.triggered_actions)
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_runs_alike(config, disable_actions):
+    got = run_outcome(simulator.run, config, disable_actions)
+    assert got == run_outcome(oracles.reference_run, config, disable_actions)
+    return got
+
+
+def with_car(config, index, **changes):
+    cars = list(config.cars)
+    cars[index] = dataclasses.replace(cars[index], **changes)
+    return dataclasses.replace(config, cars=tuple(cars))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A bundled scenario with 0-4 car fields redrawn (speed, scripted
+    acceleration, position, lane, or a lane chain that warns), a duration
+    of at most 12 s, a time step and thresholds, maybe an ACC set speed
+    taken from the engaging car, maybe forced into one lane."""
+    config = load(f"scenario{draw(st.integers(1, 3))}")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(draw(st.integers(0, 4))):
+        index = int(rng.integers(0, 2))
+        name = draw(st.sampled_from(("speed", "acceleration", "position", "lane", "lane_chain")))
+        if name == "lane_chain":
+            model = dataclasses.replace(config.cars[index].model, lane_chain=UNDECOMPOSABLE)
+            config = with_car(config, index, model=model)
+        else:
+            value = {
+                "speed": rng.uniform(0.0, 59.99),
+                "acceleration": rng.uniform(-3.0, 3.0),
+                "position": rng.uniform(-150.0, 150.0),
+                "lane": int(rng.integers(1, 7)),
+            }[name]
+            config = with_car(config, index, **{name: value})
+    time_step = draw(st.sampled_from((0.05, 0.1, 0.25)))
+    config = dataclasses.replace(
+        config,
+        duration=float(rng.uniform(time_step, 12.0)),
+        time_step=time_step,
+        thresholds=Thresholds(float(rng.uniform(0.05, 0.95)), float(rng.choice([0.3, rng.uniform(0.01, 0.9)]))),
+        acc_params=dataclasses.replace(config.acc_params, set_speed=None) if draw(st.booleans()) else config.acc_params,
+    )
+    return simulator.force_same_lane(config) if draw(st.booleans()) else config
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutated_scenarios(), st.booleans(), st.sampled_from((simulator.SEGMENT_TICKS, 1, 7, 40)))
+def test_run_gives_the_per_tick_loops_report_errors_and_warnings(config, disable_actions, segment_ticks):
+    # short segments make many segment ends, some on an engagement tick
+    with mock.patch.object(simulator, "SEGMENT_TICKS", segment_ticks):
+        assert_runs_alike(config, disable_actions)
+
+
+@pytest.mark.parametrize("disable_actions", [False, True])
+@pytest.mark.parametrize("same_lane", [False, True])
+@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+def test_run_gives_the_per_tick_loops_report_on_the_bundled_scenarios(name, same_lane, disable_actions):
+    config = load(name)
+    assert_runs_alike(simulator.force_same_lane(config) if same_lane else config, disable_actions)
+
+
+def test_run_moves_a_tick_that_engages_acc_again():
+    # ACC engages 4.7 s in, after the first segment has moved past it
+    config = with_car(load("scenario1"), 1, position=-40.0)
+    (_, events), _ = assert_runs_alike(config, False)
+    assert [(round(e.clock, 9), e.action) for e in events][1] == (4.7, SafetyAction.ACC_ON)
+
+
+def test_run_never_raises_the_error_of_a_tick_moved_past_an_engagement():
+    # car 2 reaches 60 m/s at 2.5 s unless ACC, engaged at 0 s, holds it at
+    # 40 m/s; the first segment moves it there without ACC
+    config = with_car(load("scenario1"), 1, position=-500.0, speed=55.0, acceleration=2.0)
+    config = dataclasses.replace(config, thresholds=Thresholds(crash=0.05))
+    outcome, _ = assert_runs_alike(config, True)
+    assert outcome == (SpeedOutOfRange, "speed 60.00000000000007 outside [0, 60.0)")
+    (_, events), _ = assert_runs_alike(config, False)
+    assert events[0].clock == 0.0 and events[0].action is SafetyAction.ACC_ON
+
+
+def test_run_never_raises_the_sensing_error_of_a_tick_moved_past_an_engagement(monkeypatch):
+    # the sensing path refuses a state that only the motion without ACC
+    # reaches, as a tiny separation makes a zero time of flight
+    lidar_gap = simulator._lidar_gap
+
+    def refusing(cars, lateral_offset):
+        if cars[1].speed > 57.0:
+            raise GeometryViolation("refused")
+        return lidar_gap(cars, lateral_offset)
+
+    monkeypatch.setattr(simulator, "_lidar_gap", refusing)
+    config = with_car(load("scenario1"), 1, position=-500.0, speed=55.0, acceleration=2.0)
+    config = dataclasses.replace(config, thresholds=Thresholds(crash=0.05))
+    assert assert_runs_alike(config, True)[0] == (GeometryViolation, "refused")
+    (_, events), _ = assert_runs_alike(config, False)
+    assert events[0].action is SafetyAction.ACC_ON
+
+
+def test_run_warns_as_the_per_tick_loop_and_not_for_ticks_it_drops():
+    # ACC engages 3.3 s in; the ticks the first segment moved past it warn
+    # in the run without actions, and not in the run with them
+    cars = tuple(dataclasses.replace(c, model=dataclasses.replace(c.model, lane_chain=UNDECOMPOSABLE))
+                 for c in load("scenario1").cars)
+    config = dataclasses.replace(load("scenario1"), cars=cars)
+    _, acting = assert_runs_alike(config, False)
+    _, passive = assert_runs_alike(config, True)
+    assert 0 < len(acting) < len(passive)
