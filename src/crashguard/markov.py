@@ -10,8 +10,7 @@ the principal power through the eigendecomposition, its real part, then
 each row that is built clipped to [0, 1] and renormalised.  The clip is
 a projection, not a power of the chain (a stochastic matrix need not
 have a stochastic t-th power).  ``propagate`` builds only the rows in the
-support of its start vector, so the drift and vanished-row checks run on
-those rows, and ``matrix_power_real`` builds and checks every row.
+support of its start vector, so the drift check runs on those rows, and ``matrix_power_real`` builds and checks every row.
 
 ``propagate_many`` gives ``propagate``'s bytes for many times at once.  It
 stacks the times as a ``(K, 1, n)`` array of rows before the product with
@@ -265,7 +264,14 @@ def _eig_rows(P: StochasticMatrix, t, rows) -> np.ndarray:
     be trusted: the eigenvectors' condition estimate exceeds
     EIG_CONDITION_LIMIT, as for a chain defective at eigenvalue 0, or a
     requested row is not finite, its sum is NaN or drifts from 1 by more
-    than 1e-6, or it vanishes after clipping.
+    than 1e-6.
+
+    A row that passes keeps a clipped total of at least 1 - 1e-6, so the
+    renormalisation never divides by zero.  Its sum is finite, so its
+    entries are.  If an entry exceeds 1, it clips to 1 and the others to
+    0 or more, for a total of at least 1.  Otherwise clipping only raises
+    negative entries to 0, and float addition is monotone, so the total,
+    summed in the same order, is at least the row's sum.
     """
     evals, vecs, inverse, condition = P._eig
     if condition > EIG_CONDITION_LIMIT:
@@ -279,10 +285,7 @@ def _eig_rows(P: StochasticMatrix, t, rows) -> np.ndarray:
             raise IllConditioned("non-finite entries in reconstructed power")
         raise IllConditioned(f"row sums drifted to {sums} after reconstruction")
     real = real.clip(0.0, 1.0)  # keeps -0.0, where np.maximum would not
-    totals = real.sum(axis=-1)
-    if not totals.min(initial=1.0) > 0.0:
-        raise IllConditioned("a row vanished after clipping")
-    return real / totals[..., None]
+    return real / real.sum(axis=-1)[..., None]
 
 
 def _power_rows(P: StochasticMatrix, t: float, rows) -> np.ndarray:

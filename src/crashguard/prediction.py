@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import weakref
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +39,7 @@ __all__ = [
     "SafetyAction",
     "LaneAction",
     "Thresholds",
+    "check_gap",
     "EncounterInput",
     "Flow1Result",
     "CrashAssessment",
@@ -85,6 +86,12 @@ class Thresholds:
                 raise InvalidValue(f"{name} threshold must be in (0, 1), got {value!r}")
 
 
+def check_gap(gap_d: float) -> None:
+    """Raise InvalidValue unless a longitudinal gap (m) is finite and nonnegative."""
+    if not (math.isfinite(gap_d) and gap_d >= 0.0):
+        raise InvalidValue(f"gap must be finite and nonnegative, got {gap_d!r}")
+
+
 @dataclass(frozen=True)
 class EncounterInput:
     """Two modeled vehicles, their longitudinal gap, and which one leads."""
@@ -96,8 +103,7 @@ class EncounterInput:
     thresholds: Thresholds = field(default_factory=Thresholds)
 
     def __post_init__(self):
-        if not (math.isfinite(self.gap_d) and self.gap_d >= 0.0):
-            raise InvalidValue(f"gap must be finite and nonnegative, got {self.gap_d!r}")
+        check_gap(self.gap_d)
         if self.front_car not in CAR_LABELS:
             raise InvalidValue(f"front_car must be one of {CAR_LABELS}, got {self.front_car!r}")
 
@@ -134,10 +140,28 @@ class CrashAssessment:
         return self.t is None
 
 
+# the assessment of every non-closing encounter; immutable, so one object serves
+_NON_CLOSING = CrashAssessment(t=None, speed_stable=None, pc=None, actions=())
+
+
+def _leave_probability(diagonal: list, speed: float) -> float:
+    """Probability of leaving ``speed``'s bin in one step of a speed chain
+    whose diagonal is ``diagonal``."""
+    return 1.0 - diagonal[speed_bin_index(speed)]
+
+
 def speed_change_probability(model: VehicleModel) -> float:
     """Probability of leaving the current speed bin in one chain step."""
-    k = speed_bin_index(model.current_speed)
-    return 1.0 - float(model.speed_chain.entries[k, k])
+    return _leave_probability(model.speed_chain.entries.diagonal().tolist(), model.current_speed)
+
+
+def _speeds_stable(diagonals: tuple[list, list], speed1: float, speed2: float, threshold: float) -> bool:
+    """Flow 1's gate: both cars' probabilities of leaving their speed bins,
+    car 1's read first, under ``threshold``."""
+    return (
+        _leave_probability(diagonals[0], speed1) < threshold
+        and _leave_probability(diagonals[1], speed2) < threshold
+    )
 
 
 def flow1_probable_time(encounter: EncounterInput) -> Flow1Result:
@@ -152,10 +176,12 @@ def flow1_probable_time(encounter: EncounterInput) -> Flow1Result:
     front = encounter.model(encounter.front_car)
     trail = encounter.model(encounter.trailing_car)
     t = probable_crash_time(encounter.gap_d, front.current_speed, trail.current_speed)
-    threshold = encounter.thresholds.speed_stability
-    stable = (
-        speed_change_probability(encounter.car1) < threshold
-        and speed_change_probability(encounter.car2) < threshold
+    car1, car2 = encounter.car1, encounter.car2
+    stable = _speeds_stable(
+        (car1.speed_chain.entries.diagonal().tolist(), car2.speed_chain.entries.diagonal().tolist()),
+        car1.current_speed,
+        car2.current_speed,
+        encounter.thresholds.speed_stability,
     )
     return Flow1Result(t=t, speed_stable=stable)
 
@@ -256,7 +282,7 @@ def assess(encounter: EncounterInput, horizon: float | None = None) -> CrashAsse
         try:
             flow1 = flow1_probable_time(encounter)
         except NonClosingSpeeds:
-            return CrashAssessment(t=None, speed_stable=None, pc=None, actions=())
+            return _NON_CLOSING
         t, stable = flow1.t, flow1.speed_stable
     else:
         t, stable = horizon, None
@@ -271,48 +297,78 @@ def _lane_marginals(chain: StochasticMatrix, lane: int, times: list) -> Iterator
     yield from propagate_many(unit_vector(N_LANES, lane - 1), chain, times)
 
 
-def assess_many(encounters: Iterable[EncounterInput]) -> Iterator[CrashAssessment]:
-    """Yield ``assess(e)`` for each encounter, in order, with flow 2 batched.
+def assess_many(
+    cars: tuple[VehicleModel, VehicleModel],
+    lanes: tuple[int, int],
+    speeds: tuple[Sequence[float], Sequence[float]],
+    positions: tuple[Sequence[float], Sequence[float]],
+    gaps: Sequence[float],
+    fronts: Sequence[int],
+    thresholds: Thresholds,
+) -> Iterator[CrashAssessment]:
+    """Yield the assessment of each tick of a segment, in order, with flow 2
+    batched.
 
-    Flows 1 and 3 run per encounter.  Flow 2 propagates each (lane chain,
-    current lane) pair through one :func:`markov.propagate_many` over every
-    encounter's steps, so an assessment has the bytes ``assess`` gives it.
-    An encounter's error, and any fallback warning of its propagation, comes
-    only when the consumer reaches that encounter: a consumer that stops
-    early never sees the errors or warnings of the encounters it skipped.
+    The columns hold one entry per tick: ``speeds[i]`` and ``positions[i]``
+    are car i's, ``gaps`` the gaps, already through :func:`check_gap`, and
+    ``fronts`` the index of the leading car.  Over the segment the cars keep
+    the lanes ``lanes`` and the chains and frame intervals of ``cars``, whose
+    state fields are not read.  Tick k gets the bytes that ``assess`` gives
+    the encounter of the two cars in their lanes at tick k's speeds,
+    positions and gap, with ``thresholds``.
+
+    Flow 1 runs per tick on the floats.  Flow 2 propagates each (lane chain,
+    lane) pair through one :func:`markov.propagate_many` over every tick's
+    steps.  Flow 3 runs as the tick is yielded, on an ``EncounterInput``
+    built only for a stable tick with a lane over the crash threshold.  A
+    tick's error, and any fallback warning of its propagation, comes only
+    when the consumer reaches that tick: a consumer that stops early never
+    sees the errors or warnings of the ticks it skipped.
     """
-    encounters = list(encounters)
-    flows1 = []  # per encounter: a Flow1Result, None if non-closing, or its error
-    steps = {}  # (lane chain, lane) -> the steps of every propagation through it, in order
-    for encounter in encounters:
+    car1, car2 = cars
+    diagonals = (car1.speed_chain.entries.diagonal().tolist(), car2.speed_chain.entries.diagonal().tolist())
+    keys = [(car.lane_chain, lane) for car, lane in zip(cars, lanes)]
+    flows1 = []  # per tick: (t, speed_stable), None if non-closing, or its error
+    steps = {key: [] for key in keys}  # (lane chain, lane) -> the steps of every propagation through it
+    for gap, front, speed1, speed2 in zip(gaps, fronts, *speeds):
+        pair = (speed1, speed2)
         try:
-            flow1 = flow1_probable_time(encounter)
+            t = probable_crash_time(gap, pair[front], pair[1 - front])
+            stable = _speeds_stable(diagonals, speed1, speed2, thresholds.speed_stability)
         except NonClosingSpeeds:
-            flow1 = None
-        except Exception as exc:  # raised when reached; no later encounter is
+            flows1.append(None)
+            continue
+        except Exception as exc:  # raised when reached; no later tick is
             flows1.append(exc)
             break
-        flows1.append(flow1)
-        if flow1 is not None and math.isfinite(flow1.t) and flow1.t >= 0.0:
-            for car in (encounter.car1, encounter.car2):
-                steps.setdefault((car.lane_chain, car.current_lane), []).append(flow1.t / car.frame_interval)
+        flows1.append((t, stable))
+        if math.isfinite(t) and t >= 0.0:
+            for car, key in zip(cars, keys):
+                steps[key].append(t / car.frame_interval)
     marginals = {key: _lane_marginals(*key, times) for key, times in steps.items()}
+    marginals1, marginals2 = (marginals[key] for key in keys)
 
-    for encounter, flow1 in zip(encounters, flows1):
+    for k, flow1 in enumerate(flows1):
+        if flow1 is None:
+            yield _NON_CLOSING
+            continue
         if isinstance(flow1, Exception):
             raise flow1
-        if flow1 is None:
-            yield CrashAssessment(t=None, speed_stable=None, pc=None, actions=())
-            continue
-        t, stable = flow1.t, flow1.speed_stable
+        t, stable = flow1
         if math.isfinite(t) and t >= 0.0:
-            car1, car2 = encounter.car1, encounter.car2
-            pi1 = next(marginals[car1.lane_chain, car1.current_lane])
-            pi2 = next(marginals[car2.lane_chain, car2.current_lane])
-            pc = pi1.entries * pi2.entries
+            pc = next(marginals1).entries * next(marginals2).entries
         else:
-            pc = flow2_crash_probabilities(encounter.car1, encounter.car2, t)  # raises
-        actions = () if stable is False else flow3_select_actions(encounter, pc, t)
+            pc = flow2_crash_probabilities(car1, car2, t)  # raises
+        actions = ()
+        if stable and (pc >= thresholds.crash).any():
+            encounter = EncounterInput(
+                *(car.with_state(lane, speed[k], position[k])
+                  for car, lane, speed, position in zip(cars, lanes, speeds, positions)),
+                gaps[k],
+                CAR_LABELS[fronts[k]],
+                thresholds,
+            )
+            actions = flow3_select_actions(encounter, pc, t)
         yield CrashAssessment(t=t, speed_stable=stable, pc=pc, actions=actions)
 
 

@@ -3,12 +3,12 @@
 Replays a scenario file tick by tick: each tick re-runs the crash
 assessment on the current state, latches any selected safety action,
 applies ACC to the targeted car, and integrates constant-acceleration
-kinematics.  ``run`` moves the cars a segment ahead of their assessments
-and assesses the segment's ticks together; ``step`` is one tick of the
-same helpers.  Lanes are held constant (the lane chains drive
-prediction, never the motion), steering assist is recorded as a signal
-only, and there is no randomness anywhere, so identical configs give
-identical reports.
+kinematics.  ``run`` moves the cars a segment ahead of their assessments,
+into columns of clocks, speeds, positions and gaps, and assesses the
+segment's ticks together; ``step`` is one tick of the same helpers.
+Lanes are held constant (the lane chains drive prediction, never the
+motion), steering assist is recorded as a signal only, and there is no
+randomness anywhere, so identical configs give identical reports.
 
 The longitudinal gap fed to the assessment goes through the Lidar
 round trip (time of flight to diagonal range to Pythagorean leg), so the
@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+import numpy as np
 
 from .errors import CrashguardError, InvalidValue, LeadBehindEgo, SchemaError
 from .estimation import (
@@ -41,6 +43,7 @@ from .prediction import (
     assess,
     assess_many,
     assessment_to_dict,
+    check_gap,
 )
 from .sensing import SPEED_OF_LIGHT, hypotenuse_from_tof, longitudinal_distance
 
@@ -68,10 +71,8 @@ ACC_SPEED_GAIN = 0.74  # 1/s, on speed error
 # most ticks a scenario may ask for (duration / time_step); a run holds
 # one timeline entry per tick
 MAX_STEPS = 100_000
-# most ticks ``run`` moves ahead of their assessments.  A segment's
-# encounters live until it is consumed: the cap bounds that memory, and a
-# small one lets them die young, before the garbage collector moves them to
-# its oldest generation and sweeps a long run's whole timeline for them.
+# most ticks ``run`` moves ahead of their assessments: the cap bounds a
+# segment's columns and the ticks moved past an ACC engagement and dropped
 SEGMENT_TICKS = 256
 
 
@@ -268,9 +269,9 @@ def _integrate(car: CarState, accel: float, dt: float) -> None:
         car.speed = 0.0
 
 
-def _lidar_gap(cars, lateral_offset: float) -> float:
-    """Longitudinal gap recovered through the Lidar round trip."""
-    separation = abs(cars[0].position - cars[1].position)
+def _lidar_gap(separation: float, lateral_offset: float) -> float:
+    """Longitudinal gap recovered through the Lidar round trip from the
+    cars' longitudinal ``separation``."""
     hyp = math.hypot(separation, lateral_offset)
     if hyp <= 0.0:
         return 0.0
@@ -281,22 +282,10 @@ def _lidar_gap(cars, lateral_offset: float) -> float:
     return longitudinal_distance(measured, lateral_offset)
 
 
-def _encounter(config: ScenarioConfig, cars, front: int, gap: float) -> EncounterInput:
-    (cfg1, cfg2), (car1, car2) = config.cars, cars
-    return EncounterInput(
-        cfg1.model.with_state(cfg1.lane, car1.speed, car1.position),
-        cfg2.model.with_state(cfg2.lane, car2.speed, car2.position),
-        gap,
-        CAR_LABELS[front],
-        config.thresholds,
-    )
-
-
-def _latch(
-    state: SimState, config: ScenarioConfig, encounter: EncounterInput, assessment: CrashAssessment, clock: float
-) -> bool:
+def _latch(state: SimState, config: ScenarioConfig, assessment: CrashAssessment, speeds, clock: float) -> bool:
     """Latch the actions of the tick's assessment that are not on yet into
-    ``state``, as events at ``clock``.
+    ``state``, as events at ``clock``; ``speeds`` are the two cars' speeds
+    that the tick assessed.
 
     Returns whether a car newly engaged ACC, which changes the tick's motion.
     """
@@ -305,7 +294,7 @@ def _latch(
         if action.action is SafetyAction.ACC_ON:
             if action.target in state.acc_set_speed:
                 continue
-            speed = encounter.model(action.target).current_speed
+            speed = speeds[CAR_LABELS.index(action.target)]
             state.acc_set_speed[action.target] = config.acc_params.set_speed_for(speed)
             engaged = True
         else:  # lane departure and steering: a signal only, lanes never move
@@ -339,13 +328,19 @@ def step(
     Returns the leading car's index, the measured gap and the assessment,
     all taken before the cars move.
     """
-    cars = state.cars
-    front = _front_index(cars)
-    gap = _lidar_gap(cars, config.lateral_offset)
-    encounter = _encounter(config, cars, front, gap)
+    (cfg1, cfg2), (car1, car2) = config.cars, state.cars
+    front = _front_index(state.cars)
+    gap = _lidar_gap(abs(car1.position - car2.position), config.lateral_offset)
+    encounter = EncounterInput(
+        cfg1.model.with_state(cfg1.lane, car1.speed, car1.position),
+        cfg2.model.with_state(cfg2.lane, car2.speed, car2.position),
+        gap,
+        CAR_LABELS[front],
+        config.thresholds,
+    )
     assessment = assess(encounter)
     if not disable_actions:
-        _latch(state, config, encounter, assessment, state.clock)
+        _latch(state, config, assessment, (car1.speed, car2.speed), state.clock)
     _advance(state, config)
     return front, gap, assessment
 
@@ -369,28 +364,121 @@ def _gap_after(cars, front: int) -> float:
     return cars[front].position - cars[1 - front].position
 
 
-def _move_ahead(state: SimState, config: ScenarioConfig, ticks: int, same_lane: bool):
-    """Move the cars up to ``ticks`` ticks with no new ACC engagement,
-    stopping after a crash or before a tick whose encounter cannot be built.
+@dataclass
+class _Segment:
+    """Ticks moved ahead of their assessments, as columns: entry k of each
+    is tick k's, taken before the tick's move unless it says otherwise."""
 
-    Returns each tick's ``(clock, encounter, signed gap after the move)``,
-    the encounter holding the cars' states before the move, and the error
-    that stopped the segment, or None.
+    clocks: list[float] = field(default_factory=list)
+    speeds: tuple[list[float], list[float]] = field(default_factory=lambda: ([], []))
+    positions: tuple[list[float], list[float]] = field(default_factory=lambda: ([], []))
+    fronts: list[int] = field(default_factory=list)  # the leading car's index
+    gaps_after: list[float] = field(default_factory=list)  # as _gap_after gives it, after the move
+    gaps: list[float] = field(default_factory=list)  # through the Lidar round trip
+    error: Exception | None = None  # the next tick's, raised only if the run reaches it
+
+
+def _scripted_motion(car: CarState, accel: float, dt: float, ticks: int):
+    """The car's speeds and positions after 0 to ``ticks`` ticks of constant
+    ``accel``, bit for bit as ``_integrate``'s moving branch takes them:
+    ``np.add.accumulate`` adds in order, so each speed is the last plus
+    accel * dt, and each position the last plus v * dt, then plus
+    0.5 * accel * dt * dt."""
+    speeds = np.full(ticks + 1, accel * dt)
+    speeds[0] = car.speed
+    speeds = np.add.accumulate(speeds)
+    steps = np.full(2 * ticks + 1, 0.5 * accel * dt * dt)
+    steps[0] = car.position
+    steps[1::2] = speeds[:-1] * dt
+    return speeds, np.add.accumulate(steps)[::2]
+
+
+def _move_scripted(state: SimState, config: ScenarioConfig, ticks: int, same_lane: bool) -> _Segment:
+    """Move cars without ACC up to ``ticks`` ticks at once, stopping after a
+    crash or before the first tick that takes ``_integrate``'s stop branch
+    for either car; the segment's gaps are left to fill."""
+    cars, dt = state.cars, config.time_step
+    # Python floats overflow to inf and inf - inf gives nan without a word;
+    # numpy would warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        (speeds1, positions1), (speeds2, positions2) = (
+            _scripted_motion(car, cfg.acceleration, dt, ticks) for car, cfg in zip(cars, config.cars)
+        )
+        moving = (speeds1[1:] >= 0.0) & (speeds2[1:] >= 0.0)  # a nan speed stops too
+        n = ticks if moving.all() else int(moving.argmin())
+        fronts = np.where(positions1[:n] >= positions2[:n], 0, 1)  # _front_index's tie rule
+        after1, after2 = positions1[1:n + 1], positions2[1:n + 1]
+        gaps_after = np.where(fronts == 0, after1 - after2, after2 - after1)
+        if same_lane:
+            crashes = np.flatnonzero(gaps_after <= 0.0)
+            n = int(crashes[0]) + 1 if crashes.size else n
+        clocks = np.full(n + 1, dt)
+        clocks[0] = state.clock
+        clocks = np.add.accumulate(clocks)
+    state.clock = clocks[n].item()
+    for car, speeds, positions in zip(cars, (speeds1, speeds2), (positions1, positions2)):
+        car.speed, car.position = speeds[n].item(), positions[n].item()
+    return _Segment(
+        clocks[:n].tolist(),
+        (speeds1[:n].tolist(), speeds2[:n].tolist()),
+        (positions1[:n].tolist(), positions2[:n].tolist()),
+        fronts[:n].tolist(),
+        gaps_after[:n].tolist(),
+    )
+
+
+def _move_ahead(state: SimState, config: ScenarioConfig, ticks: int, same_lane: bool) -> _Segment:
+    """Move the cars up to ``ticks`` ticks with no new ACC engagement,
+    stopping after a crash or before a tick whose gap cannot be measured.
+
+    While no car has ACC on, ``_move_scripted`` moves the ticks before the
+    first stop at once; that tick, and every tick with ACC on, moves one
+    ``_advance`` at a time.  The columns hold the floats of the per-tick
+    loop either way.  Then each tick's gap goes through the Lidar round
+    trip; the first that fails ends the segment, as its ``error``.
     """
     cars = state.cars
-    segment = []
-    for _ in range(ticks):
-        clock, front = state.clock, _front_index(cars)
-        try:
-            encounter = _encounter(config, cars, front, _lidar_gap(cars, config.lateral_offset))
-        except Exception as exc:  # raised only if the run reaches this tick
-            return segment, exc
+    segment = _Segment() if state.acc_set_speed else _move_scripted(state, config, ticks, same_lane)
+    gaps_after = segment.gaps_after
+    while len(gaps_after) < ticks and not (same_lane and gaps_after and gaps_after[-1] <= 0.0):
+        segment.clocks.append(state.clock)
+        for car, speeds, positions in zip(cars, segment.speeds, segment.positions):
+            speeds.append(car.speed)
+            positions.append(car.position)
+        front = _front_index(cars)
         _advance(state, config)
-        gap_after = _gap_after(cars, front)
-        segment.append((clock, encounter, gap_after))
-        if same_lane and gap_after <= 0.0:
+        segment.fronts.append(front)
+        gaps_after.append(_gap_after(cars, front))
+
+    for k, (position1, position2) in enumerate(zip(*segment.positions)):
+        try:
+            gap = _lidar_gap(abs(position1 - position2), config.lateral_offset)
+            check_gap(gap)
+        except Exception as exc:  # raised only if the run reaches this tick
+            segment.error = exc
+            for column in (segment.clocks, *segment.speeds, *segment.positions, segment.fronts, segment.gaps_after):
+                del column[k:]
             break
-    return segment, None
+        segment.gaps.append(gap)
+    return segment
+
+
+def _timeline_row(clock: float, gap: float, assessment: CrashAssessment) -> dict:
+    """A tick's timeline entry: its clock, its gap and the fields of
+    ``assessment_to_dict``."""
+    if assessment.actions:
+        return {"clock": clock, "gap": gap, **assessment_to_dict(assessment)}
+    # what assessment_to_dict gives an assessment without actions
+    pc = assessment.pc
+    return {
+        "clock": clock,
+        "gap": gap,
+        "t": assessment.t,
+        "speed_stable": assessment.speed_stable,
+        "pc": None if pc is None else pc.tolist(),
+        "actions": [],
+        "diagnostics": None,
+    }
 
 
 def run(config: ScenarioConfig, disable_actions: bool = False) -> SimReport:
@@ -401,16 +489,18 @@ def run(config: ScenarioConfig, disable_actions: bool = False) -> SimReport:
     tick actionless; the next tick resamples the state.
 
     The report is the one ``step`` gives tick by tick, built in segments:
-    the cars move ahead with the ACC set speeds they have, at most
-    SEGMENT_TICKS ticks, and ``assess_many`` assesses the segment's ticks
-    together.  A tick that newly engages ACC moves again with it on, and
+    ``_move_ahead`` moves the cars ahead with the ACC set speeds they have,
+    at most SEGMENT_TICKS ticks, into columns, and ``assess_many`` assesses
+    the columns.  A tick that newly engages ACC moves again with it on, and
     the next segment starts after it; the ticks moved past it are dropped
     unread, their errors and warnings included.  Each car engages ACC at
     most once, so actions add at most two segments to a run.
     """
     state = SimState(cars=tuple(CarState(c.speed, c.position) for c in config.cars))
     cars = state.cars
-    same_lane = config.cars[0].lane == config.cars[1].lane
+    models = tuple(c.model for c in config.cars)
+    lanes = tuple(c.lane for c in config.cars)
+    same_lane = lanes[0] == lanes[1]
     ticks_left = int(math.floor(config.duration / config.time_step + 1e-9))
 
     min_gap = abs(cars[0].position - cars[1].position)
@@ -420,21 +510,26 @@ def run(config: ScenarioConfig, disable_actions: bool = False) -> SimReport:
     timeline = []
 
     while ticks_left and crash_time is None:
-        segment, error = _move_ahead(state, config, min(ticks_left, SEGMENT_TICKS), same_lane)
-        assessments = assess_many(encounter for _, encounter, _ in segment)
-        for (clock, encounter, gap_after), assessment in zip(segment, assessments):
+        segment = _move_ahead(state, config, min(ticks_left, SEGMENT_TICKS), same_lane)
+        assessments = assess_many(
+            models, lanes, segment.speeds, segment.positions, segment.gaps, segment.fronts, config.thresholds
+        )
+        for k, assessment in enumerate(assessments):
             ticks_left -= 1
-            timeline.append({"clock": clock, "gap": encounter.gap_d, **assessment_to_dict(assessment)})
+            clock, gap_after = segment.clocks[k], segment.gaps_after[k]
+            timeline.append(_timeline_row(clock, segment.gaps[k], assessment))
             if predicted_crash_time is None and assessment.t is not None:
                 predicted_crash_time = clock + assessment.t
 
-            engaged = not disable_actions and _latch(state, config, encounter, assessment, clock)
+            engaged = bool(assessment.actions) and not disable_actions and _latch(
+                state, config, assessment, (segment.speeds[0][k], segment.speeds[1][k]), clock
+            )
             if engaged:  # this tick moves again, from where it started
                 state.clock = clock
-                for car, model in zip(cars, (encounter.car1, encounter.car2)):
-                    car.speed, car.position = model.current_speed, model.current_position
+                for car, speeds, positions in zip(cars, segment.speeds, segment.positions):
+                    car.speed, car.position = speeds[k], positions[k]
                 _advance(state, config)
-                gap_after = _gap_after(cars, CAR_LABELS.index(encounter.front_car))
+                gap_after = _gap_after(cars, segment.fronts[k])
             clock_after = clock + config.time_step  # the sum _advance takes
             if gap_after < min_gap:
                 min_gap = gap_after
@@ -445,8 +540,8 @@ def run(config: ScenarioConfig, disable_actions: bool = False) -> SimReport:
             if engaged:
                 break
         else:
-            if error is not None:
-                raise error
+            if segment.error is not None:
+                raise segment.error
 
     crash = crash_time is not None
     return SimReport(

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -496,6 +496,30 @@ def test_eig_rows_matches_the_original_checks_on_a_row_whose_sum_overflows():
                 markov._eig_rows(P, t, np.array([0]))
         assert markov._eig_rows(P, 0.5, np.array([3])).tobytes() == np.eye(n)[[3]].tobytes()
 
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.floats(-3.0, 3.0) | st.floats(-1e6, 1e6) | st.sampled_from((0.0, -0.0, 1.0, 5e-324)),
+             min_size=5, max_size=5),
+    st.floats(-1e-6, 1e-6),
+)
+def test_a_row_that_passes_the_drift_test_keeps_a_clipped_total_near_one(head, drift):
+    # why _eig_rows has no vanished-row check: a finite row whose sum is
+    # within 1e-6 of 1 clips to a total of at least 1 - 1e-6
+    row = np.array([head + [1.0 + drift - math.fsum(head)]])
+    sums = row.sum(axis=-1)  # as _eig_rows sums its rows
+    assume(np.abs(sums - 1.0).max() <= 1e-6)
+    clipped = row.clip(0.0, 1.0)
+    assert clipped.sum(axis=-1)[0] >= 1.0 - 1e-6
+    # and _eig_rows renormalises the row it is handed, whatever its entries
+    n = row.shape[1]
+    P = markov.StochasticMatrix(np.eye(n))
+    inverse = np.eye(n, dtype=complex)
+    inverse[0] = row[0]
+    P.__dict__["_eig"] = (np.ones(n, dtype=complex), np.eye(n, dtype=complex), inverse, 1.0)
+    got = markov._eig_rows(P, 0.5, np.array([0]))
+    assert np.array_equal(got, clipped / clipped.sum(axis=-1)[:, None])  # the product may flip a zero's sign
 
 # --- many times at once ---
 

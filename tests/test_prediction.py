@@ -10,7 +10,7 @@ import pytest
 import oracles
 from conftest import scenario1_lane_chains
 from crashguard import cli, prediction, simulator
-from crashguard.errors import DimensionMismatch, NonClosingSpeeds, NotRegular, SpeedOutOfRange
+from crashguard.errors import DimensionMismatch, InvalidValue, NonClosingSpeeds, NotRegular, SpeedOutOfRange
 from crashguard.markov import validate_stochastic
 from crashguard.prediction import EncounterInput, SafetyAction, Thresholds
 from crashguard.synthetic import banded_chain, make_model, with_rows
@@ -444,50 +444,111 @@ def assessed(call):
     return outcome, [(w.category, str(w.message)) for w in caught]
 
 
+def segment_encounter(cars, lanes, speeds, positions, gaps, fronts, thresholds, k):
+    """The EncounterInput of tick k of assess_many's columns."""
+    return EncounterInput(
+        *(car.with_state(lane, speed[k], position[k])
+          for car, lane, speed, position in zip(cars, lanes, speeds, positions)),
+        gaps[k],
+        prediction.CAR_LABELS[fronts[k]],
+        thresholds,
+    )
+
+
 def test_assess_many_gives_assess_for_each_encounter():
-    # the bundled models at seeded lanes, speeds, gaps and thresholds:
-    # non-closing, unstable, below-threshold and acting encounters, and
-    # some at 60 m/s, which flow 1 refuses
+    # seeded segments through the bundled models, one at a 0.1 s frame
+    # interval and one whose lane chain falls back with a warning: non-closing, unstable, below-threshold and
+    # acting ticks, and some at 60 m/s, which flow 1 refuses; every fifth
+    # segment puts both cars on one model in one lane, so one propagation
+    # serves them both
     data = importlib.resources.files("crashguard") / "data"
     models = [car.model for i in (1, 2, 3) for car in simulator.load_scenario(data / f"scenario{i}.json").cars]
+    undecomposable = validate_stochastic(0.9 * (np.eye(6, k=1) + np.diag([0, 0, 0, 0, 0, 1.0])) + 0.1 / 6)
+    models += [replace(models[0], frame_interval=0.1), replace(models[1], lane_chain=undecomposable)]
     rng = np.random.default_rng(41)
-    encounters = []
-    for _ in range(300):
-        speeds = 60.0 if rng.random() < 0.02 else rng.uniform(0, 59.9), rng.uniform(0, 59.9)
-        car1, car2 = (
-            models[k].with_state(int(rng.integers(1, 7)), float(speed), 0.0)
-            for k, speed in zip(rng.integers(0, len(models), 2), speeds)
+    errors = warned = 0
+    for segment in range(30):
+        if segment % 5 == 0:
+            cars, lanes = (models[int(rng.integers(0, len(models)))],) * 2, (int(rng.integers(1, 7)),) * 2
+        else:
+            cars = tuple(models[k] for k in rng.integers(0, len(models), 2))
+            lanes = tuple(int(lane) for lane in rng.integers(1, 7, 2))
+        ticks = 20
+        speeds = tuple(
+            [60.0 if rng.random() < 0.02 else float(rng.uniform(0, 59.9)) for _ in range(ticks)] for _ in cars
         )
+        positions = tuple(rng.uniform(-100, 100, ticks).tolist() for _ in cars)
+        gaps = rng.uniform(0, 300, ticks).tolist()
+        fronts = rng.integers(0, 2, ticks).tolist()
         thresholds = Thresholds(float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.01, 0.9)))
-        front = "car1" if rng.random() < 0.5 else "car2"
-        encounters.append(EncounterInput(car1, car2, float(rng.uniform(0, 300)), front, thresholds))
-    many = prediction.assess_many(encounters)
-    errors = 0
-    for index, e in enumerate(encounters):
-        got = assessed(lambda: next(many))
-        assert got == assessed(lambda: prediction.assess(e))
-        if len(got[0]) == 2:  # an error ends the batch; start again after it
-            errors += 1
-            many = prediction.assess_many(encounters[index + 1:])
-    assert errors  # the refused speeds were reached
+        columns = (speeds, positions, gaps, fronts)
+
+        def ticks_from(start):
+            return prediction.assess_many(
+                cars, lanes, tuple(c[start:] for c in speeds), tuple(c[start:] for c in positions),
+                gaps[start:], fronts[start:], thresholds,
+            )
+
+        many = ticks_from(0)
+        for k in range(ticks):
+            e = segment_encounter(cars, lanes, *columns, thresholds, k)
+            got = assessed(lambda: next(many))
+            assert got == assessed(lambda: prediction.assess(e))
+            warned += bool(got[1])
+            if len(got[0]) == 2:  # an error ends the segment; start again after it
+                errors += 1
+                many = ticks_from(k + 1)
+    assert errors and warned  # the refused speeds and the fallback were reached
 
 
 def test_assess_many_raises_an_encounters_error_only_when_it_is_reached():
-    car1 = make_model(banded_chain(), lane=6, speed=30.0)
-    car2 = make_model(banded_chain(), lane=5, speed=40.0)
-    closing = encounter(car1, car2)
-    too_fast = encounter(car1, car2.with_state(5, 60.0, 0.0))
-    bad_lane = encounter(car1, car2.with_state(7, 40.0, 0.0))
-    non_closing_bad_lane = encounter(car1, car2.with_state(7, 20.0, 0.0))
-    for error, bad in ((SpeedOutOfRange, too_fast), (DimensionMismatch, bad_lane)):
-        with pytest.raises(error):
-            prediction.assess(bad)
-        many = prediction.assess_many([closing, non_closing_bad_lane, bad, closing])
-        assert next(many).actions == prediction.assess(closing).actions
-        assert next(many).non_closing  # its lane is never read
-        with pytest.raises(error):
-            next(many)
-        assert next(many, None) is None
-        # a consumer that stops before it never sees it
-        stopped = [a.t for _, a in zip(range(2), prediction.assess_many([closing, closing, bad]))]
-        assert stopped == [4.0, 4.0]
+    cars = (make_model(banded_chain(), lane=6, speed=30.0), make_model(banded_chain(), lane=5, speed=40.0))
+
+    def many(lanes, ticks, thresholds=Thresholds(), gaps=None):
+        """assess_many over ticks of (car 1's speed, car 2's speed, leading
+        car's index), 40 m apart unless ``gaps`` says otherwise."""
+        speed1, speed2, fronts = (list(column) for column in zip(*ticks))
+        zeros = [0.0] * len(ticks)
+        return prediction.assess_many(cars, lanes, (speed1, speed2), (zeros, zeros), gaps or [40.0] * len(ticks),
+                                      fronts, thresholds)
+
+    def assess(lane2, speed2, front, gap=40.0, **thresholds):
+        model2 = cars[1].with_state(lane2, speed2, 0.0)
+        return prediction.assess(encounter(cars[0], model2, gap=gap, front=front, **thresholds))
+
+    closing, too_fast, non_closing_too_fast = (30.0, 40.0, 0), (30.0, 60.0, 0), (30.0, 60.0, 1)
+    with pytest.raises(SpeedOutOfRange):
+        assess(5, 60.0, "car1")
+    ticks = many((6, 5), [closing, non_closing_too_fast, too_fast, closing])
+    assert next(ticks).actions == assess(5, 40.0, "car1").actions
+    assert next(ticks).non_closing  # its speed is never gated
+    with pytest.raises(SpeedOutOfRange):
+        next(ticks)
+    assert next(ticks, None) is None
+    # a consumer that stops before it never sees it
+    stopped = [a.t for _, a in zip(range(2), many((6, 5), [closing, closing, too_fast]))]
+    assert stopped == [4.0, 4.0]
+    # nor is it gated behind car 1's unstable speed (a 0.1 chance of
+    # leaving its bin)
+    assert assess(5, 60.0, "car1", speed_stability=0.05).speed_stable is False
+    unstable = next(many((6, 5), [too_fast], Thresholds(speed_stability=0.05)))
+    assert (unstable.t, unstable.speed_stable, unstable.actions) == (40.0 / 30.0, False, ())
+
+    # a lane out of range is read only by a closing tick's flow 2
+    with pytest.raises(DimensionMismatch):
+        assess(7, 40.0, "car1")
+    ticks = many((6, 7), [(30.0, 20.0, 0), (30.0, 20.0, 0), closing, closing])
+    assert next(ticks).non_closing and next(ticks).non_closing
+    with pytest.raises(DimensionMismatch):
+        next(ticks)
+    assert next(ticks, None) is None
+
+    # a crash time that overflows to inf fails flow 2 at its own tick
+    barely_closing = (30.0, 30.0 + 2e-9, 0)
+    with pytest.raises(InvalidValue, match="time must be finite"):
+        assess(5, 30.0 + 2e-9, "car1", gap=1e307)
+    ticks = many((6, 5), [closing, barely_closing, closing], gaps=[40.0, 1e307, 40.0])
+    assert next(ticks).t == 4.0
+    with pytest.raises(InvalidValue, match="time must be finite"):
+        next(ticks)
+    assert next(ticks, None) is None

@@ -1,6 +1,7 @@
 """Tests for scenario loading, the ACC policy, and full simulation runs."""
 
 import dataclasses
+import functools
 import importlib.resources
 import json
 import time
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -96,10 +97,8 @@ def test_load_rejects_non_finite_numbers(tmp_path):
 
 def test_lidar_gap_when_cars_abreast():
     # laterally side by side: the round trip must not trip the geometry check
-    cars = (CarState(30.0, 100.0), CarState(30.0, 100.0 + 1e-12))
-    assert simulator._lidar_gap(cars, 3.7) == pytest.approx(0.0, abs=1e-6)
-    far = (CarState(30.0, 0.0), CarState(30.0, 40.0))
-    assert simulator._lidar_gap(far, 3.7) == pytest.approx(40.0, rel=1e-9)
+    assert simulator._lidar_gap(abs(100.0 - (100.0 + 1e-12)), 3.7) == pytest.approx(0.0, abs=1e-6)
+    assert simulator._lidar_gap(40.0, 3.7) == pytest.approx(40.0, rel=1e-9)
 
 
 def test_load_supports_model_path(tmp_path):
@@ -475,18 +474,25 @@ def test_run_never_raises_the_error_of_a_tick_moved_past_an_engagement():
 
 
 def test_run_never_raises_the_sensing_error_of_a_tick_moved_past_an_engagement(monkeypatch):
-    # the sensing path refuses a state that only the motion without ACC
-    # reaches, as a tiny separation makes a zero time of flight
-    lidar_gap = simulator._lidar_gap
-
-    def refusing(cars, lateral_offset):
-        if cars[1].speed > 57.0:
-            raise GeometryViolation("refused")
-        return lidar_gap(cars, lateral_offset)
-
-    monkeypatch.setattr(simulator, "_lidar_gap", refusing)
+    # the sensing path refuses the states that only the motion without ACC
+    # reaches, those with car 2 above 57 m/s, as a tiny separation makes a
+    # zero time of flight; it knows them by their separations
     config = with_car(load("scenario1"), 1, position=-500.0, speed=55.0, acceleration=2.0)
     config = dataclasses.replace(config, thresholds=Thresholds(crash=0.05))
+    state = simulator.SimState(cars=tuple(CarState(c.speed, c.position) for c in config.cars))
+    refused = set()
+    while state.clock < config.duration:
+        if state.cars[1].speed > 57.0:
+            refused.add(abs(state.cars[0].position - state.cars[1].position))
+        simulator._advance(state, config)
+    lidar_gap = simulator._lidar_gap
+
+    def refusing(separation, lateral_offset):
+        if separation in refused:
+            raise GeometryViolation("refused")
+        return lidar_gap(separation, lateral_offset)
+
+    monkeypatch.setattr(simulator, "_lidar_gap", refusing)
     assert assert_runs_alike(config, True)[0] == (GeometryViolation, "refused")
     (_, events), _ = assert_runs_alike(config, False)
     assert events[0].action is SafetyAction.ACC_ON
@@ -501,3 +507,107 @@ def test_run_warns_as_the_per_tick_loop_and_not_for_ticks_it_drops():
     _, acting = assert_runs_alike(config, False)
     _, passive = assert_runs_alike(config, True)
     assert 0 < len(acting) < len(passive)
+
+
+@pytest.mark.parametrize("set_speed,acceleration,expected", [
+    # car 2's speed at tick 27, summed as _integrate sums it (41.35 to rounding)
+    (None, 0.5, functools.reduce(lambda v, _: v + 0.5 * 0.1, range(27), 40.0)),
+    (40.0, 0.0, 40.0),  # the file's set speed, which car 2 drives at
+    (40.0, 0.5, 40.0),  # the file's set speed, not car 2's
+])
+def test_acc_holds_the_set_speed_latched_at_engagement(set_speed, acceleration, expected):
+    config = with_car(load("scenario1"), 1, position=-40.0, acceleration=acceleration)
+    config = dataclasses.replace(config, acc_params=dataclasses.replace(config.acc_params, set_speed=set_speed))
+    with mock.patch.object(simulator, "acc_command", wraps=simulator.acc_command) as command:
+        report = simulator.run(config)
+    engaged = [e for e in report.triggered_actions if e.action is SafetyAction.ACC_ON]
+    assert [(e.target, round(e.clock / config.time_step)) for e in engaged] == [
+        ("car2", 27 if acceleration else 47)
+    ]
+    assert command.call_count > 0
+    assert {call.args[3] for call in command.call_args_list} == {expected}
+
+
+def per_tick_segment(state, config, ticks, same_lane):
+    """What _move_ahead's columns hold, taken one _advance at a time."""
+    cars = state.cars
+    segment = simulator._Segment()
+    for _ in range(ticks):
+        segment.clocks.append(state.clock)
+        for car, speeds, positions in zip(cars, segment.speeds, segment.positions):
+            speeds.append(car.speed)
+            positions.append(car.position)
+        front = 0 if cars[0].position >= cars[1].position else 1
+        segment.gaps.append(simulator._lidar_gap(abs(cars[0].position - cars[1].position), config.lateral_offset))
+        simulator._advance(state, config)
+        segment.fronts.append(front)
+        segment.gaps_after.append(cars[front].position - cars[1 - front].position)
+        if same_lane and segment.gaps_after[-1] <= 0.0:
+            break
+    return segment
+
+
+def hexed(segment):
+    """A segment's columns with each float as float.hex, so -0.0 is not 0.0."""
+    floats = (segment.clocks, *segment.speeds, *segment.positions, segment.gaps_after, segment.gaps)
+    return [[x.hex() for x in column] for column in floats], segment.fronts, segment.error
+
+
+car_motions = st.tuples(
+    st.one_of(st.floats(0.0, 60.0, exclude_max=True), st.floats(0.0, 2.0)),  # small speeds stop mid-segment
+    st.floats(-5.0, 5.0),
+    st.floats(-1e3, 1e3),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    car_motions, car_motions, st.sampled_from((0.05, 0.1, 0.25)), st.integers(1, 300),
+    st.booleans(), st.sampled_from(((), ("car1",), ("car2",), ("car1", "car2"))),
+)
+@example((1.0, -2.0, 0.0), (30.0, 0.0, -50.0), 0.1, 256, False, ())  # car 1 stops at tick 5
+@example((0.0, -1.0, 0.0), (0.5, -5.0, 10.0), 0.25, 40, True, ())  # at rest from the start
+@example((20.0, 0.6, 40.0), (30.0, -4.0, 0.0), 0.05, 300, True, ("car2",))
+def test_segment_columns_are_the_per_tick_loops_floats(motion1, motion2, dt, ticks, same_lane, acc_on):
+    config = load("scenario1")
+    config = dataclasses.replace(config, time_step=dt, cars=tuple(
+        dataclasses.replace(c, speed=v, acceleration=a, position=p) for c, (v, a, p) in zip(config.cars, (motion1, motion2))
+    ))
+
+    def start():
+        state = simulator.SimState(cars=tuple(CarState(c.speed, c.position) for c in config.cars))
+        state.acc_set_speed.update((label, 35.0) for label in acc_on)
+        return state
+
+    moved, expected = start(), start()
+    segment = simulator._move_ahead(moved, config, ticks, same_lane)
+    assert hexed(segment) == hexed(per_tick_segment(expected, config, ticks, same_lane))
+    assert [(c.speed.hex(), c.position.hex()) for c in moved.cars] == [
+        (c.speed.hex(), c.position.hex()) for c in expected.cars
+    ]
+    assert moved.clock.hex() == expected.clock.hex()
+
+
+@pytest.mark.parametrize("disable_actions", [False, True])
+@pytest.mark.parametrize("field", ["position", "acceleration"])
+def test_run_overflows_to_the_per_tick_loops_gap_error_without_a_warning(field, disable_actions):
+    # Python floats reach inf silently, and so must the segment's numpy sums;
+    # the run goes ahead to the tick whose gap is no longer finite
+    config = with_car(load("scenario1"), 0, **{field: 1e308})
+    outcome, caught = assert_runs_alike(config, disable_actions)
+    assert outcome == (InvalidValue, "gap must be finite and nonnegative, got inf")
+    assert caught == []
+
+
+@pytest.mark.parametrize("same_lane", [False, True])
+def test_run_takes_one_lidar_round_trip_per_tick(same_lane):
+    # the benchmark counts sensing calls through these two simulator names;
+    # with a positive lateral offset every tick's hypotenuse is positive
+    config = load("scenario1")
+    config = simulator.force_same_lane(config) if same_lane else config
+    assert config.lateral_offset > 0.0
+    with mock.patch.object(simulator, "hypotenuse_from_tof", wraps=simulator.hypotenuse_from_tof) as tof, \
+            mock.patch.object(simulator, "longitudinal_distance", wraps=simulator.longitudinal_distance) as leg:
+        report = simulator.run(config, disable_actions=True)
+    assert report.crash is same_lane
+    assert tof.call_count == leg.call_count == len(report.timeline) > 0
