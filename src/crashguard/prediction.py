@@ -92,6 +92,12 @@ def check_gap(gap_d: float) -> None:
         raise InvalidValue(f"gap must be finite and nonnegative, got {gap_d!r}")
 
 
+def _check_time(t: float) -> None:
+    """Raise InvalidValue unless a prediction time (s) is finite and nonnegative."""
+    if not (math.isfinite(t) and t >= 0.0):
+        raise InvalidValue(f"time must be finite and nonnegative, got {t!r}")
+
+
 @dataclass(frozen=True)
 class EncounterInput:
     """Two modeled vehicles, their longitudinal gap, and which one leads."""
@@ -144,20 +150,23 @@ class CrashAssessment:
 _NON_CLOSING = CrashAssessment(t=None, speed_stable=None, pc=None, actions=())
 
 
-def _leave_probability(diagonal: list, speed: float) -> float:
+def _leave_probability(diagonal: Sequence[float], speed: float) -> float:
     """Probability of leaving ``speed``'s bin in one step of a speed chain
     whose diagonal is ``diagonal``."""
-    return 1.0 - diagonal[speed_bin_index(speed)]
+    return 1.0 - float(diagonal[speed_bin_index(speed)])
 
 
 def speed_change_probability(model: VehicleModel) -> float:
     """Probability of leaving the current speed bin in one chain step."""
-    return _leave_probability(model.speed_chain.entries.diagonal().tolist(), model.current_speed)
+    return _leave_probability(model.speed_chain.entries.diagonal(), model.current_speed)
 
 
-def _speeds_stable(diagonals: tuple[list, list], speed1: float, speed2: float, threshold: float) -> bool:
+def _speeds_stable(
+    diagonals: tuple[Sequence[float], Sequence[float]], speed1: float, speed2: float, threshold: float
+) -> bool:
     """Flow 1's gate: both cars' probabilities of leaving their speed bins,
-    car 1's read first, under ``threshold``."""
+    car 1's read first, under ``threshold``; ``diagonals`` are the diagonals
+    of the two speed chains."""
     return (
         _leave_probability(diagonals[0], speed1) < threshold
         and _leave_probability(diagonals[1], speed2) < threshold
@@ -178,7 +187,7 @@ def flow1_probable_time(encounter: EncounterInput) -> Flow1Result:
     t = probable_crash_time(encounter.gap_d, front.current_speed, trail.current_speed)
     car1, car2 = encounter.car1, encounter.car2
     stable = _speeds_stable(
-        (car1.speed_chain.entries.diagonal().tolist(), car2.speed_chain.entries.diagonal().tolist()),
+        (car1.speed_chain.entries.diagonal(), car2.speed_chain.entries.diagonal()),
         car1.current_speed,
         car2.current_speed,
         encounter.thresholds.speed_stability,
@@ -194,8 +203,7 @@ def flow2_crash_probabilities(car1: VehicleModel, car2: VehicleModel, t: float) 
     The result is NOT a distribution; each entry is a standalone joint
     probability.
     """
-    if not (math.isfinite(t) and t >= 0.0):
-        raise InvalidValue(f"time must be finite and nonnegative, got {t!r}")
+    _check_time(t)
     pi1, pi2 = (
         propagate(unit_vector(N_LANES, car.current_lane - 1), car.lane_chain, t / car.frame_interval)
         for car in (car1, car2)
@@ -317,16 +325,16 @@ def assess_many(
     the encounter of the two cars in their lanes at tick k's speeds,
     positions and gap, with ``thresholds``.
 
-    Flow 1 runs per tick on the floats.  Flow 2 propagates each (lane chain,
-    lane) pair through one :func:`markov.propagate_many` over every tick's
-    steps.  Flow 3 runs as the tick is yielded, on an ``EncounterInput``
-    built only for a stable tick with a lane over the crash threshold.  A
-    tick's error, and any fallback warning of its propagation, comes only
-    when the consumer reaches that tick: a consumer that stops early never
-    sees the errors or warnings of the ticks it skipped.
+    Flow 1, and flow 2's check of its time, run per tick on the floats.
+    Flow 2 then propagates each (lane chain, lane) pair through one
+    :func:`markov.propagate_many` over every tick's steps.  Flow 3 runs as
+    the tick is yielded, on an ``EncounterInput`` built only for a stable
+    tick with a lane over the crash threshold.  A tick's error, and any
+    fallback warning of its propagation, comes only when the consumer
+    reaches that tick: a consumer that stops early never sees the errors
+    or warnings of the ticks it skipped.
     """
-    car1, car2 = cars
-    diagonals = (car1.speed_chain.entries.diagonal().tolist(), car2.speed_chain.entries.diagonal().tolist())
+    diagonals = tuple(car.speed_chain.entries.diagonal().tolist() for car in cars)  # read once per segment
     keys = [(car.lane_chain, lane) for car, lane in zip(cars, lanes)]
     flows1 = []  # per tick: (t, speed_stable), None if non-closing, or its error
     steps = {key: [] for key in keys}  # (lane chain, lane) -> the steps of every propagation through it
@@ -335,6 +343,7 @@ def assess_many(
         try:
             t = probable_crash_time(gap, pair[front], pair[1 - front])
             stable = _speeds_stable(diagonals, speed1, speed2, thresholds.speed_stability)
+            _check_time(t)  # flow 2's check, before it reads a lane
         except NonClosingSpeeds:
             flows1.append(None)
             continue
@@ -342,9 +351,8 @@ def assess_many(
             flows1.append(exc)
             break
         flows1.append((t, stable))
-        if math.isfinite(t) and t >= 0.0:
-            for car, key in zip(cars, keys):
-                steps[key].append(t / car.frame_interval)
+        for car, key in zip(cars, keys):
+            steps[key].append(t / car.frame_interval)
     marginals = {key: _lane_marginals(*key, times) for key, times in steps.items()}
     marginals1, marginals2 = (marginals[key] for key in keys)
 
@@ -355,10 +363,7 @@ def assess_many(
         if isinstance(flow1, Exception):
             raise flow1
         t, stable = flow1
-        if math.isfinite(t) and t >= 0.0:
-            pc = next(marginals1).entries * next(marginals2).entries
-        else:
-            pc = flow2_crash_probabilities(car1, car2, t)  # raises
+        pc = next(marginals1).entries * next(marginals2).entries
         actions = ()
         if stable and (pc >= thresholds.crash).any():
             encounter = EncounterInput(
@@ -375,23 +380,24 @@ def assess_many(
 def assessment_to_dict(assessment: CrashAssessment) -> dict:
     """JSON-ready form: t, speed_stable, pc, actions, and diagnostics for
     the highest-probability flagged lane."""
-    actions = [
-        {"lane": a.lane, "action": a.action.value, "target": a.target}
-        for a in assessment.actions
-    ]
-    diagnostics = None
+    pc = assessment.pc
+    data = {
+        "t": assessment.t,
+        "speed_stable": assessment.speed_stable,
+        "pc": None if pc is None else pc.tolist(),
+        "actions": [],
+        "diagnostics": None,
+    }
     if assessment.actions:
-        top = max(assessment.actions, key=lambda a: assessment.pc[a.lane - 1])
-        diagnostics = {
+        data["actions"] = [
+            {"lane": a.lane, "action": a.action.value, "target": a.target}
+            for a in assessment.actions
+        ]
+        top = max(assessment.actions, key=lambda a: pc[a.lane - 1])
+        data["diagnostics"] = {
             "lane": top.lane,
             "m1_entry": top.m1_entry,
             "m2_entry": top.m2_entry,
             "branch": top.branch,
         }
-    return {
-        "t": assessment.t,
-        "speed_stable": assessment.speed_stable,
-        "pc": None if assessment.pc is None else [float(x) for x in assessment.pc],
-        "actions": actions,
-        "diagnostics": diagnostics,
-    }
+    return data

@@ -463,24 +463,6 @@ def _move_ahead(state: SimState, config: ScenarioConfig, ticks: int, same_lane: 
     return segment
 
 
-def _timeline_row(clock: float, gap: float, assessment: CrashAssessment) -> dict:
-    """A tick's timeline entry: its clock, its gap and the fields of
-    ``assessment_to_dict``."""
-    if assessment.actions:
-        return {"clock": clock, "gap": gap, **assessment_to_dict(assessment)}
-    # what assessment_to_dict gives an assessment without actions
-    pc = assessment.pc
-    return {
-        "clock": clock,
-        "gap": gap,
-        "t": assessment.t,
-        "speed_stable": assessment.speed_stable,
-        "pc": None if pc is None else pc.tolist(),
-        "actions": [],
-        "diagnostics": None,
-    }
-
-
 def run(config: ScenarioConfig, disable_actions: bool = False) -> SimReport:
     """Run the scenario until its duration or a crash, collecting a report.
 
@@ -517,7 +499,7 @@ def run(config: ScenarioConfig, disable_actions: bool = False) -> SimReport:
         for k, assessment in enumerate(assessments):
             ticks_left -= 1
             clock, gap_after = segment.clocks[k], segment.gaps_after[k]
-            timeline.append(_timeline_row(clock, segment.gaps[k], assessment))
+            timeline.append({"clock": clock, "gap": segment.gaps[k], **assessment_to_dict(assessment)})
             if predicted_crash_time is None and assessment.t is not None:
                 predicted_crash_time = clock + assessment.t
 

@@ -552,3 +552,9 @@ def test_assess_many_raises_an_encounters_error_only_when_it_is_reached():
     with pytest.raises(InvalidValue, match="time must be finite"):
         next(ticks)
     assert next(ticks, None) is None
+    # flow 2 checks the time before it reads a lane, car 1's first
+    model1, model2 = cars[0].with_state(7, 30.0, 0.0), cars[1].with_state(5, 30.0 + 2e-9, 0.0)
+    with pytest.raises(InvalidValue, match="time must be finite"):
+        prediction.assess(encounter(model1, model2, gap=1e307, front="car1"))
+    with pytest.raises(InvalidValue, match="time must be finite"):
+        next(many((7, 5), [barely_closing], gaps=[1e307]))
