@@ -6,13 +6,7 @@ Run from the repo root:  python3 demos/03_crash_prediction_flows.py
 
 import numpy as np
 
-from crashguard import (
-    EncounterInput,
-    assess,
-    flow1_probable_time,
-    flow2_crash_probabilities,
-    speed_change_probability,
-)
+from crashguard import EncounterInput, assess
 from crashguard.synthetic import banded_chain, make_model, with_rows
 
 np.set_printoptions(precision=4, suppress=True)
@@ -25,23 +19,17 @@ def describe(title, encounter):
         f"car2: lane {encounter.car2.current_lane} at {encounter.car2.current_speed} m/s | "
         f"gap {encounter.gap_d} m, {encounter.front_car} in front"
     )
-    print(
-        "speed change probabilities:",
-        round(speed_change_probability(encounter.car1), 3),
-        round(speed_change_probability(encounter.car2), 3),
-    )
     result = assess(encounter)
     if result.non_closing:
         print("not closing: no probable crash time, nothing to do\n")
         return
-    flow1 = flow1_probable_time(encounter)
-    print(f"flow 1: probable crash time t = {flow1.t:.3f} s, speed stable: {flow1.speed_stable}")
+    print(f"flow 1: probable crash time t = {result.t:.3f} s, speed stable: {result.speed_stable}")
     print(f"flow 2: per-lane joint probabilities {result.pc}")
     if result.actions:
         for action in result.actions:
             print(
                 f"flow 3: lane {action.lane} -> {action.action.value} for {action.target} "
-                f"(m1={action.m1_entry:.2f}s, m2={action.m2_entry:.2f}s vs t={flow1.t:.2f}s)"
+                f"(m1={action.m1_entry:.2f}s, m2={action.m2_entry:.2f}s vs t={result.t:.2f}s)"
             )
     else:
         print("flow 3: every lane under the crash threshold, no action")

@@ -40,10 +40,8 @@ from .prediction import (
     Thresholds,
     assess,
     assessment_to_dict,
-    flow1_probable_time,
     flow2_crash_probabilities,
     flow3_select_actions,
-    speed_change_probability,
 )
 from .sensing import (
     SPEED_OF_LIGHT,

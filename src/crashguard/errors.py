@@ -97,11 +97,6 @@ class GeometryViolation(CrashguardError):
     pass
 
 
-class NonClosingSpeeds(CrashguardError):
-    """Relative speed is not above the closing-speed floor; the encounter is
-    not closing."""
-
-
 # --- simulation ---
 
 class LeadBehindEgo(CrashguardError):

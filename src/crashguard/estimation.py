@@ -69,7 +69,10 @@ def require_field(data: dict, key: str, kind, where: str = ""):
         raise SchemaError(field_name, "missing required field")
     value = data[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise SchemaError(field_name, "must be finite, got an integer beyond float range") from None
     if not isinstance(value, kind) or isinstance(value, bool):
         raise SchemaError(field_name, f"expected {kind.__name__}")
     if kind is float and not math.isfinite(value):
@@ -485,6 +488,8 @@ def read_json(path):
             return json.load(handle)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise SchemaError("file", f"not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise SchemaError("file", "JSON nested too deeply to read") from None
 
 
 def load_model(path) -> VehicleModel:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidValue, NonClosingSpeeds, NotRegular
+from .errors import InvalidValue, NotRegular
 from .estimation import N_LANES, VehicleModel, speed_bin_index
 from .markov import (
     StochasticMatrix,
@@ -41,10 +41,7 @@ __all__ = [
     "Thresholds",
     "check_gap",
     "EncounterInput",
-    "Flow1Result",
     "CrashAssessment",
-    "speed_change_probability",
-    "flow1_probable_time",
     "flow2_crash_probabilities",
     "flow3_select_actions",
     "assess",
@@ -122,12 +119,6 @@ class EncounterInput:
 
 
 @dataclass(frozen=True)
-class Flow1Result:
-    t: float  # s
-    speed_stable: bool
-
-
-@dataclass(frozen=True)
 class CrashAssessment:
     """Outcome of the composed flows.
 
@@ -150,49 +141,36 @@ class CrashAssessment:
 _NON_CLOSING = CrashAssessment(t=None, speed_stable=None, pc=None, actions=())
 
 
-def _leave_probability(diagonal: Sequence[float], speed: float) -> float:
-    """Probability of leaving ``speed``'s bin in one step of a speed chain
-    whose diagonal is ``diagonal``."""
-    return 1.0 - float(diagonal[speed_bin_index(speed)])
+def _flow1(
+    diagonals: tuple[Sequence[float], Sequence[float]],
+    gap: float,
+    speeds: tuple[float, float],
+    front: int,
+    threshold: float,
+) -> tuple[float, bool] | None:
+    """Flow 1: the probable crash time (s) and the speed gate, or None when
+    the encounter is not closing (the flow-chart "GOTO START").
 
-
-def speed_change_probability(model: VehicleModel) -> float:
-    """Probability of leaving the current speed bin in one chain step."""
-    return _leave_probability(model.speed_chain.entries.diagonal(), model.current_speed)
-
-
-def _speeds_stable(
-    diagonals: tuple[Sequence[float], Sequence[float]], speed1: float, speed2: float, threshold: float
-) -> bool:
-    """Flow 1's gate: both cars' probabilities of leaving their speed bins,
-    car 1's read first, under ``threshold``; ``diagonals`` are the diagonals
-    of the two speed chains."""
-    return (
-        _leave_probability(diagonals[0], speed1) < threshold
-        and _leave_probability(diagonals[1], speed2) < threshold
-    )
-
-
-def flow1_probable_time(encounter: EncounterInput) -> Flow1Result:
-    """Probable crash time from the gap and the closing speed.
-
-    The closing speed is trailing minus leading.  Raises NonClosingSpeeds
-    when it is not above ``sensing.CLOSING_SPEED_FLOOR`` (the flow-chart
-    "GOTO START").  Speed stability requires both cars' change probability
-    to be under the threshold; an unstable result is returned flagged
-    rather than looped, the simulator owns the resampling.
+    The closing speed is trailing minus leading, ``front`` the index of the
+    leading car.  The gate is stable when each car's probability of leaving
+    its speed bin in one step, one minus the diagonal entry of its speed
+    chain, is under ``threshold``.  Car 1 is read first, so an unstable
+    car 1 never reads car 2's speed.  An unstable result is returned
+    flagged rather than looped: the simulator owns the resampling.
     """
-    front = encounter.model(encounter.front_car)
-    trail = encounter.model(encounter.trailing_car)
-    t = probable_crash_time(encounter.gap_d, front.current_speed, trail.current_speed)
-    car1, car2 = encounter.car1, encounter.car2
-    stable = _speeds_stable(
-        (car1.speed_chain.entries.diagonal(), car2.speed_chain.entries.diagonal()),
-        car1.current_speed,
-        car2.current_speed,
-        encounter.thresholds.speed_stability,
-    )
-    return Flow1Result(t=t, speed_stable=stable)
+    t = probable_crash_time(gap, speeds[front], speeds[1 - front])
+    if t is None:
+        return None
+    for diagonal, speed in zip(diagonals, speeds):
+        if not 1.0 - diagonal[speed_bin_index(speed)] < threshold:
+            return t, False
+    return t, True
+
+
+def _reaches_flow3(stable: bool | None, pc: np.ndarray, crash: float) -> bool:
+    """Flow 3's gate: speeds not found unstable, and some lane's joint
+    probability at or over the crash threshold."""
+    return stable is not False and bool((pc >= crash).any())
 
 
 def flow2_crash_probabilities(car1: VehicleModel, car2: VehicleModel, t: float) -> np.ndarray:
@@ -286,16 +264,23 @@ def assess(encounter: EncounterInput, horizon: float | None = None) -> CrashAsse
     A given ``horizon`` (s) replaces flow 1: flows 2 and 3 run at that t,
     whatever the speeds, and ``speed_stable`` is None.
     """
+    car1, car2 = encounter.car1, encounter.car2
     if horizon is None:
-        try:
-            flow1 = flow1_probable_time(encounter)
-        except NonClosingSpeeds:
+        flow1 = _flow1(
+            (car1.speed_chain.entries.diagonal(), car2.speed_chain.entries.diagonal()),
+            encounter.gap_d,
+            (car1.current_speed, car2.current_speed),
+            CAR_LABELS.index(encounter.front_car),
+            encounter.thresholds.speed_stability,
+        )
+        if flow1 is None:
             return _NON_CLOSING
-        t, stable = flow1.t, flow1.speed_stable
+        t, stable = flow1
     else:
         t, stable = horizon, None
-    pc = flow2_crash_probabilities(encounter.car1, encounter.car2, t)
-    actions = () if stable is False else flow3_select_actions(encounter, pc, t)
+    pc = flow2_crash_probabilities(car1, car2, t)
+    reached = _reaches_flow3(stable, pc, encounter.thresholds.crash)
+    actions = flow3_select_actions(encounter, pc, t) if reached else ()
     return CrashAssessment(t=t, speed_stable=stable, pc=pc, actions=actions)
 
 
@@ -338,21 +323,18 @@ def assess_many(
     keys = [(car.lane_chain, lane) for car, lane in zip(cars, lanes)]
     flows1 = []  # per tick: (t, speed_stable), None if non-closing, or its error
     steps = {key: [] for key in keys}  # (lane chain, lane) -> the steps of every propagation through it
-    for gap, front, speed1, speed2 in zip(gaps, fronts, *speeds):
-        pair = (speed1, speed2)
+    for gap, front, pair in zip(gaps, fronts, zip(*speeds)):
         try:
-            t = probable_crash_time(gap, pair[front], pair[1 - front])
-            stable = _speeds_stable(diagonals, speed1, speed2, thresholds.speed_stability)
-            _check_time(t)  # flow 2's check, before it reads a lane
-        except NonClosingSpeeds:
-            flows1.append(None)
-            continue
+            flow1 = _flow1(diagonals, gap, pair, front, thresholds.speed_stability)
+            if flow1 is not None:
+                _check_time(flow1[0])  # flow 2's check, before it reads a lane
         except Exception as exc:  # raised when reached; no later tick is
             flows1.append(exc)
             break
-        flows1.append((t, stable))
-        for car, key in zip(cars, keys):
-            steps[key].append(t / car.frame_interval)
+        flows1.append(flow1)
+        if flow1 is not None:
+            for car, key in zip(cars, keys):
+                steps[key].append(flow1[0] / car.frame_interval)
     marginals = {key: _lane_marginals(*key, times) for key, times in steps.items()}
     marginals1, marginals2 = (marginals[key] for key in keys)
 
@@ -365,7 +347,7 @@ def assess_many(
         t, stable = flow1
         pc = next(marginals1).entries * next(marginals2).entries
         actions = ()
-        if stable and (pc >= thresholds.crash).any():
+        if _reaches_flow3(stable, pc, thresholds.crash):
             encounter = EncounterInput(
                 *(car.with_state(lane, speed[k], position[k])
                   for car, lane, speed, position in zip(cars, lanes, speeds, positions)),

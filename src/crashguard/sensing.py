@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import GeometryViolation, NonClosingSpeeds, NonPositiveTime
+from .errors import GeometryViolation, NonPositiveTime
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -41,14 +41,12 @@ def longitudinal_distance(hyp: float, lateral_offset: float) -> float:
     return math.sqrt(hyp * hyp - lateral_offset * lateral_offset)
 
 
-def probable_crash_time(d: float, v1: float, v2: float) -> float:
+def probable_crash_time(d: float, v1: float, v2: float) -> float | None:
     """Closing time d / (v2 - v1); v2 is the trailing (faster) car's speed.
 
-    Raises NonClosingSpeeds when the relative speed is at or below
-    CLOSING_SPEED_FLOOR, rounding noise included, which signals the caller
-    to restart its sensing loop.
+    None when the relative speed is at or below CLOSING_SPEED_FLOOR,
+    rounding noise included: the encounter is not closing, and the caller
+    restarts its sensing loop.
     """
     closing = v2 - v1
-    if closing <= CLOSING_SPEED_FLOOR:
-        raise NonClosingSpeeds(f"relative speed {closing!r} is not above {CLOSING_SPEED_FLOOR!r} m/s")
-    return d / closing
+    return None if closing <= CLOSING_SPEED_FLOOR else d / closing

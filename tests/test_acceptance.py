@@ -128,7 +128,7 @@ def test_criterion_6_flow2_products_and_scenario_shapes():
     # scenario 1 at its probable crash time t = 4: the marginals have a
     # fully independent integer-power oracle, compared at 1e-12
     enc1 = scenario_encounter("scenario1")
-    t1 = prediction.flow1_probable_time(enc1).t
+    t1 = prediction.assess(enc1).t
     assert t1 == 4.0
     pc1 = prediction.flow2_crash_probabilities(enc1.car1, enc1.car2, t1)
     pi1 = np.linalg.matrix_power(enc1.car1.lane_chain.entries, 4)[enc1.car1.current_lane - 1]
@@ -141,7 +141,7 @@ def test_criterion_6_flow2_products_and_scenario_shapes():
     # marginals themselves against scipy's independent Schur-based
     # fractional power at float64 cross-algorithm agreement
     enc3 = scenario_encounter("scenario3")
-    t3 = prediction.flow1_probable_time(enc3).t
+    t3 = prediction.assess(enc3).t
     pc3 = prediction.flow2_crash_probabilities(enc3.car1, enc3.car2, t3)
     own1 = markov.propagate(
         markov.unit_vector(6, enc3.car1.current_lane - 1), enc3.car1.lane_chain, t3

@@ -230,6 +230,8 @@ def _bad_model_files():
         "chain_of_strings": edited(("lane_chain",), [[str(float(i == j)) for j in range(6)] for i in range(6)]),
         "ragged_chain": edited(("speed_chain",), [[1.0]] + [[0.0] * 6] * 5),
         "frame_interval_string": edited(("frame_interval_s",), "1"),
+        "pos_beyond_float_range": edited(("current", "pos_m"), 10 ** 400),
+        "nested_too_deeply": "[" * 100_000,
         "top_level_list": "[]",
         "invalid_json": "{\"lane_chain\": ",
     }
@@ -246,11 +248,10 @@ def test_bad_model_file_exits_2_from_assess_and_simulate(tmp_path, capsys, name)
     bad = tmp_path / "bad.json"
     bad.write_bytes(BAD_MODELS[name])
     good = write_model(tmp_path / "good.json", synthetic.banded_chain(), lane=6, speed=40.0)
-    code = cli.main(["assess", "--model1", good, "--model2", str(bad),
-                     "--gap", "40", "--front", "car1"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and "Traceback" not in err
+    for models in ((good, str(bad)), (str(bad), good)):
+        code = cli.main(["assess", "--model1", models[0], "--model2", models[1], "--gap", "40", "--front", "car1"])
+        assert code == 2
+        assert_one_error_line(capsys)
 
     scenario = json.loads((DATA / "scenario1.json").read_text())
     del scenario["cars"][1]["model"]
@@ -261,7 +262,7 @@ def test_bad_model_file_exits_2_from_assess_and_simulate(tmp_path, capsys, name)
     code = cli.main(["simulate", "--scenario", str(scenario_path), "--report-path", str(report)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: cars[1].model: ")
+    assert err.startswith("error: cars[1].model: ") and err.count("\n") == 1
     assert not report.exists()
 
 
@@ -424,6 +425,8 @@ def test_simulate_time_step_flag(tmp_path):
     ({"acc_params": {"time_gap": 0}}, []),
     ({"thresholds": {"crash": True}}, []),
     ({"thresholds": {"crash": "0.3"}}, []),
+    ({"duration": 10 ** 400}, []),  # a JSON integer beyond float range
+    ({"thresholds": {"crash": 10 ** 400}}, []),
     ({}, ["--time-step", "nan"]),
     ({}, ["--time-step", "inf"]),
     ({}, ["--time-step", "1000"]),  # longer than the 20 s run
@@ -435,6 +438,13 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, edit, flags):
     scenario.write_text(json.dumps(data))  # NaN and Infinity are written bare
     code = cli.main(["simulate", "--scenario", str(scenario), *flags])
     assert code == 2
+    assert_one_error_line(capsys)
+
+
+def test_simulate_rejects_deeply_nested_json(tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    scenario.write_text("[" * 100_000)
+    assert cli.main(["simulate", "--scenario", str(scenario)]) == 2
     assert_one_error_line(capsys)
 
 

@@ -10,7 +10,7 @@ import pytest
 import oracles
 from conftest import scenario1_lane_chains
 from crashguard import cli, prediction, simulator
-from crashguard.errors import DimensionMismatch, InvalidValue, NonClosingSpeeds, NotRegular, SpeedOutOfRange
+from crashguard.errors import DimensionMismatch, InvalidValue, NotRegular, SpeedOutOfRange
 from crashguard.markov import validate_stochastic
 from crashguard.prediction import EncounterInput, SafetyAction, Thresholds
 from crashguard.synthetic import banded_chain, make_model, with_rows
@@ -31,22 +31,40 @@ def pinned_passage_chain(exit_prob, from_lane, to_lane):
     return validate_stochastic(P)
 
 
-# --- speed change probability ---
+# --- flow 1's speed gate ---
+
+def gate_verdicts(speed_chain, speed, thresholds):
+    """assess's speed gate, at each of ``thresholds``, for a car at ``speed``
+    on ``speed_chain``, seated as car 1 and as car 2 in turn; the other car
+    is 10 m/s faster behind it, on an identity speed chain that never
+    leaves its bin."""
+    tested = make_model(banded_chain(), speed_chain=speed_chain, lane=6, speed=speed)
+    other = make_model(banded_chain(), speed_chain=validate_stochastic(np.eye(6)), lane=5, speed=speed + 10.0)
+    return [
+        (prediction.assess(encounter(tested, other, front="car1", speed_stability=threshold)).speed_stable,
+         prediction.assess(encounter(other, tested, front="car2", speed_stability=threshold)).speed_stable)
+        for threshold in thresholds
+    ]
+
 
 def test_speed_change_identity_chain(identity_chain):
-    model = make_model(banded_chain(), speed_chain=identity_chain, speed=25.0)
-    assert prediction.speed_change_probability(model) == 0.0
+    # a leave probability of exactly 0 is under the smallest threshold
+    assert gate_verdicts(identity_chain, 25.0, [np.nextafter(0.0, 1.0)]) == [(True, True)]
 
 
 def test_speed_change_complement():
     speed = with_rows(banded_chain(self_loop=0.9), {4: [0, 0, 0.3, 0.4, 0.3, 0]})
-    model = make_model(banded_chain(), speed_chain=speed, speed=35.0)  # bin d = row 4
-    assert prediction.speed_change_probability(model) == pytest.approx(0.6)
+    # bin d = row 4 leaves with probability 0.6
+    assert gate_verdicts(speed, 35.0, [0.6 - 1e-9, 0.6 + 1e-9]) == [(False, False), (True, True)]
 
 
 def test_speed_change_uniform_rows(uniform_chain):
-    model = make_model(banded_chain(), speed_chain=uniform_chain, speed=12.0)
-    assert prediction.speed_change_probability(model) == pytest.approx(5.0 / 6.0)
+    assert gate_verdicts(uniform_chain, 12.0, [5 / 6 - 1e-9, 5 / 6 + 1e-9]) == [(False, False), (True, True)]
+
+
+def test_speed_gate_needs_a_leave_probability_under_the_threshold():
+    # 1 - 0.5 is exactly 0.5: a probability equal to the threshold is not under it
+    assert gate_verdicts(banded_chain(self_loop=0.5), 35.0, [0.5]) == [(False, False)]
 
 
 # --- flow 1 ---
@@ -54,34 +72,34 @@ def test_speed_change_uniform_rows(uniform_chain):
 def test_flow1_scenario1_time(identity_chain):
     car1 = make_model(banded_chain(), speed_chain=identity_chain, lane=6, speed=30.0)
     car2 = make_model(banded_chain(), speed_chain=identity_chain, lane=5, speed=40.0)
-    result = prediction.flow1_probable_time(encounter(car1, car2, gap=40.0, front="car1"))
+    result = prediction.assess(encounter(car1, car2, gap=40.0, front="car1"))
     assert result.t == 4.0
-    assert result.speed_stable  # change probability 0 < 0.5
+    assert result.speed_stable is True  # change probability 0 < 0.5
 
 
 def test_flow1_equal_speeds_not_closing():
     car1 = make_model(banded_chain(), lane=6, speed=30.0)
     car2 = make_model(banded_chain(), lane=5, speed=30.0)
-    with pytest.raises(NonClosingSpeeds):
-        prediction.flow1_probable_time(encounter(car1, car2))
+    assert prediction.assess(encounter(car1, car2)) is prediction._NON_CLOSING
 
 
 def test_flow1_uses_trailing_minus_leading():
     # scenario-2 geometry: car1 trails at 50, car2 leads at 40 -> closing
     car1 = make_model(banded_chain(), lane=6, speed=50.0)
     car2 = make_model(banded_chain(), lane=5, speed=40.0)
-    result = prediction.flow1_probable_time(encounter(car1, car2, gap=12.0, front="car2"))
+    result = prediction.assess(encounter(car1, car2, gap=12.0, front="car2"))
     assert result.t == 1.2
     # and the mirrored labeling gives the same time
-    mirrored = prediction.flow1_probable_time(encounter(car2, car1, gap=12.0, front="car1"))
+    mirrored = prediction.assess(encounter(car2, car1, gap=12.0, front="car1"))
     assert mirrored.t == 1.2
 
 
 def test_flow1_unstable_when_speeds_volatile(uniform_chain):
     car1 = make_model(banded_chain(), speed_chain=uniform_chain, lane=6, speed=30.0)
     car2 = make_model(banded_chain(), speed_chain=uniform_chain, lane=5, speed=40.0)
-    result = prediction.flow1_probable_time(encounter(car1, car2))
-    assert not result.speed_stable
+    result = prediction.assess(encounter(car1, car2))
+    assert result.speed_stable is False
+    assert result.actions == ()
 
 
 # --- flow 2 ---
@@ -156,10 +174,10 @@ def test_flow2_propagates_t_over_frame_interval_steps():
                                         "whatever the frame interval")
 def test_flow1_speed_gate_reads_the_same_process_alike_at_any_frame_interval():
     # speed chain Q stepped every 0.5 s is the same process as Q.Q stepped
-    # every 1 s; today the gate reads 0.4 (stable) on the first and 0.56
-    # (unstable) on the second
+    # every 1 s; today the gate reads a leave probability of 0.4 on the
+    # first and 0.56 on the second, so thresholds between them disagree
     Q = banded_chain(self_loop=0.6)
-    probabilities, verdicts = [], []
+    verdicts = []
     for speed_chain, frame_interval in ((Q, 0.5), (validate_stochastic(Q.entries @ Q.entries), 1.0)):
         # leader at 30 m/s, trailer at 35 m/s: both in the interior bin d
         lead, trail = (
@@ -167,9 +185,10 @@ def test_flow1_speed_gate_reads_the_same_process_alike_at_any_frame_interval():
                        frame_interval=frame_interval)
             for lane, speed in ((6, 30.0), (5, 35.0))
         )
-        probabilities.append(prediction.speed_change_probability(lead))
-        verdicts.append(prediction.flow1_probable_time(encounter(lead, trail, gap=40.0)).speed_stable)
-    assert abs(probabilities[0] - probabilities[1]) <= 1e-12
+        verdicts.append([
+            prediction.assess(encounter(lead, trail, gap=40.0, speed_stability=threshold)).speed_stable
+            for threshold in (0.3, 0.45, 0.5, 0.55, 0.6, 0.7)
+        ])
     assert verdicts[0] == verdicts[1]
 
 
