@@ -143,19 +143,6 @@ class VehicleModel:
     def __post_init__(self):
         require_positive("frame_interval", self.frame_interval)
 
-    def with_state(self, lane: int, speed: float, position: float) -> "VehicleModel":
-        """A shallow copy with the three state fields set.
-
-        It shares this model's chain objects, whose analyses are memoised
-        per object, and skips ``__post_init__``: the frame interval it
-        checks is this model's, already checked.
-        """
-        moved = object.__new__(type(self))
-        moved.__dict__.update(
-            self.__dict__, current_lane=lane, current_speed=speed, current_position=position
-        )
-        return moved
-
 
 def speed_bin_index(v: float) -> int:
     """0-based speed-bin index for v in [0, 60); boundaries go to the upper bin."""
@@ -461,6 +448,7 @@ def model_from_dict(data: dict) -> VehicleModel:
     frame_interval = DEFAULT_FRAME_INTERVAL
     if "frame_interval_s" in data:
         frame_interval = require_field(data, "frame_interval_s", float)
+        require_positive("frame_interval_s", frame_interval)
     lane_chain = validate_stochastic(_matrix(data, "lane_chain"), MODEL_FILE_TOLERANCE)
     speed_chain = validate_stochastic(_matrix(data, "speed_chain"), MODEL_FILE_TOLERANCE)
     observation = _matrix(data, "observation")

@@ -110,13 +110,6 @@ class EncounterInput:
         if self.front_car not in CAR_LABELS:
             raise InvalidValue(f"front_car must be one of {CAR_LABELS}, got {self.front_car!r}")
 
-    @property
-    def trailing_car(self) -> str:
-        return "car2" if self.front_car == "car1" else "car1"
-
-    def model(self, label: str) -> VehicleModel:
-        return self.car1 if label == "car1" else self.car2
-
 
 @dataclass(frozen=True)
 class CrashAssessment:
@@ -214,11 +207,17 @@ def _passage_steps(model: VehicleModel, label: str) -> np.ndarray:
     return steps
 
 
-def flow3_select_actions(
-    encounter: EncounterInput, pc: np.ndarray, t: float
+def _flow3(
+    cars: tuple[VehicleModel, VehicleModel],
+    lanes: tuple[int, int],
+    front: int,
+    crash: float,
+    pc: np.ndarray,
+    t: float,
 ) -> tuple[LaneAction, ...]:
-    """Select a safety action for every lane whose joint probability is over
-    the crash threshold.
+    """Flow 3 for two cars with the chains and frame intervals of ``cars``
+    in ``lanes``, ``front`` the index of the leading car; the cars' state
+    fields are not read.
 
     A mean-first-passage entry (in seconds) above t means the car is not
     expected to reach the flagged lane before the crash time: a rear-end
@@ -227,32 +226,37 @@ def flow3_select_actions(
     goes on for both cars.  A car's own lane reads 0 for any chain, so
     both cars already in the flagged lane always means steering.
     """
-    pc = np.asarray(pc, dtype=float)
-    flagged = [k for k in range(N_LANES) if pc[k] >= encounter.thresholds.crash]
-
-    def entry(label: str, lane: int) -> float:
-        model = encounter.model(label)
-        if lane == model.current_lane:
-            return 0.0
-        steps = _passage_steps(model, label)
-        return float(steps[model.current_lane - 1, lane - 1] * model.frame_interval)
-
+    flagged = [k for k in range(N_LANES) if pc[k] >= crash]
     actions = []
     for k in flagged:
         lane = k + 1
-        m1, m2 = entry("car1", lane), entry("car2", lane)
+        m1, m2 = (
+            0.0 if lane == own else float(_passage_steps(car, label)[own - 1, k] * car.frame_interval)
+            for car, own, label in zip(cars, lanes, CAR_LABELS)
+        )
         acc = m1 > t or m2 > t
         actions.append(
             LaneAction(
                 lane=lane,
                 action=SafetyAction.ACC_ON if acc else SafetyAction.LANE_DEPARTURE_AND_STEERING,
-                target=encounter.trailing_car if acc else "both",
+                target=CAR_LABELS[1 - front] if acc else "both",
                 m1_entry=m1,
                 m2_entry=m2,
                 branch=("m1" if m1 > t else "m2") if acc else "else",
             )
         )
     return tuple(actions)
+
+
+def flow3_select_actions(
+    encounter: EncounterInput, pc: np.ndarray, t: float
+) -> tuple[LaneAction, ...]:
+    """Select a safety action for every lane whose joint probability is over
+    the crash threshold: :func:`_flow3` on the encounter's cars in their
+    current lanes."""
+    car1, car2 = encounter.car1, encounter.car2
+    return _flow3((car1, car2), (car1.current_lane, car2.current_lane), CAR_LABELS.index(encounter.front_car),
+                  encounter.thresholds.crash, np.asarray(pc, dtype=float), t)
 
 
 def assess(encounter: EncounterInput, horizon: float | None = None) -> CrashAssessment:
@@ -265,12 +269,13 @@ def assess(encounter: EncounterInput, horizon: float | None = None) -> CrashAsse
     whatever the speeds, and ``speed_stable`` is None.
     """
     car1, car2 = encounter.car1, encounter.car2
+    front, crash = CAR_LABELS.index(encounter.front_car), encounter.thresholds.crash
     if horizon is None:
         flow1 = _flow1(
             (car1.speed_chain.entries.diagonal(), car2.speed_chain.entries.diagonal()),
             encounter.gap_d,
             (car1.current_speed, car2.current_speed),
-            CAR_LABELS.index(encounter.front_car),
+            front,
             encounter.thresholds.speed_stability,
         )
         if flow1 is None:
@@ -279,8 +284,9 @@ def assess(encounter: EncounterInput, horizon: float | None = None) -> CrashAsse
     else:
         t, stable = horizon, None
     pc = flow2_crash_probabilities(car1, car2, t)
-    reached = _reaches_flow3(stable, pc, encounter.thresholds.crash)
-    actions = flow3_select_actions(encounter, pc, t) if reached else ()
+    actions = ()
+    if _reaches_flow3(stable, pc, crash):
+        actions = _flow3((car1, car2), (car1.current_lane, car2.current_lane), front, crash, pc, t)
     return CrashAssessment(t=t, speed_stable=stable, pc=pc, actions=actions)
 
 
@@ -294,7 +300,6 @@ def assess_many(
     cars: tuple[VehicleModel, VehicleModel],
     lanes: tuple[int, int],
     speeds: tuple[Sequence[float], Sequence[float]],
-    positions: tuple[Sequence[float], Sequence[float]],
     gaps: Sequence[float],
     fronts: Sequence[int],
     thresholds: Thresholds,
@@ -302,22 +307,22 @@ def assess_many(
     """Yield the assessment of each tick of a segment, in order, with flow 2
     batched.
 
-    The columns hold one entry per tick: ``speeds[i]`` and ``positions[i]``
-    are car i's, ``gaps`` the gaps, already through :func:`check_gap`, and
-    ``fronts`` the index of the leading car.  Over the segment the cars keep
-    the lanes ``lanes`` and the chains and frame intervals of ``cars``, whose
-    state fields are not read.  Tick k gets the bytes that ``assess`` gives
-    the encounter of the two cars in their lanes at tick k's speeds,
-    positions and gap, with ``thresholds``.
+    The columns hold one entry per tick: ``speeds[i]`` is car i's speeds,
+    ``gaps`` the gaps, already through :func:`check_gap`, and ``fronts`` the
+    index of the leading car.  Over the segment the cars keep the lanes
+    ``lanes`` and the chains and frame intervals of ``cars``, whose state
+    fields are not read.  Tick k gets the bytes that ``assess`` gives the
+    encounter of the two cars in their lanes at tick k's speeds and gap,
+    with ``thresholds``.
 
     Flow 1, and flow 2's check of its time, run per tick on the floats.
     Flow 2 then propagates each (lane chain, lane) pair through one
     :func:`markov.propagate_many` over every tick's steps.  Flow 3 runs as
-    the tick is yielded, on an ``EncounterInput`` built only for a stable
-    tick with a lane over the crash threshold.  A tick's error, and any
-    fallback warning of its propagation, comes only when the consumer
-    reaches that tick: a consumer that stops early never sees the errors
-    or warnings of the ticks it skipped.
+    the tick is yielded, only for a stable tick with a lane over the crash
+    threshold.  A tick's error, and any fallback warning of its
+    propagation, comes only when the consumer reaches that tick: a consumer
+    that stops early never sees the errors or warnings of the ticks it
+    skipped.
     """
     diagonals = tuple(car.speed_chain.entries.diagonal().tolist() for car in cars)  # read once per segment
     keys = [(car.lane_chain, lane) for car, lane in zip(cars, lanes)]
@@ -348,14 +353,7 @@ def assess_many(
         pc = next(marginals1).entries * next(marginals2).entries
         actions = ()
         if _reaches_flow3(stable, pc, thresholds.crash):
-            encounter = EncounterInput(
-                *(car.with_state(lane, speed[k], position[k])
-                  for car, lane, speed, position in zip(cars, lanes, speeds, positions)),
-                gaps[k],
-                CAR_LABELS[fronts[k]],
-                thresholds,
-            )
-            actions = flow3_select_actions(encounter, pc, t)
+            actions = _flow3(cars, lanes, fronts[k], thresholds.crash, pc, t)
         yield CrashAssessment(t=t, speed_stable=stable, pc=pc, actions=actions)
 
 

@@ -328,12 +328,12 @@ def step(
     Returns the leading car's index, the measured gap and the assessment,
     all taken before the cars move.
     """
-    (cfg1, cfg2), (car1, car2) = config.cars, state.cars
+    car1, car2 = state.cars
     front = _front_index(state.cars)
     gap = _lidar_gap(abs(car1.position - car2.position), config.lateral_offset)
     encounter = EncounterInput(
-        cfg1.model.with_state(cfg1.lane, car1.speed, car1.position),
-        cfg2.model.with_state(cfg2.lane, car2.speed, car2.position),
+        *(replace(cfg.model, current_lane=cfg.lane, current_speed=car.speed, current_position=car.position)
+          for cfg, car in zip(config.cars, state.cars)),
         gap,
         CAR_LABELS[front],
         config.thresholds,
@@ -493,9 +493,7 @@ def run(config: ScenarioConfig, disable_actions: bool = False) -> SimReport:
 
     while ticks_left and crash_time is None:
         segment = _move_ahead(state, config, min(ticks_left, SEGMENT_TICKS), same_lane)
-        assessments = assess_many(
-            models, lanes, segment.speeds, segment.positions, segment.gaps, segment.fronts, config.thresholds
-        )
+        assessments = assess_many(models, lanes, segment.speeds, segment.gaps, segment.fronts, config.thresholds)
         for k, assessment in enumerate(assessments):
             ticks_left -= 1
             clock, gap_after = segment.clocks[k], segment.gaps_after[k]

@@ -8,6 +8,7 @@ fails its test.
 import importlib.resources
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def bundled_chains():
 def scenario_encounter(name):
     config = simulator.load_scenario(str(DATA / f"{name}.json"))
     cars = [
-        car.model.with_state(car.lane, car.speed, car.position)
+        replace(car.model, current_lane=car.lane, current_speed=car.speed, current_position=car.position)
         for car in config.cars
     ]
     front = "car1" if config.cars[0].position >= config.cars[1].position else "car2"

@@ -463,11 +463,10 @@ def assessed(call):
     return outcome, [(w.category, str(w.message)) for w in caught]
 
 
-def segment_encounter(cars, lanes, speeds, positions, gaps, fronts, thresholds, k):
+def segment_encounter(cars, lanes, speeds, gaps, fronts, thresholds, k):
     """The EncounterInput of tick k of assess_many's columns."""
     return EncounterInput(
-        *(car.with_state(lane, speed[k], position[k])
-          for car, lane, speed, position in zip(cars, lanes, speeds, positions)),
+        *(replace(car, current_lane=lane, current_speed=speed[k]) for car, lane, speed in zip(cars, lanes, speeds)),
         gaps[k],
         prediction.CAR_LABELS[fronts[k]],
         thresholds,
@@ -496,16 +495,14 @@ def test_assess_many_gives_assess_for_each_encounter():
         speeds = tuple(
             [60.0 if rng.random() < 0.02 else float(rng.uniform(0, 59.9)) for _ in range(ticks)] for _ in cars
         )
-        positions = tuple(rng.uniform(-100, 100, ticks).tolist() for _ in cars)
         gaps = rng.uniform(0, 300, ticks).tolist()
         fronts = rng.integers(0, 2, ticks).tolist()
         thresholds = Thresholds(float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.01, 0.9)))
-        columns = (speeds, positions, gaps, fronts)
+        columns = (speeds, gaps, fronts)
 
         def ticks_from(start):
             return prediction.assess_many(
-                cars, lanes, tuple(c[start:] for c in speeds), tuple(c[start:] for c in positions),
-                gaps[start:], fronts[start:], thresholds,
+                cars, lanes, tuple(c[start:] for c in speeds), gaps[start:], fronts[start:], thresholds
             )
 
         many = ticks_from(0)
@@ -523,16 +520,14 @@ def test_assess_many_gives_assess_for_each_encounter():
 def test_assess_many_raises_an_encounters_error_only_when_it_is_reached():
     cars = (make_model(banded_chain(), lane=6, speed=30.0), make_model(banded_chain(), lane=5, speed=40.0))
 
-    def many(lanes, ticks, thresholds=Thresholds(), gaps=None):
+    def many(lanes, ticks, thresholds=Thresholds(), gaps=None, models=cars):
         """assess_many over ticks of (car 1's speed, car 2's speed, leading
         car's index), 40 m apart unless ``gaps`` says otherwise."""
         speed1, speed2, fronts = (list(column) for column in zip(*ticks))
-        zeros = [0.0] * len(ticks)
-        return prediction.assess_many(cars, lanes, (speed1, speed2), (zeros, zeros), gaps or [40.0] * len(ticks),
-                                      fronts, thresholds)
+        return prediction.assess_many(models, lanes, (speed1, speed2), gaps or [40.0] * len(ticks), fronts, thresholds)
 
     def assess(lane2, speed2, front, gap=40.0, **thresholds):
-        model2 = cars[1].with_state(lane2, speed2, 0.0)
+        model2 = replace(cars[1], current_lane=lane2, current_speed=speed2)
         return prediction.assess(encounter(cars[0], model2, gap=gap, front=front, **thresholds))
 
     closing, too_fast, non_closing_too_fast = (30.0, 40.0, 0), (30.0, 60.0, 0), (30.0, 60.0, 1)
@@ -572,8 +567,28 @@ def test_assess_many_raises_an_encounters_error_only_when_it_is_reached():
         next(ticks)
     assert next(ticks, None) is None
     # flow 2 checks the time before it reads a lane, car 1's first
-    model1, model2 = cars[0].with_state(7, 30.0, 0.0), cars[1].with_state(5, 30.0 + 2e-9, 0.0)
+    model1, model2 = replace(cars[0], current_lane=7), replace(cars[1], current_speed=30.0 + 2e-9)
     with pytest.raises(InvalidValue, match="time must be finite"):
         prediction.assess(encounter(model1, model2, gap=1e307, front="car1"))
     with pytest.raises(InvalidValue, match="time must be finite"):
         next(many((7, 5), [barely_closing], gaps=[1e307]))
+
+    # flow 3's error: car 2's lane 1 absorbs, so its chain has no passage
+    # matrix, which a tick needs only once it flags a lane car 2 is not in
+    absorbing = (make_model(banded_chain(), lane=2),
+                 make_model(with_rows(banded_chain(), {1: [1, 0, 0, 0, 0, 0]}), lane=3))
+    # non-closing; closing at t = 1 s, under the crash threshold; closing at
+    # t = 4 s, which flags lanes 2 and 3; and one more that is never reached
+    ticks, gaps = [(30.0, 20.0, 0), (30.0, 40.0, 0), closing, closing], [40.0, 10.0, 40.0, 10.0]
+    ones = [
+        assessed(lambda: prediction.assess(encounter(
+            replace(absorbing[0], current_speed=speed1), replace(absorbing[1], current_speed=speed2),
+            gap=gap, front=prediction.CAR_LABELS[front], crash=0.05,
+        )))
+        for (speed1, speed2, front), gap in zip(ticks, gaps)
+    ]
+    assert ones[0][0][1] is None and ones[1][0][2] == ()  # no pc, then no actions
+    assert ones[2] == ((NotRegular, "car2: lane chain is not regular"), [])
+    ticks = many((2, 3), ticks, Thresholds(crash=0.05), gaps, absorbing)
+    assert [assessed(lambda: next(ticks)) for _ in range(3)] == ones[:3]
+    assert next(ticks, None) is None

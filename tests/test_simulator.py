@@ -270,6 +270,26 @@ def test_each_chain_is_analysed_once_per_run(monkeypatch):
     assert set(decomposed) <= chains
 
 
+@pytest.mark.parametrize("path", [simulator.run, oracles.reference_run], ids=["run", "reference_run"])
+def test_each_lane_chain_builds_its_passage_matrix_at_most_once_per_run(path):
+    # the passage matrix is memoised per chain object, so a tick's encounter
+    # must share the loaded chains: a copy per tick would build it per tick
+    built = 0
+    for name in ("scenario1", "scenario2", "scenario3"):
+        for same_lane in (False, True):
+            config = load(name)  # fresh chain objects, so no earlier run's memo
+            config = simulator.force_same_lane(config) if same_lane else config
+            with mock.patch.object(
+                prediction, "stationary_distribution", wraps=prediction.stationary_distribution
+            ) as stationary:
+                path(config)
+            analysed = [call.args[0] for call in stationary.call_args_list]
+            assert len(set(map(id, analysed))) == len(analysed)
+            assert set(map(id, analysed)) <= {id(c.model.lane_chain) for c in config.cars}
+            built += len(analysed)
+    assert built
+
+
 def test_scenario1_disabled_forced_crashes_per_kinematic_oracle():
     config = simulator.force_same_lane(load("scenario1"))
     report = simulator.run(config, disable_actions=True)
