@@ -55,6 +55,7 @@ __all__ = [
     "PassageMatrix",
     "validate_stochastic",
     "probability_vector",
+    "check_state",
     "unit_vector",
     "is_regular",
     "matrix_power",
@@ -200,6 +201,12 @@ def probability_vector(raw) -> ProbabilityVector:
     return ProbabilityVector._built(clipped / total)
 
 
+def check_state(n: int, state: int) -> None:
+    """Raise DimensionMismatch unless ``state`` is a 0-based index of n states."""
+    if not 0 <= state < n:
+        raise DimensionMismatch(f"state {state} outside 0..{n - 1}")
+
+
 @lru_cache(maxsize=256, typed=True)
 def unit_vector(n: int, state: int) -> ProbabilityVector:
     """Probability vector concentrated on one 0-based state index.
@@ -208,8 +215,7 @@ def unit_vector(n: int, state: int) -> ProbabilityVector:
     Its entries are a view of a read-only array, which numpy refuses to
     make writeable again.
     """
-    if not 0 <= state < n:
-        raise DimensionMismatch(f"state {state} outside 0..{n - 1}")
+    check_state(n, state)
     v = np.zeros(n)
     v[state] = 1.0
     v.flags.writeable = False

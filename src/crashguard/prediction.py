@@ -25,6 +25,7 @@ from .errors import InvalidValue, NotRegular
 from .estimation import N_LANES, VehicleModel, speed_bin_index
 from .markov import (
     StochasticMatrix,
+    check_state,
     fundamental_matrix,
     limiting_matrix,
     mean_first_passage,
@@ -160,12 +161,6 @@ def _flow1(
     return t, True
 
 
-def _reaches_flow3(stable: bool | None, pc: np.ndarray, crash: float) -> bool:
-    """Flow 3's gate: speeds not found unstable, and some lane's joint
-    probability at or over the crash threshold."""
-    return stable is not False and bool((pc >= crash).any())
-
-
 def flow2_crash_probabilities(car1: VehicleModel, car2: VehicleModel, t: float) -> np.ndarray:
     """Per-lane joint probabilities at time t (s).
 
@@ -187,13 +182,16 @@ def flow2_crash_probabilities(car1: VehicleModel, car2: VehicleModel, t: float) 
 _PASSAGE_STEPS: weakref.WeakKeyDictionary[StochasticMatrix, np.ndarray] = weakref.WeakKeyDictionary()
 
 
-def _passage_steps(model: VehicleModel, label: str) -> np.ndarray:
-    """Mean first passage times of one car's lane chain, in chain steps.
+def _passage_row(model: VehicleModel, lane: int, label: str) -> np.ndarray:
+    """Mean first passage times from ``lane`` of one car's lane chain, in
+    chain steps.
 
-    Built once per chain object.  The chain must be regular; the error
-    names the car and its unobserved lane rows, and is raised again on
-    every call.
+    The lane is checked first, as flow 2's start vector checks it.  The
+    matrix is built once per chain object.  The chain must be regular; the
+    error names the car and its unobserved lane rows, and is raised again
+    on every call.
     """
+    check_state(N_LANES, lane - 1)
     chain = model.lane_chain
     steps = _PASSAGE_STEPS.get(chain)
     if steps is None:
@@ -204,7 +202,7 @@ def _passage_steps(model: VehicleModel, label: str) -> np.ndarray:
             raise NotRegular(f"{label}: lane chain is not regular{hint}") from exc
         Z = fundamental_matrix(chain, limiting_matrix(chain))
         steps = _PASSAGE_STEPS[chain] = mean_first_passage(Z, w).entries
-    return steps
+    return steps[lane - 1]
 
 
 def _flow3(
@@ -217,7 +215,8 @@ def _flow3(
 ) -> tuple[LaneAction, ...]:
     """Flow 3 for two cars with the chains and frame intervals of ``cars``
     in ``lanes``, ``front`` the index of the leading car; the cars' state
-    fields are not read.
+    fields are not read.  No lane at or over the ``crash`` threshold, no
+    actions.
 
     A mean-first-passage entry (in seconds) above t means the car is not
     expected to reach the flagged lane before the crash time: a rear-end
@@ -231,7 +230,7 @@ def _flow3(
     for k in flagged:
         lane = k + 1
         m1, m2 = (
-            0.0 if lane == own else float(_passage_steps(car, label)[own - 1, k] * car.frame_interval)
+            0.0 if lane == own else float(_passage_row(car, own, label)[k] * car.frame_interval)
             for car, own, label in zip(cars, lanes, CAR_LABELS)
         )
         acc = m1 > t or m2 > t
@@ -284,16 +283,10 @@ def assess(encounter: EncounterInput, horizon: float | None = None) -> CrashAsse
     else:
         t, stable = horizon, None
     pc = flow2_crash_probabilities(car1, car2, t)
-    actions = ()
-    if _reaches_flow3(stable, pc, crash):
-        actions = _flow3((car1, car2), (car1.current_lane, car2.current_lane), front, crash, pc, t)
+    actions = () if stable is False else _flow3(
+        (car1, car2), (car1.current_lane, car2.current_lane), front, crash, pc, t
+    )
     return CrashAssessment(t=t, speed_stable=stable, pc=pc, actions=actions)
-
-
-def _lane_marginals(chain: StochasticMatrix, lane: int, times: list) -> Iterator:
-    """``propagate_many`` from ``lane``; its start vector is built on the first
-    ``next``, so that a lane out of range raises where flow 2 would."""
-    yield from propagate_many(unit_vector(N_LANES, lane - 1), chain, times)
 
 
 def assess_many(
@@ -308,31 +301,35 @@ def assess_many(
     batched.
 
     The columns hold one entry per tick: ``speeds[i]`` is car i's speeds,
-    ``gaps`` the gaps, already through :func:`check_gap`, and ``fronts`` the
-    index of the leading car.  Over the segment the cars keep the lanes
-    ``lanes`` and the chains and frame intervals of ``cars``, whose state
-    fields are not read.  Tick k gets the bytes that ``assess`` gives the
+    ``gaps`` the measured gaps, and ``fronts`` the index of the leading
+    car.  Over the segment the cars keep the lanes ``lanes`` and the chains
+    and frame intervals of ``cars``, whose state fields are not read.  Tick k gets the bytes that ``assess`` gives the
     encounter of the two cars in their lanes at tick k's speeds and gap,
     with ``thresholds``.
 
-    Flow 1, and flow 2's check of its time, run per tick on the floats.
-    Flow 2 then propagates each (lane chain, lane) pair through one
-    :func:`markov.propagate_many` over every tick's steps.  Flow 3 runs as
-    the tick is yielded, only for a stable tick with a lane over the crash
-    threshold.  A tick's error, and any fallback warning of its
-    propagation, comes only when the consumer reaches that tick: a consumer
-    that stops early never sees the errors or warnings of the ticks it
-    skipped.
+    Each tick is checked on the floats in ``assess``'s order: the gap, as
+    ``EncounterInput`` checks it, flow 1, and flow 2's check of its time;
+    the first closing tick also builds the lanes' start vectors, which
+    checks the lanes.  Flow 2 then propagates
+    each (lane chain, lane) pair through one :func:`markov.propagate_many`
+    over every tick's steps.  Flow 3 runs as the tick is yielded, unless
+    its speeds are unstable.  A tick's error, and any fallback warning of
+    its propagation, comes only when the consumer reaches that tick: a
+    consumer that stops early never sees the errors or warnings of the
+    ticks it skipped.
     """
     diagonals = tuple(car.speed_chain.entries.diagonal().tolist() for car in cars)  # read once per segment
     keys = [(car.lane_chain, lane) for car, lane in zip(cars, lanes)]
     flows1 = []  # per tick: (t, speed_stable), None if non-closing, or its error
     steps = {key: [] for key in keys}  # (lane chain, lane) -> the steps of every propagation through it
+    starts = ()  # the lanes' start vectors, once a tick is closing
     for gap, front, pair in zip(gaps, fronts, zip(*speeds)):
         try:
+            check_gap(gap)
             flow1 = _flow1(diagonals, gap, pair, front, thresholds.speed_stability)
             if flow1 is not None:
                 _check_time(flow1[0])  # flow 2's check, before it reads a lane
+                starts = starts or [unit_vector(N_LANES, lane - 1) for lane in lanes]
         except Exception as exc:  # raised when reached; no later tick is
             flows1.append(exc)
             break
@@ -340,8 +337,8 @@ def assess_many(
         if flow1 is not None:
             for car, key in zip(cars, keys):
                 steps[key].append(flow1[0] / car.frame_interval)
-    marginals = {key: _lane_marginals(*key, times) for key, times in steps.items()}
-    marginals1, marginals2 = (marginals[key] for key in keys)
+    marginals = {key: propagate_many(start, key[0], steps[key]) for key, start in zip(keys, starts)}
+    marginals1, marginals2 = (marginals.get(key) for key in keys)  # None while no tick is closing
 
     for k, flow1 in enumerate(flows1):
         if flow1 is None:
@@ -351,9 +348,7 @@ def assess_many(
             raise flow1
         t, stable = flow1
         pc = next(marginals1).entries * next(marginals2).entries
-        actions = ()
-        if _reaches_flow3(stable, pc, thresholds.crash):
-            actions = _flow3(cars, lanes, fronts[k], thresholds.crash, pc, t)
+        actions = () if stable is False else _flow3(cars, lanes, fronts[k], thresholds.crash, pc, t)
         yield CrashAssessment(t=t, speed_stable=stable, pc=pc, actions=actions)
 
 

@@ -43,7 +43,6 @@ from .prediction import (
     assess,
     assess_many,
     assessment_to_dict,
-    check_gap,
 )
 from .sensing import SPEED_OF_LIGHT, hypotenuse_from_tof, longitudinal_distance
 
@@ -271,11 +270,16 @@ def _integrate(car: CarState, accel: float, dt: float) -> None:
 
 def _lidar_gap(separation: float, lateral_offset: float) -> float:
     """Longitudinal gap recovered through the Lidar round trip from the
-    cars' longitudinal ``separation``."""
-    hyp = math.hypot(separation, lateral_offset)
-    if hyp <= 0.0:
+    cars' longitudinal ``separation``.
+
+    Never raises for a nonnegative ``lateral_offset``: a round trip that
+    takes no time, with the cars at one point or a time that underflows to
+    0, reads a 0 m gap, and an infinite or NaN input gives a float that
+    ``EncounterInput``'s gap check refuses.
+    """
+    ltime = 2.0 * math.hypot(separation, lateral_offset) / SPEED_OF_LIGHT
+    if ltime <= 0.0:
         return 0.0
-    ltime = 2.0 * hyp / SPEED_OF_LIGHT
     # the time-of-flight round trip can land an ulp below the offset when
     # the cars are laterally abreast; the true geometry is consistent
     measured = max(hypotenuse_from_tof(ltime), lateral_offset)
@@ -375,7 +379,6 @@ class _Segment:
     fronts: list[int] = field(default_factory=list)  # the leading car's index
     gaps_after: list[float] = field(default_factory=list)  # as _gap_after gives it, after the move
     gaps: list[float] = field(default_factory=list)  # through the Lidar round trip
-    error: Exception | None = None  # the next tick's, raised only if the run reaches it
 
 
 def _scripted_motion(car: CarState, accel: float, dt: float, ticks: int):
@@ -429,13 +432,13 @@ def _move_scripted(state: SimState, config: ScenarioConfig, ticks: int, same_lan
 
 def _move_ahead(state: SimState, config: ScenarioConfig, ticks: int, same_lane: bool) -> _Segment:
     """Move the cars up to ``ticks`` ticks with no new ACC engagement,
-    stopping after a crash or before a tick whose gap cannot be measured.
+    stopping after a crash.
 
     While no car has ACC on, ``_move_scripted`` moves the ticks before the
     first stop at once; that tick, and every tick with ACC on, moves one
     ``_advance`` at a time.  The columns hold the floats of the per-tick
     loop either way.  Then each tick's gap goes through the Lidar round
-    trip; the first that fails ends the segment, as its ``error``.
+    trip, which never raises; ``assess_many`` checks the gaps.
     """
     cars = state.cars
     segment = _Segment() if state.acc_set_speed else _move_scripted(state, config, ticks, same_lane)
@@ -450,16 +453,7 @@ def _move_ahead(state: SimState, config: ScenarioConfig, ticks: int, same_lane: 
         segment.fronts.append(front)
         gaps_after.append(_gap_after(cars, front))
 
-    for k, (position1, position2) in enumerate(zip(*segment.positions)):
-        try:
-            gap = _lidar_gap(abs(position1 - position2), config.lateral_offset)
-            check_gap(gap)
-        except Exception as exc:  # raised only if the run reaches this tick
-            segment.error = exc
-            for column in (segment.clocks, *segment.speeds, *segment.positions, segment.fronts, segment.gaps_after):
-                del column[k:]
-            break
-        segment.gaps.append(gap)
+    segment.gaps = [_lidar_gap(abs(p1 - p2), config.lateral_offset) for p1, p2 in zip(*segment.positions)]
     return segment
 
 
@@ -519,9 +513,6 @@ def run(config: ScenarioConfig, disable_actions: bool = False) -> SimReport:
                 break
             if engaged:
                 break
-        else:
-            if segment.error is not None:
-                raise segment.error
 
     crash = crash_time is not None
     return SimReport(

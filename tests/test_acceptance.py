@@ -11,7 +11,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 import scipy.linalg
 
 import oracles

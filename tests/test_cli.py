@@ -441,6 +441,44 @@ def test_simulate_rejects_bad_numbers(tmp_path, capsys, edit, flags):
     assert_one_error_line(capsys)
 
 
+def with_car_field(index, name, value):
+    def edit(data):
+        data["cars"][index][name] = value
+        return data
+    return edit
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda data: [data], "file"),
+    (lambda data: {**data, "cars": [data["cars"][0], 7]}, "cars[1]"),
+    (with_car_field(0, "lane", 0), "cars[0].lane"),
+    (with_car_field(1, "lane", 7), "cars[1].lane"),
+    (with_car_field(0, "speed", -1), "cars[0].speed"),
+    (with_car_field(1, "speed", 60.0), "cars[1].speed"),
+], ids=["top_level_list", "car_entry_number", "lane_0", "lane_7", "speed_-1", "speed_60"])
+def test_simulate_names_the_field_of_a_scenario_it_refuses(tmp_path, capsys, edit, field):
+    data = json.loads((DATA / "scenario1.json").read_text())
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(edit(data)))
+    report = tmp_path / "report.json"
+    assert cli.main(["simulate", "--scenario", str(scenario), "--report-path", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+    assert not report.exists()
+
+
+def test_simulate_reads_a_round_trip_that_underflows_as_a_zero_gap(tmp_path):
+    # in one line 1e-320 m apart, the time of flight underflows to 0 s
+    data = json.loads((DATA / "scenario1.json").read_text())
+    data["lateral_offset"] = 0.0
+    data["cars"][0]["position"], data["cars"][1]["position"] = 1e-320, 0.0
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(data))
+    report = tmp_path / "report.json"
+    assert cli.main(["simulate", "--scenario", str(scenario), "--report-path", str(report)]) == 0
+    assert json.loads(report.read_text())["timeline"][0]["gap"] == 0.0
+
+
 def test_simulate_rejects_deeply_nested_json(tmp_path, capsys):
     scenario = tmp_path / "s.json"
     scenario.write_text("[" * 100_000)

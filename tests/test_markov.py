@@ -126,6 +126,17 @@ def test_regular_at_second_power():
     assert markov.is_regular(P)
 
 
+def test_wielandts_chain_is_regular_at_exactly_the_bound():
+    # i -> i + 1, and state 6 splits over states 1 and 2: primitive, with
+    # exponent exactly (n - 1)**2 + 1 = 26, the largest an n = 6 chain can have
+    P = np.eye(6, k=1)
+    P[5, :2] = 0.5
+    P = markov.validate_stochastic(P)
+    pattern = P.entries > 0.0
+    assert [np.linalg.matrix_power(pattern, k).all() for k in (24, 25, 26)] == [False, False, True]
+    assert markov.is_regular(P)
+
+
 def test_is_regular_matches_loop_oracle_on_sparse_patterns():
     rng = np.random.default_rng(31)
     seen = set()
@@ -697,6 +708,12 @@ def test_fundamental_inverts_back():
     assert np.allclose(Z @ (np.eye(2) - P.entries + W), np.eye(2), atol=1e-10)
 
 
+def test_fundamental_rejects_a_limiting_matrix_of_another_shape():
+    P = markov.validate_stochastic(TWO_STATE)
+    with pytest.raises(DimensionMismatch, match="W has shape"):
+        markov.fundamental_matrix(P, np.full((3, 3), 1.0 / 3.0))
+
+
 def test_fundamental_row_sums_are_one():
     rng = np.random.default_rng(9)
     for n in (3, 6):
@@ -757,6 +774,27 @@ def test_mfpt_rejects_zero_stationary_entry():
         markov.mean_first_passage(Z, bad_w)
 
 
+def test_mfpt_rejects_a_fundamental_matrix_of_another_size():
+    P = markov.validate_stochastic(TWO_STATE)
+    Z = markov.fundamental_matrix(P, markov.limiting_matrix(P))
+    w = markov.probability_vector([0.2, 0.3, 0.5])
+    with pytest.raises(DimensionMismatch, match="does not match"):
+        markov.mean_first_passage(Z, w)
+
+
+def test_mfpt_accepts_a_tiny_stationary_entry():
+    # leaving state 1 with probability 1e-7 makes its partner's stationary
+    # entry about 1e-7: small, but positive, so its passage time is finite
+    a, b = 1e-7, 1.0 - 1e-7
+    P = markov.validate_stochastic([[1.0 - a, a], [b, 1.0 - b]])
+    w = markov.stationary_distribution(P)
+    assert w.entries[1] == pytest.approx(1e-7, rel=1e-6)
+    _, m12, m21 = oracles.two_state_analytic(a, b)
+    M = markov.mean_first_passage(markov.fundamental_matrix(P, markov.limiting_matrix(P)), w).entries
+    assert M[0, 1] == pytest.approx(m12, rel=1e-6)
+    assert M[1, 0] == pytest.approx(m21, rel=1e-6)
+
+
 # --- propagation ---
 
 def test_propagate_zero_time_is_identity():
@@ -797,6 +835,7 @@ def test_propagate_dimension_mismatch():
 
 def test_single_state_chain_degenerate_but_consistent():
     P = markov.validate_stochastic([[1.0]])
+    assert P.n == 1 and P.entries.tolist() == [[1.0]]
     assert markov.is_regular(P)
     w = markov.stationary_distribution(P)
     assert w.entries[0] == 1.0

@@ -323,6 +323,44 @@ def test_flow3_not_regular_names_the_first_car_whose_matrix_is_needed(identity_c
         prediction.flow3_select_actions(encounter(car1, car2, front="car1"), pc, 4.0)
 
 
+@pytest.mark.parametrize("seat", [0, 1])
+@pytest.mark.parametrize("lane", [0, 7])
+def test_flow3_reads_a_lane_out_of_range_as_flow2_does(lane, seat):
+    # a lane 0 would otherwise read lane 6's passage row through index -1
+    cars = [make_model(banded_chain(), lane=6), make_model(banded_chain(), lane=5)]
+    cars[seat] = make_model(banded_chain(), lane=lane)
+    with pytest.raises(DimensionMismatch) as flow2:
+        prediction.flow2_crash_probabilities(*cars, 4.0)
+    pc = np.array([0, 0, 0, 0, 0.4, 0])
+    with pytest.raises(DimensionMismatch) as flow3:
+        prediction.flow3_select_actions(encounter(*cars), pc, 4.0)
+    assert str(flow3.value) == str(flow2.value) == f"state {lane - 1} outside 0..5"
+    # with no lane flagged, no passage row is read
+    assert prediction.flow3_select_actions(encounter(*cars), np.zeros(6), 4.0) == ()
+
+
+def test_flow3_flags_a_lane_exactly_at_the_crash_threshold():
+    # one step from lane 1 through [0.5, 0.5, 0, ...] leaves each car in
+    # lanes 1 and 2 with 0.5 each, so both lanes read pc 0.25
+    chain = with_rows(banded_chain(), {1: [0.5, 0.5, 0, 0, 0, 0]})
+    cars = make_model(chain, lane=1), make_model(chain, lane=1)
+    result = prediction.assess(encounter(*cars, crash=0.25), horizon=1.0)
+    assert result.pc.tolist() == [0.25, 0.25, 0.0, 0.0, 0.0, 0.0]
+    assert [a.lane for a in result.actions] == [1, 2]
+
+
+def test_flow3_a_passage_time_equal_to_t_selects_steering():
+    # ACC needs a passage time strictly above t
+    enc = encounter(
+        make_model(pinned_passage_chain(0.5, 6, 5), lane=6), make_model(banded_chain(), lane=5), crash=0.05
+    )
+    m1 = prediction.flow3_select_actions(enc, np.array([0, 0, 0, 0, 0.4, 0]), 4.0)[0].m1_entry
+    assert m1 == pytest.approx(2.0)
+    action = next(a for a in prediction.assess(enc, horizon=m1).actions if a.lane == 5)
+    assert (action.m1_entry, action.m2_entry) == (m1, 0.0)
+    assert (action.action, action.branch) == (SafetyAction.LANE_DEPARTURE_AND_STEERING, "else")
+
+
 def test_flow3_builds_each_car_passage_matrix_once(monkeypatch):
     analysed = []
     original = prediction.stationary_distribution
@@ -436,11 +474,28 @@ def test_assessment_to_dict_shape():
     assert len(data["pc"]) == 6
 
 
+@pytest.mark.parametrize("pc,lane", [
+    ([0.0, 0.6, 0.1, 0.4, 0.0, 0.0], 2),
+    ([0.0, 0.4, 0.1, 0.6, 0.0, 0.0], 4),
+])
+def test_assessment_to_dict_diagnoses_the_flagged_lane_with_the_larger_pc(pc, lane):
+    pc = np.array(pc)
+    enc = encounter(make_model(banded_chain(), lane=6), make_model(banded_chain(), lane=5))
+    actions = prediction.flow3_select_actions(enc, pc, 4.0)
+    assert [a.lane for a in actions] == [2, 4]
+    assessment = prediction.CrashAssessment(t=4.0, speed_stable=True, pc=pc, actions=actions)
+    assert prediction.assessment_to_dict(assessment)["diagnostics"]["lane"] == lane
+
+
 def test_thresholds_validated():
-    with pytest.raises(ValueError):
-        Thresholds(crash=1.01)
-    with pytest.raises(ValueError):
-        Thresholds(speed_stability=0.0)
+    for bad in ({"crash": 1.01}, {"crash": 1.0}, {"speed_stability": 0.0}, {"speed_stability": 1.0}):
+        with pytest.raises(InvalidValue, match="threshold must be in"):
+            Thresholds(**bad)
+
+
+def test_encounter_input_rejects_an_unknown_front_car():
+    with pytest.raises(InvalidValue, match="front_car must be one of"):
+        encounter(make_model(banded_chain(), lane=6), make_model(banded_chain(), lane=5), front="car3")
 
 
 # --- many encounters at once ---
@@ -592,3 +647,20 @@ def test_assess_many_raises_an_encounters_error_only_when_it_is_reached():
     ticks = many((2, 3), ticks, Thresholds(crash=0.05), gaps, absorbing)
     assert [assessed(lambda: next(ticks)) for _ in range(3)] == ones[:3]
     assert next(ticks, None) is None
+
+
+@pytest.mark.parametrize("gap", [-1.0, float("nan"), float("inf")])
+def test_assess_many_checks_each_gap_first_as_encounter_input_does(gap):
+    # before flow 1's speed bin and flow 2's lanes, on a non-closing tick too,
+    # and only when the tick is reached
+    cars = (make_model(banded_chain(), lane=6), make_model(banded_chain(), lane=5))
+    with pytest.raises(InvalidValue, match="^gap must be finite and nonnegative"):
+        encounter(*cars, gap=gap)
+    for lanes, speeds in (((6, 5), (30.0, 60.0)), ((6, 5), (30.0, 20.0)), ((6, 7), (30.0, 40.0))):
+        ticks = prediction.assess_many(
+            cars, lanes, ([30.0, speeds[0]], [20.0, speeds[1]]), [40.0, gap], [0, 0], Thresholds()
+        )
+        assert next(ticks).non_closing
+        with pytest.raises(InvalidValue, match="^gap must be finite and nonnegative"):
+            next(ticks)
+        assert next(ticks, None) is None

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import importlib.resources
 import json
+import math
 import time
 import warnings
 from unittest import mock
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from crashguard import cli, markov, prediction, simulator
-from crashguard.errors import GeometryViolation, InvalidValue, LeadBehindEgo, SchemaError, SpeedOutOfRange
+from crashguard.errors import InvalidValue, LeadBehindEgo, SchemaError, SpeedOutOfRange
 from crashguard.prediction import SafetyAction, Thresholds
 from crashguard.simulator import AccParams, CarState
 
@@ -99,6 +100,9 @@ def test_lidar_gap_when_cars_abreast():
     # laterally side by side: the round trip must not trip the geometry check
     assert simulator._lidar_gap(abs(100.0 - (100.0 + 1e-12)), 3.7) == pytest.approx(0.0, abs=1e-6)
     assert simulator._lidar_gap(40.0, 3.7) == pytest.approx(40.0, rel=1e-9)
+    # in one lane: a round trip that underflows to 0 s reads a 0 m gap
+    assert simulator._lidar_gap(5e-324, 0.0) == 0.0
+    assert simulator._lidar_gap(1e-320, 0.0) == 0.0
 
 
 def test_load_supports_model_path(tmp_path):
@@ -340,6 +344,15 @@ def test_lateral_offset_is_checked_at_construction(offset):
         dataclasses.replace(load("scenario1"), lateral_offset=offset)
 
 
+@pytest.mark.parametrize("build", [
+    lambda config: AccParams(min_gap=0.0),
+    lambda config: dataclasses.replace(config, lateral_offset=0.0),
+    lambda config: dataclasses.replace(config, duration=config.time_step),
+], ids=["min_gap_0", "lateral_offset_0", "duration_of_one_step"])
+def test_boundary_values_are_accepted_at_construction(build):
+    build(load("scenario1"))
+
+
 def test_zero_duration_is_rejected():
     # a run shorter than one step is refused at construction, as in the file
     with pytest.raises(SchemaError, match="duration"):
@@ -475,6 +488,18 @@ def test_run_gives_the_per_tick_loops_report_on_the_bundled_scenarios(name, same
     assert_runs_alike(simulator.force_same_lane(config) if same_lane else config, disable_actions)
 
 
+@pytest.mark.parametrize("disable_actions", [False, True])
+def test_run_reports_the_first_tick_that_reaches_the_minimum_gap(disable_actions):
+    # equal speeds, no acceleration, a time step of 1/8 s and integer
+    # positions: every gap is exact, so the minimum gap repeats every tick
+    config = with_car(with_car(load("scenario1"), 0, speed=32.0, acceleration=0.0, position=40.0),
+                      1, speed=32.0, acceleration=0.0, position=0.0)
+    config = dataclasses.replace(config, time_step=0.125)
+    assert_runs_alike(config, disable_actions)
+    report = simulator.run(config, disable_actions)
+    assert (report.min_gap, report.min_gap_time) == (40.0, 0.0)
+
+
 def test_run_moves_a_tick_that_engages_acc_again():
     # ACC engages 4.7 s in, after the first segment has moved past it
     config = with_car(load("scenario1"), 1, position=-40.0)
@@ -494,9 +519,9 @@ def test_run_never_raises_the_error_of_a_tick_moved_past_an_engagement():
 
 
 def test_run_never_raises_the_sensing_error_of_a_tick_moved_past_an_engagement(monkeypatch):
-    # the sensing path refuses the states that only the motion without ACC
-    # reaches, those with car 2 above 57 m/s, as a tiny separation makes a
-    # zero time of flight; it knows them by their separations
+    # the sensing path reads an infinite gap for the states that only the
+    # motion without ACC reaches, those with car 2 above 57 m/s, as an
+    # overflowing round trip would; it knows them by their separations
     config = with_car(load("scenario1"), 1, position=-500.0, speed=55.0, acceleration=2.0)
     config = dataclasses.replace(config, thresholds=Thresholds(crash=0.05))
     state = simulator.SimState(cars=tuple(CarState(c.speed, c.position) for c in config.cars))
@@ -508,14 +533,12 @@ def test_run_never_raises_the_sensing_error_of_a_tick_moved_past_an_engagement(m
     lidar_gap = simulator._lidar_gap
 
     def refusing(separation, lateral_offset):
-        if separation in refused:
-            raise GeometryViolation("refused")
-        return lidar_gap(separation, lateral_offset)
+        return math.inf if separation in refused else lidar_gap(separation, lateral_offset)
 
     monkeypatch.setattr(simulator, "_lidar_gap", refusing)
-    assert assert_runs_alike(config, True)[0] == (GeometryViolation, "refused")
+    assert assert_runs_alike(config, True)[0] == (InvalidValue, "gap must be finite and nonnegative, got inf")
     (_, events), _ = assert_runs_alike(config, False)
-    assert events[0].action is SafetyAction.ACC_ON
+    assert events[0].clock == 0.0 and events[0].action is SafetyAction.ACC_ON
 
 
 def test_run_warns_as_the_per_tick_loop_and_not_for_ticks_it_drops():
@@ -570,7 +593,7 @@ def per_tick_segment(state, config, ticks, same_lane):
 def hexed(segment):
     """A segment's columns with each float as float.hex, so -0.0 is not 0.0."""
     floats = (segment.clocks, *segment.speeds, *segment.positions, segment.gaps_after, segment.gaps)
-    return [[x.hex() for x in column] for column in floats], segment.fronts, segment.error
+    return [[x.hex() for x in column] for column in floats], segment.fronts
 
 
 car_motions = st.tuples(
