@@ -60,59 +60,92 @@ def _float(x: float) -> str:
 
 
 @functools.lru_cache(maxsize=256)
-def _key_heads(keys: tuple) -> tuple[tuple[str, str], ...]:
-    """``(key, '"key": ')`` for each key of a dict, in sorted order.
+def _dict_heads(keys: tuple, newline: str) -> tuple[tuple[tuple[str, str], ...], str, str]:
+    """The fixed text of a dict with these keys, opened on a line that
+    ``newline`` ends: ``(key, head)`` for each key in sorted order, where a
+    head is ``{`` or ``,``, the inner newline and ``"key": ``; then the
+    inner newline and the closing ``}`` with its newline.
 
-    Memoised by the dict's key tuple, since a report writes many dicts
-    with the same keys; a key that is not a str raises TypeError, and a
-    call that raises is not cached.
+    Memoised by the key tuple and indentation, since a report writes many
+    dicts with the same keys at the same depth; a key that is not a str
+    raises TypeError, and a call that raises is not cached.
     """
+    inner = newline + "  "
     heads = []
+    lead = "{" + inner
     for key in sorted(keys):
         if not isinstance(key, str):
             raise TypeError(f"keys must be str, not {type(key).__name__}")
-        heads.append((key, encode_basestring_ascii(key) + ": "))
-    return tuple(heads)
+        heads.append((key, lead + encode_basestring_ascii(key) + ": "))
+        lead = "," + inner
+    return tuple(heads), inner, newline + "}"
 
 
-def _write(obj, newline: str, out) -> None:
-    """Pass the JSON chunks of obj to out; newline ends with obj's indentation."""
-    if isinstance(obj, float):
-        out(_float(obj))
-    elif isinstance(obj, str):
-        out(encode_basestring_ascii(obj))
-    elif obj is None:
-        out("null")
-    elif obj is True:
-        out("true")
-    elif obj is False:
-        out("false")
-    elif isinstance(obj, int):
-        out(int.__repr__(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out("{}")
-            return
-        inner = newline + "  "
-        head = "{" + inner
-        for key, text in _key_heads(tuple(obj)):
-            out(head + text)
-            _write(obj[key], inner, out)
-            head = "," + inner
-        out(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out("[]")
-            return
-        inner = newline + "  "
-        head = "[" + inner
-        for item in obj:
-            out(head)
-            _write(item, inner, out)
-            head = "," + inner
-        out(newline + "]")
+_FLOAT_ONLY = frozenset([float])
+
+
+def _write(obj, newline: str) -> str:
+    """The JSON text of obj; newline ends with obj's indentation.
+
+    Exact types come first.  A dict is its memoised heads, each followed by
+    its value; a float, None, a bool, a str, an int or an empty list is
+    appended to its head in place.  A list or tuple of exact floats is one
+    join.  Anything else, such as ``np.float64`` or a subclass of dict,
+    list or str, takes the ``isinstance`` tests (a bool before an int) and
+    is written with the same bytes.
+    """
+    cls = type(obj)
+    if cls is float:
+        return _float(obj)
+    if cls is not dict and cls is not list and cls is not tuple:
+        if isinstance(obj, float):
+            return _float(obj)
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        if isinstance(obj, dict):
+            cls = dict
+        elif not isinstance(obj, (list, tuple)):
+            raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    if not obj:
+        return "{}" if cls is dict else "[]"
+    if cls is dict:
+        heads, inner, close = _dict_heads(tuple(obj), newline)
+        parts = []
+        for key, head in heads:
+            value = obj[key]
+            kind = type(value)
+            if kind is float:
+                parts.append(head + _float(value))
+            elif value is None:
+                parts.append(head + "null")
+            elif kind is str:
+                parts.append(head + encode_basestring_ascii(value))
+            elif kind is int:
+                parts.append(head + int.__repr__(value))
+            elif value is True:
+                parts.append(head + "true")
+            elif value is False:
+                parts.append(head + "false")
+            elif kind is list and not value:
+                parts.append(head + "[]")
+            else:
+                parts.append(head + _write(value, inner))
+        parts.append(close)
+        return "".join(parts)
+    inner = newline + "  "
+    if _FLOAT_ONLY.issuperset(map(type, obj)):
+        body = ("," + inner).join(map(_float, obj))
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        body = ("," + inner).join([_write(item, inner) for item in obj])
+    return "[" + inner + body + newline + "]"
 
 
 def dumps_stable(obj) -> str:
@@ -123,10 +156,7 @@ def dumps_stable(obj) -> str:
     with every float rounded first, except that every dict key must be a
     str (TypeError otherwise).
     """
-    chunks = []
-    _write(obj, "\n", chunks.append)
-    chunks.append("\n")
-    return "".join(chunks)
+    return _write(obj, "\n") + "\n"
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -50,6 +50,7 @@ __all__ = [
     "ACC_GAP_GAIN",
     "ACC_SPEED_GAIN",
     "MAX_STEPS",
+    "MAX_LATERAL_OFFSET",
     "AccParams",
     "CarConfig",
     "ScenarioConfig",
@@ -73,6 +74,10 @@ MAX_STEPS = 100_000
 # most ticks ``run`` moves ahead of their assessments: the cap bounds a
 # segment's columns and the ticks moved past an ACC engagement and dropped
 SEGMENT_TICKS = 256
+# largest lateral offset a scenario may give, far past any road's width and
+# any Lidar's range: the round trip squares the range, and a square
+# overflows to inf once the range passes about 1.3e154 m
+MAX_LATERAL_OFFSET = 1e6  # m
 
 
 @dataclass(frozen=True)
@@ -120,8 +125,8 @@ class ScenarioConfig:
     acc_params: AccParams = field(default_factory=AccParams)
 
     def __post_init__(self):
-        if not (math.isfinite(self.lateral_offset) and self.lateral_offset >= 0.0):
-            raise SchemaError("lateral_offset", f"must be finite and nonnegative, got {self.lateral_offset!r}")
+        if not 0.0 <= self.lateral_offset <= MAX_LATERAL_OFFSET:  # NaN fails too
+            raise SchemaError("lateral_offset", f"must be in [0, {MAX_LATERAL_OFFSET:g}] m, got {self.lateral_offset!r}")
         require_positive("time_step", self.time_step)
         if not self.duration >= self.time_step:
             raise SchemaError("duration", f"must be at least one time step ({self.time_step})")

@@ -656,6 +656,72 @@ def test_dumps_stable_writes_timelines_like_the_two_pass_writer(timeline, bad):
             cli.dumps_stable({"timeline": [*timeline, bad]})
 
 
+# an estimated model: chains of float rows, a small dict of a lane and
+# floats, ``unobserved_rows``-like lists of str/int dicts; rows of any
+# length 0-7 and the odd ``np.float64`` meet the float-list join's edges
+float_rows = st.lists(st.lists(json_floats, max_size=7), max_size=7)
+small_dicts = st.dictionaries(json_keys, st.one_of(st.integers(), json_keys), max_size=4)
+models = st.fixed_dictionaries({
+    "current": st.fixed_dictionaries({"lane": st.integers(1, 6), "pos_m": json_floats, "speed_mps": json_floats}),
+    "frame_interval_s": json_floats,
+    "lane_chain": float_rows,
+    "observation": float_rows,
+    "speed_chain": float_rows,
+    "unobserved_rows": st.lists(st.fixed_dictionaries({
+        "chain": st.sampled_from(["lane", "speed", "observation"]), "row": st.integers(1, 6),
+    }), max_size=6),
+}, optional={"meta": small_dicts, "rows": st.lists(small_dicts, max_size=3)})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(models)
+def test_dumps_stable_writes_models_like_the_two_pass_writer(model):
+    assert cli.dumps_stable(model) == oracles.stable_json(model)
+
+
+class Mapping(dict):
+    pass
+
+
+class Items(list):
+    pass
+
+
+class Text(str):
+    pass
+
+
+EDGE_KEYS = ["{", "}", "%s", '"', "\\", "a{b}\"%\\"]
+
+
+@pytest.mark.parametrize("value", [
+    # a float list that one item takes off the join
+    [0.5, True, 0.25], [0.5, 1, 0.25], [0.5, np.float64(0.1), 0.25], [False], [np.float64(2.0)],
+    {"pc": [0.5, True]}, {"pc": [0.5, 1]}, {"pc": [0.5, np.float64(1 / 3)]},
+    # tuples of floats, alone and as values
+    (0.1, 0.2), {"pc": (1.0, 2.5e-7, 1e16)}, [(), (0.5,)],
+    # floats whose text is not their .6g string, inside the join
+    [math.nan, math.inf, -math.inf, -0.0, 0.0], {"pc": [-0.0, math.nan], "t": -math.inf},
+    # empty containers as values, next to the values written in place
+    {"a": [], "b": {}, "c": (), "d": None, "e": True, "f": False, "g": 0.0, "h": 0, "i": ""},
+    # subclasses take the isinstance tests
+    Mapping(b=1.0, a=Items([0.5, 0.25])), {"a": Items()}, {"a": Mapping()}, {Text("k"): Text("v")},
+    [Items([1.0]), Mapping(x=[1.0])],
+    # keys that must be escaped or that look like format fields, at three depths
+    *({key: {key: {key: [1.0, key]}, "z": key}} for key in EDGE_KEYS),
+])
+def test_dumps_stable_fast_paths_write_the_two_pass_bytes(value):
+    assert cli.dumps_stable(value) == oracles.stable_json(value)
+
+
+def test_dumps_stable_writes_one_dict_shape_at_two_indentations():
+    shape = {"y": [0.5, 1.0], "x": 1.0, "w": {"v": None}}
+    deep_first = {"b": [[shape]], "a": shape}
+    shallow_first = [shape, {"a": [shape]}]
+    for value in (shape, deep_first, shallow_first, deep_first):
+        assert cli.dumps_stable(value) == oracles.stable_json(value)
+
+
 @pytest.mark.parametrize("value", [
     {1: "a"}, {"a": 1, 2: "b"}, {"a": [{None: 1}]}, {1.5: 0}, {True: 0}, {("a",): 0},
 ])

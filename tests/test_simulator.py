@@ -337,11 +337,37 @@ def test_scenario3_no_actions():
     assert all(not entry["actions"] for entry in report.timeline)
 
 
-@pytest.mark.parametrize("offset", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("offset", [
+    -1.0, float("nan"), float("inf"), 1e155, math.nextafter(simulator.MAX_LATERAL_OFFSET, math.inf),
+])
 def test_lateral_offset_is_checked_at_construction(offset):
     # the file's rule holds for a config built in code, too
     with pytest.raises(SchemaError, match="lateral_offset"):
         dataclasses.replace(load("scenario1"), lateral_offset=offset)
+
+
+def simulate_with_lateral_offset(tmp_path, offset):
+    data = json.loads((DATA / "scenario1.json").read_text())
+    data["lateral_offset"] = offset
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(data))
+    report = tmp_path / "report.json"
+    return cli.main(["simulate", "--scenario", str(scenario), "--report-path", str(report)]), report
+
+
+def test_simulate_refuses_a_huge_lateral_offset_at_load(tmp_path, capsys):
+    # 1e155 m used to load, and then the round trip's squares overflowed to
+    # a NaN gap mid-run
+    code, report = simulate_with_lateral_offset(tmp_path, 1e155)
+    err = capsys.readouterr().err
+    assert code == 2 and not report.exists()
+    assert err.startswith("error: lateral_offset: ") and err.count("\n") == 1
+
+
+def test_simulate_at_the_largest_lateral_offset_writes_a_report(tmp_path):
+    code, report = simulate_with_lateral_offset(tmp_path, simulator.MAX_LATERAL_OFFSET)
+    assert code in (0, 1)
+    assert json.loads(report.read_text())["timeline"]
 
 
 @pytest.mark.parametrize("build", [
