@@ -22,68 +22,47 @@ DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "crashguard" / "data
 LANE_WIDTH = 3.7  # m, lateral offset between adjacent lane centerlines
 
 
-def model_dict(lane_chain, lane, speed, position):
-    model = synthetic.make_model(
-        lane_chain, lane=lane, speed=speed, position=position, frame_interval=1.0
-    )
-    return model_to_dict(model)
+def car(chain, lane, speed, acceleration, position):
+    """A scenario car's entry; its inline model, on 1 s chain steps, holds
+    the same lane, speed and position."""
+    model = synthetic.make_model(chain, lane=lane, speed=speed, position=position, frame_interval=1.0)
+    return {"model": model_to_dict(model), "lane": lane, "speed": speed,
+            "acceleration": acceleration, "position": position}
+
+
+def scenario(cars, duration, set_speed):
+    """A scenario file's fields around its two ``cars``."""
+    return {
+        "cars": cars,
+        "lateral_offset": LANE_WIDTH,
+        "time_step": 0.1,
+        "duration": duration,
+        "thresholds": {"speed_stability": 0.5, "crash": 0.3},
+        "acc_params": {"set_speed": set_speed, "time_gap": 1.4, "min_gap": 10.0, "accel_limit": 3.0},
+    }
+
+
+# the car that holds lane 5 in scenarios 1 and 2
+LANE5_KEEPER = synthetic.with_rows(synthetic.banded_chain(), {5: [0, 0, 0, 0.025, 0.95, 0.025]})
 
 
 def scenario1():
     # front car drifts from lane 6 toward lane 5 slowly enough that its
     # mean first passage 6 -> 5 (1/0.18 s) exceeds the 4 s crash horizon
-    car1_chain = synthetic.with_rows(
+    drifter = synthetic.with_rows(
         synthetic.banded_chain(),
         {6: [0, 0, 0, 0, 0.18, 0.82], 5: [0, 0, 0, 0.05, 0.90, 0.05]},
     )
-    car2_chain = synthetic.with_rows(
-        synthetic.banded_chain(), {5: [0, 0, 0, 0.025, 0.95, 0.025]}
-    )
-    return {
-        "cars": [
-            {
-                "model": model_dict(car1_chain, 6, 30.0, 40.0),
-                "lane": 6, "speed": 30.0, "acceleration": 0.6, "position": 40.0,
-            },
-            {
-                "model": model_dict(car2_chain, 5, 40.0, 0.0),
-                "lane": 5, "speed": 40.0, "acceleration": 0.0, "position": 0.0,
-            },
-        ],
-        "lateral_offset": LANE_WIDTH,
-        "time_step": 0.1,
-        "duration": 20.0,
-        "thresholds": {"speed_stability": 0.5, "crash": 0.3},
-        "acc_params": {"set_speed": 40.0, "time_gap": 1.4, "min_gap": 10.0, "accel_limit": 3.0},
-    }
+    return scenario([car(drifter, 6, 30.0, 0.6, 40.0), car(LANE5_KEEPER, 5, 40.0, 0.0, 0.0)], 20.0, 40.0)
 
 
 def scenario2():
     # trailing car1 jumps to lane 5 almost immediately (1/0.85 s < 1.2 s)
-    car1_chain = synthetic.with_rows(
+    jumper = synthetic.with_rows(
         synthetic.banded_chain(),
         {6: [0, 0, 0, 0, 0.85, 0.15], 5: [0, 0, 0, 0.05, 0.90, 0.05]},
     )
-    car2_chain = synthetic.with_rows(
-        synthetic.banded_chain(), {5: [0, 0, 0, 0.025, 0.95, 0.025]}
-    )
-    return {
-        "cars": [
-            {
-                "model": model_dict(car1_chain, 6, 50.0, 0.0),
-                "lane": 6, "speed": 50.0, "acceleration": 0.6, "position": 0.0,
-            },
-            {
-                "model": model_dict(car2_chain, 5, 40.0, 12.0),
-                "lane": 5, "speed": 40.0, "acceleration": 0.0, "position": 12.0,
-            },
-        ],
-        "lateral_offset": LANE_WIDTH,
-        "time_step": 0.1,
-        "duration": 10.0,
-        "thresholds": {"speed_stability": 0.5, "crash": 0.3},
-        "acc_params": {"set_speed": 50.0, "time_gap": 1.4, "min_gap": 10.0, "accel_limit": 3.0},
-    }
+    return scenario([car(jumper, 6, 50.0, 0.6, 0.0), car(LANE5_KEEPER, 5, 40.0, 0.0, 12.0)], 10.0, 50.0)
 
 
 def scenario3():
@@ -91,23 +70,7 @@ def scenario3():
     # stays far below the crash threshold.  The faster car runs at 59.5,
     # just inside the modeled speed range [0, 60).
     quiet = synthetic.banded_chain(self_loop=0.96)
-    return {
-        "cars": [
-            {
-                "model": model_dict(quiet, 1, 50.0, 30.0),
-                "lane": 1, "speed": 50.0, "acceleration": 0.0, "position": 30.0,
-            },
-            {
-                "model": model_dict(quiet, 2, 59.5, 0.0),
-                "lane": 2, "speed": 59.5, "acceleration": 0.0, "position": 0.0,
-            },
-        ],
-        "lateral_offset": LANE_WIDTH,
-        "time_step": 0.1,
-        "duration": 8.0,
-        "thresholds": {"speed_stability": 0.5, "crash": 0.3},
-        "acc_params": {"set_speed": 59.5, "time_gap": 1.4, "min_gap": 10.0, "accel_limit": 3.0},
-    }
+    return scenario([car(quiet, 1, 50.0, 0.0, 30.0), car(quiet, 2, 59.5, 0.0, 0.0)], 8.0, 59.5)
 
 
 def sample_csv():

@@ -425,11 +425,12 @@ def _matrix(data: dict, key: str) -> np.ndarray:
 
 
 def model_from_dict(data: dict) -> VehicleModel:
-    """Model from its JSON form; anything malformed raises SchemaError."""
+    """Model from its JSON form, every key required; a missing key or
+    anything malformed raises SchemaError."""
     if not isinstance(data, dict):
         raise SchemaError("model", "expected an object")
     rows = {"lane": [], "speed": [], "observation": []}
-    for entry in require_field(data, "unobserved_rows", list) if "unobserved_rows" in data else ():
+    for entry in require_field(data, "unobserved_rows", list):
         if not (
             isinstance(entry, dict)
             and entry.get("chain") in ("lane", "speed", "observation")
@@ -445,10 +446,8 @@ def model_from_dict(data: dict) -> VehicleModel:
     speed = require_field(current, "speed_mps", float, "current")
     if not 0.0 <= speed < SPEED_MAX:
         raise SchemaError("current.speed_mps", f"speed {speed} outside [0, {SPEED_MAX})")
-    frame_interval = DEFAULT_FRAME_INTERVAL
-    if "frame_interval_s" in data:
-        frame_interval = require_field(data, "frame_interval_s", float)
-        require_positive("frame_interval_s", frame_interval)
+    frame_interval = require_field(data, "frame_interval_s", float)
+    require_positive("frame_interval_s", frame_interval)
     lane_chain = validate_stochastic(_matrix(data, "lane_chain"), MODEL_FILE_TOLERANCE)
     speed_chain = validate_stochastic(_matrix(data, "speed_chain"), MODEL_FILE_TOLERANCE)
     observation = _matrix(data, "observation")

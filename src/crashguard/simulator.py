@@ -51,6 +51,9 @@ __all__ = [
     "ACC_SPEED_GAIN",
     "MAX_STEPS",
     "MAX_LATERAL_OFFSET",
+    "MAX_POSITION",
+    "MAX_ACCELERATION",
+    "MAX_TIME_STEP",
     "AccParams",
     "CarConfig",
     "ScenarioConfig",
@@ -78,6 +81,14 @@ SEGMENT_TICKS = 256
 # any Lidar's range: the round trip squares the range, and a square
 # overflows to inf once the range passes about 1.3e154 m
 MAX_LATERAL_OFFSET = 1e6  # m
+# bounds that keep a run's kinematics finite: over MAX_STEPS ticks of at most
+# MAX_TIME_STEP, 1e8 s in all, a car that starts within MAX_POSITION below
+# SPEED_MAX and accelerates at most MAX_ACCELERATION, scripted or under ACC,
+# stays within 1e6 + 60 * 1e8 + 0.5 * 1e3 * 1e16, about 5e18 m, and below
+# 1e11 m/s, so the Lidar round trip squares less than 1e38 (README)
+MAX_POSITION = 1e6  # m, either sign
+MAX_ACCELERATION = 1e3  # m/s^2, either sign
+MAX_TIME_STEP = 1e3  # s
 
 
 @dataclass(frozen=True)
@@ -96,6 +107,8 @@ class AccParams:
         for name, value in (("time_gap", self.time_gap), ("accel_limit", self.accel_limit)):
             if not (math.isfinite(value) and value > 0.0):
                 raise InvalidValue(f"{name} must be finite and positive, got {value!r}")
+        if self.accel_limit > MAX_ACCELERATION:
+            raise InvalidValue(f"accel_limit must be at most {MAX_ACCELERATION:g} m/s^2, got {self.accel_limit!r}")
         if not (math.isfinite(self.min_gap) and self.min_gap >= 0.0):
             raise InvalidValue(f"min_gap must be finite and nonnegative, got {self.min_gap!r}")
         if self.set_speed is not None and not math.isfinite(self.set_speed):
@@ -125,9 +138,20 @@ class ScenarioConfig:
     acc_params: AccParams = field(default_factory=AccParams)
 
     def __post_init__(self):
+        for index, car in enumerate(self.cars):
+            if not 1 <= car.lane <= N_LANES:
+                raise SchemaError(f"cars[{index}].lane", f"lane {car.lane} outside 1..{N_LANES}")
+            if not 0.0 <= car.speed < SPEED_MAX:
+                raise SchemaError(f"cars[{index}].speed", f"speed {car.speed} outside the modeled range [0, {SPEED_MAX})")
+            for name, value, bound, unit in (("acceleration", car.acceleration, MAX_ACCELERATION, "m/s^2"),
+                                             ("position", car.position, MAX_POSITION, "m")):
+                if not abs(value) <= bound:  # NaN fails too
+                    raise SchemaError(f"cars[{index}].{name}", f"must be in [-{bound:g}, {bound:g}] {unit}, got {value!r}")
         if not 0.0 <= self.lateral_offset <= MAX_LATERAL_OFFSET:  # NaN fails too
             raise SchemaError("lateral_offset", f"must be in [0, {MAX_LATERAL_OFFSET:g}] m, got {self.lateral_offset!r}")
         require_positive("time_step", self.time_step)
+        if self.time_step > MAX_TIME_STEP:
+            raise SchemaError("time_step", f"must be at most {MAX_TIME_STEP:g} s, got {self.time_step!r}")
         if not self.duration >= self.time_step:
             raise SchemaError("duration", f"must be at least one time step ({self.time_step})")
         if not self.duration / self.time_step <= MAX_STEPS:  # an infinite ratio fails too
@@ -178,11 +202,7 @@ def _car_config(entry: dict, index: int, base_dir) -> CarConfig:
     except (CrashguardError, OSError) as exc:
         raise SchemaError(f"{where}.model", f"invalid model: {exc}") from exc
     lane = require_field(entry, "lane", int, where)
-    if not 1 <= lane <= N_LANES:
-        raise SchemaError(f"{where}.lane", f"lane {lane} outside 1..{N_LANES}")
     speed = require_field(entry, "speed", float, where)
-    if not 0.0 <= speed < SPEED_MAX:
-        raise SchemaError(f"{where}.speed", f"speed {speed} outside the modeled range [0, {SPEED_MAX})")
     acceleration = require_field(entry, "acceleration", float, where)
     position = require_field(entry, "position", float, where)
     return CarConfig(model, lane, speed, acceleration, position)
@@ -279,8 +299,8 @@ def _lidar_gap(separation: float, lateral_offset: float) -> float:
 
     Never raises for a nonnegative ``lateral_offset``: a round trip that
     takes no time, with the cars at one point or a time that underflows to
-    0, reads a 0 m gap, and an infinite or NaN input gives a float that
-    ``EncounterInput``'s gap check refuses.
+    0, reads a 0 m gap.  The scenario bounds keep ``separation`` below about
+    1e19 m and the offset at most 1e6 m, so every gap is finite.
     """
     ltime = 2.0 * math.hypot(separation, lateral_offset) / SPEED_OF_LIGHT
     if ltime <= 0.0:
@@ -406,23 +426,20 @@ def _move_scripted(state: SimState, config: ScenarioConfig, ticks: int, same_lan
     crash or before the first tick that takes ``_integrate``'s stop branch
     for either car; the segment's gaps are left to fill."""
     cars, dt = state.cars, config.time_step
-    # Python floats overflow to inf and inf - inf gives nan without a word;
-    # numpy would warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        (speeds1, positions1), (speeds2, positions2) = (
-            _scripted_motion(car, cfg.acceleration, dt, ticks) for car, cfg in zip(cars, config.cars)
-        )
-        moving = (speeds1[1:] >= 0.0) & (speeds2[1:] >= 0.0)  # a nan speed stops too
-        n = ticks if moving.all() else int(moving.argmin())
-        fronts = np.where(positions1[:n] >= positions2[:n], 0, 1)  # _front_index's tie rule
-        after1, after2 = positions1[1:n + 1], positions2[1:n + 1]
-        gaps_after = np.where(fronts == 0, after1 - after2, after2 - after1)
-        if same_lane:
-            crashes = np.flatnonzero(gaps_after <= 0.0)
-            n = int(crashes[0]) + 1 if crashes.size else n
-        clocks = np.full(n + 1, dt)
-        clocks[0] = state.clock
-        clocks = np.add.accumulate(clocks)
+    (speeds1, positions1), (speeds2, positions2) = (
+        _scripted_motion(car, cfg.acceleration, dt, ticks) for car, cfg in zip(cars, config.cars)
+    )
+    moving = (speeds1[1:] >= 0.0) & (speeds2[1:] >= 0.0)
+    n = ticks if moving.all() else int(moving.argmin())
+    fronts = np.where(positions1[:n] >= positions2[:n], 0, 1)  # _front_index's tie rule
+    after1, after2 = positions1[1:n + 1], positions2[1:n + 1]
+    gaps_after = np.where(fronts == 0, after1 - after2, after2 - after1)
+    if same_lane:
+        crashes = np.flatnonzero(gaps_after <= 0.0)
+        n = int(crashes[0]) + 1 if crashes.size else n
+    clocks = np.full(n + 1, dt)
+    clocks[0] = state.clock
+    clocks = np.add.accumulate(clocks)
     state.clock = clocks[n].item()
     for car, speeds, positions in zip(cars, (speeds1, speeds2), (positions1, positions2)):
         car.speed, car.position = speeds[n].item(), positions[n].item()

@@ -57,6 +57,14 @@ def test_estimate_empty_csv_exits_2(tmp_path, capsys):
     assert "no records" in capsys.readouterr().err
 
 
+def test_estimate_file_without_a_header_exits_2_naming_line_1(tmp_path, capsys):
+    csv_path = tmp_path / "empty.csv"
+    csv_path.write_text("")
+    code = cli.main(["estimate", "--csv", str(csv_path), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: line 1: missing header\n"
+
+
 def test_estimate_bad_lane_names_line(tmp_path, capsys):
     csv_path = tmp_path / "bad.csv"
     csv_path.write_text(
@@ -222,6 +230,9 @@ def _bad_model_files():
         "observation_1x1": edited(("observation",), [[1.0]]),
         "observation_row_not_a_distribution": edited(("observation",), [[-5, 3, 3, 0, 0, 0]] * 6),
         "speed_75": edited(("current", "speed_mps"), 75.0),
+        "speed_60": edited(("current", "speed_mps"), 60.0),
+        "missing_frame_interval": edited(("frame_interval_s",), KeyError),
+        "missing_unobserved_rows": edited(("unobserved_rows",), KeyError),
         "unobserved_row_x": edited(("unobserved_rows",), [{"chain": "lane", "row": "x"}]),
         "unobserved_chain_unknown": edited(("unobserved_rows",), [{"chain": "gear", "row": 1}]),
         "missing_current": edited(("current",), KeyError),
@@ -231,6 +242,7 @@ def _bad_model_files():
         "ragged_chain": edited(("speed_chain",), [[1.0]] + [[0.0] * 6] * 5),
         "frame_interval_string": edited(("frame_interval_s",), "1"),
         "pos_beyond_float_range": edited(("current", "pos_m"), 10 ** 400),
+        "pos_nan": edited(("current", "pos_m"), float("nan")),  # written bare, as NaN
         "nested_too_deeply": "[" * 100_000,
         "top_level_list": "[]",
         "invalid_json": "{\"lane_chain\": ",
@@ -272,6 +284,45 @@ def test_an_observation_row_that_is_not_a_distribution_names_observation(tmp_pat
     code = cli.main(["assess", "--model1", str(bad), "--model2", str(bad), "--gap", "40", "--front", "car1"])
     assert code == 2
     assert capsys.readouterr().err == "error: invalid model: observation: negative entry -5.0 at (0, 0)\n"
+
+
+@pytest.mark.parametrize("name,message", [
+    ("missing_frame_interval", "frame_interval_s: missing required field"),
+    ("missing_unobserved_rows", "unobserved_rows: missing required field"),
+    ("speed_60", "current.speed_mps: speed 60.0 outside [0, 60.0)"),
+    ("top_level_list", "model: expected an object"),
+    ("pos_beyond_float_range", "current.pos_m: must be finite, got an integer beyond float range"),
+    ("pos_nan", "current.pos_m: must be finite, got nan"),
+    ("invalid_json", "file: not valid JSON: Expecting value: line 1 column 16 (char 15)"),
+    ("nested_too_deeply", "file: JSON nested too deeply to read"),
+])
+def test_assess_names_what_is_wrong_with_a_model_file(tmp_path, capsys, name, message):
+    # every key of the model format is required; nothing is defaulted
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(BAD_MODELS[name])
+    good = write_model(tmp_path / "good.json", synthetic.banded_chain(), lane=6, speed=40.0)
+    code = cli.main(["assess", "--model1", str(bad), "--model2", good, "--gap", "40", "--front", "car1"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: invalid model: {message}\n"
+
+
+def test_json_integers_in_float_fields_read_as_their_floats(tmp_path):
+    # 40 and 1 stand for 40.0 and 1.0, in a scenario's fields and in its models'
+    data = json.loads((DATA / "scenario1.json").read_text())
+    data["cars"][1]["speed"] = 40
+    data["duration"] = 20
+    for car in data["cars"]:
+        car["model"]["frame_interval_s"] = 1
+    text = json.dumps(data)
+    assert type(json.loads(text)["cars"][0]["model"]["frame_interval_s"]) is int
+    reports = []
+    for name, scenario_text in (("floats", (DATA / "scenario1.json").read_text()), ("ints", text)):
+        scenario = tmp_path / f"{name}.json"
+        scenario.write_text(scenario_text, encoding="utf-8")
+        report = tmp_path / f"{name}_report.json"
+        assert cli.main(["simulate", "--scenario", str(scenario), "--report-path", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_unopenable_model_path_is_an_invalid_model(tmp_path, capsys):
@@ -455,7 +506,16 @@ def with_car_field(index, name, value):
     (with_car_field(1, "lane", 7), "cars[1].lane"),
     (with_car_field(0, "speed", -1), "cars[0].speed"),
     (with_car_field(1, "speed", 60.0), "cars[1].speed"),
-], ids=["top_level_list", "car_entry_number", "lane_0", "lane_7", "speed_-1", "speed_60"])
+    (with_car_field(0, "position", 1e308), "cars[0].position"),
+    (with_car_field(0, "acceleration", 1e200), "cars[0].acceleration"),
+    (with_car_field(1, "position", -1e6 - 0.5), "cars[1].position"),
+    (lambda data: {**data, "acc_params": {"accel_limit": 1e3 + 0.5}}, "acc_params"),
+    (lambda data: {**data, "time_step": 1e3 + 0.5, "duration": 1e3 + 0.5}, "time_step"),
+    # both cars are read before either one's ranges are checked
+    (lambda data: with_car_field(1, "speed", "x")(with_car_field(0, "lane", 7)(data)), "cars[1].speed"),
+], ids=["top_level_list", "car_entry_number", "lane_0", "lane_7", "speed_-1", "speed_60",
+        "position_1e308", "acceleration_1e200", "position_below_bound", "accel_limit_above_bound",
+        "time_step_above_bound", "parse_error_before_range_error"])
 def test_simulate_names_the_field_of_a_scenario_it_refuses(tmp_path, capsys, edit, field):
     data = json.loads((DATA / "scenario1.json").read_text())
     scenario = tmp_path / "s.json"

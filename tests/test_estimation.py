@@ -72,6 +72,25 @@ def test_ingest_empty_with_header():
     assert estimation.ingest_trajectories(csv_stream()) == {}
 
 
+@pytest.mark.parametrize("source", [io.StringIO, lambda text: iter(text.splitlines(True))],
+                         ids=["stream", "lines"])
+def test_ingest_without_a_header_names_line_1(source):
+    # a stream goes to the C reader first, an iterable of lines to the row walk
+    with pytest.raises(ParseError, match="^line 1: missing header$"):
+        estimation.ingest_trajectories(source(""))
+
+
+def test_ingest_reads_rows_on_every_range_edge_with_the_c_reader_alone(monkeypatch):
+    # frame 0, lanes 1 and 6 and speed 0.0 are in range; the row walk would
+    # read them alike, only slower
+    def no_walk(source):
+        raise AssertionError("the row walk read a plain file")
+
+    monkeypatch.setattr(estimation, "_walk_rows", no_walk)
+    grouped = estimation.ingest_trajectories(csv_stream("1,0,1,0.0,0.0", "1,1,6,59.99,1.0"))
+    assert columns_of(grouped) == {1: ([0, 1], [1, 6], [0.0, 59.99], [0.0, 1.0])}
+
+
 def test_ingest_sorts_by_frame():
     grouped = estimation.ingest_trajectories(
         csv_stream("1,3,2,15.0,30.0", "1,1,1,10.0,10.0", "1,2,1,12.0,20.0")
@@ -162,6 +181,8 @@ BAD_ROWS = [
     ("1,2,7,10.0,0.0", LaneOutOfRange, "lane 7 outside"),
     ("1,2,1,60.0,0.0", SpeedOutOfRange, "speed 60.0 outside"),
     ("1,2,1,10.0,nan", ParseError, "non-finite position nan"),
+    # numpy's reader skips \x1c as whitespace; float() does not
+    ("1,2,1,10.0,\x1c0.0", ParseError, "malformed row"),
 ]
 LAYOUTS = {
     # name: (line ending, blank line before the bad row)
@@ -484,7 +505,7 @@ def test_build_model_matches_loop_counting(pairs):
 def test_build_model_rejects_speed_out_of_range():
     with pytest.raises(SpeedOutOfRange, match="speed 61.0 outside"):
         estimation.build_vehicle_model(records_from([(1, 5.0), (1, 61.0), (1, 70.0)]))
-    for speeds in ([5.0, 61.0], [float("nan"), 5.0]):
+    for speeds in ([5.0, 61.0], [float("nan"), 5.0], [5.0, 60.0]):
         with pytest.raises(SpeedOutOfRange):
             speed_chain(speeds)
 
@@ -543,6 +564,18 @@ def test_model_from_dict_checks_that_each_observation_row_is_a_distribution(row,
     assert exc.value.field == "observation"
     if message is not None:
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("speed", [0.0, 60.0])
+def test_model_from_dict_takes_a_current_speed_in_0_to_60(speed):
+    # the modeled range [0, 60) is closed below and open above
+    data = estimation.model_to_dict(estimation.build_vehicle_model(records_from([(1, 5.0), (2, 15.0)])))
+    data["current"]["speed_mps"] = speed
+    if speed < 60.0:
+        assert estimation.model_from_dict(data).current_speed == speed
+    else:
+        with pytest.raises(SchemaError, match=r"^current\.speed_mps: speed 60\.0 outside \[0, 60\.0\)$"):
+            estimation.model_from_dict(data)
 
 
 def test_model_from_dict_keeps_observation_rows_within_the_file_tolerance():

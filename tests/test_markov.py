@@ -21,6 +21,7 @@ from crashguard.errors import (
     NotRegular,
     NotSquare,
     RowSumOutOfTolerance,
+    SingularSystem,
     ZeroStationaryEntry,
 )
 
@@ -55,6 +56,16 @@ def test_validate_row_sum_out_of_tolerance():
     assert exc.value.total == pytest.approx(1.1)
 
 
+def test_validate_accepts_a_row_sum_off_by_exactly_the_tolerance():
+    # 2**-30 is exact in the row, its sum and the tolerance; the error names
+    # the first row beyond it
+    tolerance = 2.0 ** -30
+    markov.validate_stochastic([[0.5, 0.5 + tolerance], [0.25, 0.75]], tolerance)
+    with pytest.raises(RowSumOutOfTolerance) as exc:
+        markov.validate_stochastic([[0.5, 0.5 + tolerance], [0.5, 0.6]], tolerance)
+    assert exc.value.row == 1
+
+
 def test_validate_rejects_non_square():
     with pytest.raises(NotSquare):
         markov.validate_stochastic(np.zeros((2, 3)))
@@ -82,6 +93,8 @@ def test_probability_vector_rejects_nan():
 def test_probability_vector_clips_tiny_negatives_and_rejects_larger():
     v = markov.probability_vector([-5e-10, 1.0])
     assert v.entries[0] == 0.0
+    v = markov.probability_vector([-markov.DISTRIBUTION_TOLERANCE, 0.5, 0.5])
+    assert v.entries.tolist() == [0.0, 0.5, 0.5]
     with pytest.raises(NegativeEntry) as exc:
         markov.probability_vector([-0.1, 1.1])
     assert exc.value.row == 0
@@ -186,9 +199,17 @@ def test_huge_exponent_power_and_fallback_are_exact():
     cycle = markov.validate_stochastic([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     k = 10**13 + 1  # k = 2 (mod 3)
     assert np.array_equal(markov.matrix_power(cycle, k).entries, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    with pytest.warns(RuntimeWarning, match="approximate"):
+    with pytest.warns(RuntimeWarning, match="approximate") as caught:
         out = markov.propagate(markov.unit_vector(3, 0), cycle, 1e13 + 0.5)
     assert np.array_equal(out.entries, [0.0, 0.0, 1.0])
+    assert caught[0].filename == __file__  # the warning names propagate's caller
+
+
+def test_a_time_at_the_integral_tolerance_takes_the_exact_integer_power():
+    # 1e-9 - 0 is exact, so the inclusive bound decides; the eig path would
+    # move about 7e-10 of each row off the diagonal
+    P = markov.validate_stochastic(TWO_STATE)
+    assert np.array_equal(markov.matrix_power_real(P, markov.INTEGRAL_TIME_TOLERANCE).entries, np.eye(2))
 
 
 def test_propagate_through_a_huge_rounded_horizon_reads_the_limiting_matrix():
@@ -712,6 +733,13 @@ def test_fundamental_rejects_a_limiting_matrix_of_another_shape():
     P = markov.validate_stochastic(TWO_STATE)
     with pytest.raises(DimensionMismatch, match="W has shape"):
         markov.fundamental_matrix(P, np.full((3, 3), 1.0 / 3.0))
+
+
+def test_fundamental_of_a_singular_system_raises():
+    # W = P - I makes I - P + W exactly zero
+    P = markov.validate_stochastic(TWO_STATE)
+    with pytest.raises(SingularSystem):
+        markov.fundamental_matrix(P, P.entries - np.eye(2))
 
 
 def test_fundamental_row_sums_are_one():

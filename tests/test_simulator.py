@@ -224,6 +224,7 @@ def test_acc_never_exceeds_limits_or_set_speed():
 @pytest.mark.parametrize("field,value", [
     ("accel_limit", 0.0), ("time_gap", 0.0), ("time_gap", float("nan")),
     ("min_gap", -1.0), ("set_speed", float("inf")),
+    ("accel_limit", simulator.MAX_ACCELERATION * (1 + 2 ** -52)),
 ])
 def test_acc_params_reject_bad_limits_at_construction(field, value):
     with pytest.raises(InvalidValue, match=field):
@@ -372,11 +373,37 @@ def test_simulate_at_the_largest_lateral_offset_writes_a_report(tmp_path):
 
 @pytest.mark.parametrize("build", [
     lambda config: AccParams(min_gap=0.0),
+    lambda config: AccParams(accel_limit=simulator.MAX_ACCELERATION),
     lambda config: dataclasses.replace(config, lateral_offset=0.0),
     lambda config: dataclasses.replace(config, duration=config.time_step),
-], ids=["min_gap_0", "lateral_offset_0", "duration_of_one_step"])
+    lambda config: dataclasses.replace(config, time_step=simulator.MAX_TIME_STEP, duration=simulator.MAX_TIME_STEP),
+    lambda config: with_car(config, 0, lane=1, speed=0.0),
+    lambda config: with_car(config, 1, lane=6, speed=math.nextafter(60.0, 0.0)),
+    lambda config: with_car(config, 0, position=-simulator.MAX_POSITION, acceleration=-simulator.MAX_ACCELERATION),
+    lambda config: with_car(config, 1, position=simulator.MAX_POSITION, acceleration=simulator.MAX_ACCELERATION),
+], ids=["min_gap_0", "accel_limit_max", "lateral_offset_0", "duration_of_one_step", "time_step_max",
+        "lane_1_speed_0", "lane_6_speed_below_60", "car_bounds_low", "car_bounds_high"])
 def test_boundary_values_are_accepted_at_construction(build):
     build(load("scenario1"))
+
+
+@pytest.mark.parametrize("index,changes,field", [
+    (0, {"lane": 0}, "cars[0].lane"),
+    (1, {"lane": 7}, "cars[1].lane"),
+    (0, {"speed": -1.0}, "cars[0].speed"),
+    (1, {"speed": 60.0}, "cars[1].speed"),
+    (0, {"speed": float("nan")}, "cars[0].speed"),
+    (1, {"acceleration": simulator.MAX_ACCELERATION * (1 + 2 ** -52)}, "cars[1].acceleration"),
+    (0, {"acceleration": -math.inf}, "cars[0].acceleration"),
+    (1, {"position": -simulator.MAX_POSITION * (1 + 2 ** -52)}, "cars[1].position"),
+    (0, {"position": math.nan}, "cars[0].position"),
+], ids=["lane_0", "lane_7", "speed_-1", "speed_60", "speed_nan", "acceleration_above_bound",
+        "acceleration_-inf", "position_below_bound", "position_nan"])
+def test_scenario_config_checks_each_cars_ranges_at_construction(index, changes, field):
+    # a config built in code meets the file's rules, with the file's field names
+    with pytest.raises(SchemaError) as exc:
+        with_car(load("scenario3"), index, **changes)
+    assert exc.value.field == field
 
 
 def test_zero_duration_is_rejected():
@@ -657,15 +684,58 @@ def test_segment_columns_are_the_per_tick_loops_floats(motion1, motion2, dt, tic
     assert moved.clock.hex() == expected.clock.hex()
 
 
+def bounds_corner(acc_on=()):
+    """Scenario 1 at the corner of the bounds that reaches farthest: car 1
+    leads from MAX_POSITION at MAX_ACCELERATION, car 2 brakes to a stop from
+    -MAX_POSITION, over MAX_STEPS steps of MAX_TIME_STEP; with a state
+    whose ``acc_on`` cars have ACC on at that limit."""
+    config = with_car(with_car(load("scenario1"), 0, position=simulator.MAX_POSITION,
+                               acceleration=simulator.MAX_ACCELERATION),
+                      1, position=-simulator.MAX_POSITION, acceleration=-simulator.MAX_ACCELERATION)
+    config = dataclasses.replace(
+        config, time_step=simulator.MAX_TIME_STEP, duration=simulator.MAX_TIME_STEP * simulator.MAX_STEPS,
+        acc_params=AccParams(set_speed=1e308, time_gap=1e308, accel_limit=simulator.MAX_ACCELERATION),
+    )
+    state = simulator.SimState(cars=tuple(CarState(c.speed, c.position) for c in config.cars))
+    state.acc_set_speed.update((label, config.acc_params.set_speed) for label in acc_on)
+    return config, state
+
+
 @pytest.mark.parametrize("disable_actions", [False, True])
 @pytest.mark.parametrize("field", ["position", "acceleration"])
-def test_run_overflows_to_the_per_tick_loops_gap_error_without_a_warning(field, disable_actions):
-    # Python floats reach inf silently, and so must the segment's numpy sums;
-    # the run goes ahead to the tick whose gap is no longer finite
-    config = with_car(load("scenario1"), 0, **{field: 1e308})
-    outcome, caught = assert_runs_alike(config, disable_actions)
-    assert outcome == (InvalidValue, "gap must be finite and nonnegative, got inf")
+def test_a_car_that_could_overflow_is_refused_at_construction_and_the_bounds_corner_runs_alike(field, disable_actions):
+    # the bounds keep every sum of a run finite, so a car past them never
+    # loads, and a run at their corner (its first 2000 ticks) gives the
+    # per-tick loop's report without a warning
+    with pytest.raises(SchemaError, match=rf"^cars\[0\]\.{field}: must be in \[-"):
+        with_car(load("scenario1"), 0, **{field: 1e308})
+    config, _ = bounds_corner()
+    outcome, caught = assert_runs_alike(dataclasses.replace(config, duration=2000 * config.time_step), disable_actions)
+    assert isinstance(outcome[0], str)
     assert caught == []
+
+
+def test_a_run_at_the_bounds_corner_reports_max_steps_ticks_of_finite_gaps():
+    config, _ = bounds_corner()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = simulator.run(config)
+    assert len(report.timeline) == simulator.MAX_STEPS
+    assert all(math.isfinite(tick["gap"]) for tick in report.timeline)
+    assert 4e18 < report.timeline[-1]["gap"] < 6e18  # 0.5 * 1e3 * (1e8 s)^2
+
+
+def test_the_bounds_corner_moves_max_steps_ticks_of_finite_gaps_with_acc_on_without_a_warning():
+    # ACC drives both cars at its limit, tick by tick in Python floats
+    config, state = bounds_corner(acc_on=("car1", "car2"))
+    ticks = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        while ticks < simulator.MAX_STEPS:
+            segment = simulator._move_ahead(state, config, simulator.SEGMENT_TICKS, same_lane=False)
+            assert all(map(math.isfinite, segment.gaps))
+            ticks += len(segment.gaps)
+    assert 4e18 < state.cars[0].position < 6e18  # 0.5 * 1e3 * (1e8 s)^2 ahead
 
 
 @pytest.mark.parametrize("same_lane", [False, True])
