@@ -2,17 +2,17 @@
 """Mutation probe: which small changes to a module do its tests miss?
 
     python3 scripts/mutants.py src/crashguard/estimation.py tests/test_estimation.py tests/test_cli.py
-    python3 scripts/mutants.py src/crashguard/markov.py tests/test_markov.py --lines 300-360
-    python3 scripts/mutants.py src/crashguard/markov.py   # list the mutants only
+    python3 scripts/mutants.py src/crashguard/markov.py tests/test_markov.py
 
 Each mutant is one change to the module, made with ``ast``: a comparison,
 boolean or arithmetic operator swapped, an ``if`` test forced true or
 false, a ``raise`` dropped, or a number shifted (an int by one, a float
 doubled, 0.0 to 1.0).  The checkout is copied once into a temporary
-directory, and each mutant is written there, never into the checkout.  The
-given test files then run once per mutant, with ``pytest -x`` and a
-timeout.  A mutant that every test passes survived; the script prints a
-table of the survivors and of the mutants that timed out.
+directory, and each mutant is written there, never into the checkout; a
+module path outside the checkout is refused.  The given test files then
+run once per mutant, with ``pytest -x`` and a timeout of ``TIMEOUT_S``.  A
+mutant that every test passes survived; the script prints a table of the
+survivors and of the mutants that timed out.
 
 Standard library only.  It runs the tests once per mutant, so it stays out
 of tier-1; ``tests/test_mutants.py`` checks only the mutations themselves.
@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 120.0  # per mutant; some mutants loop forever
 KINDS = ("compare", "boolean", "arithmetic", "if_true", "if_false", "raise", "constant")
 
 _SWAPS = {
@@ -122,43 +123,35 @@ def mutations(source: str) -> list[Mutant]:
     return mutants
 
 
-def _run_tests(copy_root: Path, tests: list[str], timeout: float) -> str:
+def _run_tests(copy_root: Path, tests: list[str]) -> str:
     env = dict(os.environ, PYTHONPATH=str(copy_root / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-            cwd=copy_root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=timeout,
+            cwd=copy_root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
         return "timeout"
     return "survived" if done.returncode == 0 else "killed"
 
 
-def _parse_lines(text: str | None):
-    if not text:
-        return None
-    low, _, high = text.partition("-")
-    return int(low), int(high or low)
+def checkout_relative(module: str) -> Path:
+    """``module`` as a path relative to the checkout; ``ValueError`` if it
+    lies outside it (an absolute path elsewhere, or one through ``..``)."""
+    return (ROOT / module).resolve().relative_to(ROOT)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("module", help="the module to mutate, relative to the checkout")
-    parser.add_argument("tests", nargs="*",
-                        help="test files to run per mutant, relative to the checkout; none lists the mutants")
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds per mutant (default 120)")
-    parser.add_argument("--lines", help="only mutants on lines A-B (or one line A)")
+    parser.add_argument("module", help="the module to mutate, inside the checkout")
+    parser.add_argument("tests", nargs="+", help="test files to run per mutant, relative to the checkout")
     args = parser.parse_args(argv)
 
-    module = Path(args.module)
+    try:
+        module = checkout_relative(args.module)
+    except ValueError:
+        parser.error(f"{args.module} is not inside the checkout")
     mutants = mutations((ROOT / module).read_text(encoding="utf-8"))
-    lines = _parse_lines(args.lines)
-    mutants = [m for m in mutants if lines is None or lines[0] <= m.line <= lines[1]]
-    if not args.tests:
-        for m in mutants:
-            print(f"{module}:{m.line}\t{m.kind}\t{m.description}")
-        print(f"{len(mutants)} mutants")
-        return 0
 
     outcomes = []
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
@@ -166,13 +159,13 @@ def main(argv=None) -> int:
         shutil.copytree(ROOT, copy_root, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_work", ".bench_build"))
         target = copy_root / module
-        if _run_tests(copy_root, args.tests, args.timeout) != "survived":
+        if _run_tests(copy_root, args.tests) != "survived":
             print("the unmutated tests fail or time out; nothing to compare against", file=sys.stderr)
             return 2
         for number, m in enumerate(mutants, 1):
             target.write_text(m.source, encoding="utf-8")
             start = time.perf_counter()
-            outcome = _run_tests(copy_root, args.tests, args.timeout)
+            outcome = _run_tests(copy_root, args.tests)
             outcomes.append((m, outcome))
             print(f"[{number}/{len(mutants)}] {module}:{m.line} {m.kind} {m.description}: "
                   f"{outcome} ({time.perf_counter() - start:.1f} s)", file=sys.stderr, flush=True)

@@ -511,11 +511,12 @@ def with_car_field(index, name, value):
     (with_car_field(1, "position", -1e6 - 0.5), "cars[1].position"),
     (lambda data: {**data, "acc_params": {"accel_limit": 1e3 + 0.5}}, "acc_params"),
     (lambda data: {**data, "time_step": 1e3 + 0.5, "duration": 1e3 + 0.5}, "time_step"),
-    # both cars are read before either one's ranges are checked
+    # the whole file is read before any car's ranges are checked
     (lambda data: with_car_field(1, "speed", "x")(with_car_field(0, "lane", 7)(data)), "cars[1].speed"),
+    (lambda data: {**with_car_field(0, "lane", 7)(data), "lateral_offset": "x"}, "lateral_offset"),
 ], ids=["top_level_list", "car_entry_number", "lane_0", "lane_7", "speed_-1", "speed_60",
         "position_1e308", "acceleration_1e200", "position_below_bound", "accel_limit_above_bound",
-        "time_step_above_bound", "parse_error_before_range_error"])
+        "time_step_above_bound", "parse_error_before_range_error", "scenario_parse_error_before_range_error"])
 def test_simulate_names_the_field_of_a_scenario_it_refuses(tmp_path, capsys, edit, field):
     data = json.loads((DATA / "scenario1.json").read_text())
     scenario = tmp_path / "s.json"

@@ -5,6 +5,8 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 TOY = '''
@@ -46,3 +48,27 @@ def test_mutations_of_a_toy_source_all_compile_and_cover_each_kind():
     namespace = {}
     exec(dropped.source, namespace)
     assert namespace["clip"](-1.0) == -2.0  # the raise is gone, the rest runs
+
+
+@pytest.mark.parametrize("module", [
+    str(ROOT.parent / "markov.py"), "../markov.py", "src/../../markov.py",
+], ids=["absolute_outside", "dotdot", "dotdot_through_src"])
+def test_a_module_outside_the_checkout_is_refused_before_anything_is_copied_or_written(module, monkeypatch, capsys):
+    script = load_script()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("touched the file system")
+    monkeypatch.setattr(script.shutil, "copytree", forbidden)
+    monkeypatch.setattr(script.Path, "read_text", forbidden)
+    monkeypatch.setattr(script.Path, "write_text", forbidden)
+    with pytest.raises(SystemExit) as exit_:
+        script.main([module, "tests/test_markov.py"])
+    assert exit_.value.code == 2
+    assert "is not inside the checkout" in capsys.readouterr().err
+
+
+def test_an_absolute_module_inside_the_checkout_is_mutated_in_the_copy():
+    # the copy's target is copy_root / this relative path, not the checkout's file
+    script = load_script()
+    absolute = ROOT / "src" / "crashguard" / "markov.py"
+    assert script.checkout_relative(str(absolute)) == Path("src/crashguard/markov.py")
