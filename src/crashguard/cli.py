@@ -68,14 +68,13 @@ def _dict_heads(keys: tuple, newline: str) -> tuple[tuple[tuple[str, str], ...],
 
     Memoised by the key tuple and indentation, since a report writes many
     dicts with the same keys at the same depth; a key that is not a str
-    raises TypeError, and a call that raises is not cached.
+    raises TypeError (``sorted`` or ``encode_basestring_ascii`` takes only
+    str), and a call that raises is not cached.
     """
     inner = newline + "  "
     heads = []
     lead = "{" + inner
     for key in sorted(keys):
-        if not isinstance(key, str):
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
         heads.append((key, lead + encode_basestring_ascii(key) + ": "))
         lead = "," + inner
     return tuple(heads), inner, newline + "}"

@@ -136,9 +136,9 @@ class VehicleModel:
     current_lane: int
     current_speed: float
     current_position: float
+    frame_interval: float
     lane_unobserved: tuple[int, ...] = ()
     speed_unobserved: tuple[int, ...] = ()
-    frame_interval: float = DEFAULT_FRAME_INTERVAL
 
     def __post_init__(self):
         require_positive("frame_interval", self.frame_interval)

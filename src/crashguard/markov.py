@@ -56,6 +56,7 @@ __all__ = [
     "validate_stochastic",
     "probability_vector",
     "check_state",
+    "check_time",
     "unit_vector",
     "is_regular",
     "matrix_power",
@@ -77,28 +78,34 @@ INTEGRAL_TIME_TOLERANCE = 1e-9  # |t - round(t)| treated as an integer exponent
 EIG_CONDITION_LIMIT = 1e8
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that numpy refuses to make writeable again: ``a`` and
+    every array it views, up to the owner of its memory, are made read-only
+    in place."""
+    base = a
+    while isinstance(base, np.ndarray):
+        base.flags.writeable = False
+        base = base.base
+    return a.view()
 
 
 @dataclass(frozen=True, eq=False)
 class _FrozenArray:
-    """A float array made read-only; an array passed in is copied first."""
+    """A float array under the one read-only rule, :func:`_read_only`, so a
+    value, and a StochasticMatrix's memoised eigendecomposition, never goes
+    stale; an array passed in is copied first."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen(self.entries))
+        object.__setattr__(self, "entries", _read_only(np.array(self.entries, dtype=float)))
 
     @classmethod
     def _built(cls, a: np.ndarray):
         """Wrap a float array that this module has just built and that no
         caller holds, made read-only in place instead of copied."""
-        a.flags.writeable = False
         wrapped = object.__new__(cls)
-        object.__setattr__(wrapped, "entries", a)
+        object.__setattr__(wrapped, "entries", _read_only(a))
         return wrapped
 
     @property
@@ -107,21 +114,7 @@ class _FrozenArray:
 
 
 class StochasticMatrix(_FrozenArray):
-    """n x n row-stochastic matrix; every row sums to exactly 1.
-
-    Its entries are a view of a read-only array, which numpy refuses to make
-    writeable again, so the memoised eigendecomposition cannot go stale.
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "entries", self.entries.view())
-
-    @classmethod
-    def _built(cls, a: np.ndarray):
-        wrapped = super()._built(a)
-        object.__setattr__(wrapped, "entries", a.view())
-        return wrapped
+    """n x n row-stochastic matrix; every row sums to exactly 1."""
 
     @cached_property
     def _eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -136,9 +129,7 @@ class StochasticMatrix(_FrozenArray):
             inverse = np.linalg.inv(vecs)
         except np.linalg.LinAlgError as exc:
             raise IllConditioned(str(exc)) from exc
-        parts = (evals.astype(complex), vecs, inverse)
-        for a in parts:
-            a.flags.writeable = False
+        parts = [_read_only(a) for a in (evals.astype(complex), vecs, inverse)]  # eig's V can view a complex array
         # the largest column sum of absolute values is the 1-norm that
         # np.linalg.norm(a, 1) computes, without its dispatch
         return (*parts, float(np.abs(vecs).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()))
@@ -207,19 +198,22 @@ def check_state(n: int, state: int) -> None:
         raise DimensionMismatch(f"state {state} outside 0..{n - 1}")
 
 
+def check_time(t: float) -> None:
+    """Raise InvalidValue unless a time is finite and nonnegative."""
+    if not 0 <= t < math.inf:  # NaN fails too
+        raise InvalidValue(f"time must be finite and nonnegative, got {t!r}")
+
+
 @lru_cache(maxsize=256, typed=True)
 def unit_vector(n: int, state: int) -> ProbabilityVector:
     """Probability vector concentrated on one 0-based state index.
 
     The result is immutable, so each (n, state) is built once and shared.
-    Its entries are a view of a read-only array, which numpy refuses to
-    make writeable again.
     """
     check_state(n, state)
     v = np.zeros(n)
     v[state] = 1.0
-    v.flags.writeable = False
-    return ProbabilityVector._built(v.view())
+    return ProbabilityVector._built(v)
 
 
 def is_regular(P: StochasticMatrix) -> bool:
@@ -300,8 +294,7 @@ def _power_rows(P: StochasticMatrix, t: float, rows) -> np.ndarray:
 
     A t that is negative, NaN or infinite raises InvalidValue.
     """
-    if not 0 <= t < math.inf:  # NaN fails too
-        raise InvalidValue(f"time must be finite and nonnegative, got {t!r}")
+    check_time(t)
     nearest = round(t)
     if abs(t - nearest) <= INTEGRAL_TIME_TOLERANCE:
         return matrix_power(P, nearest).entries[rows]
@@ -432,7 +425,6 @@ def _stacked_propagations(pi0: ProbabilityVector, P: StochasticMatrix, times: li
             result = clipped / totals[:, None]
     except (IllConditioned, FloatingPointError):
         return {}
-    result.flags.writeable = False
     return {i: ProbabilityVector._built(row) for i, row in zip(picked, result)}
 
 

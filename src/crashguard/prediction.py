@@ -26,6 +26,7 @@ from .estimation import N_LANES, VehicleModel, speed_bin_index
 from .markov import (
     StochasticMatrix,
     check_state,
+    check_time,
     fundamental_matrix,
     limiting_matrix,
     mean_first_passage,
@@ -54,7 +55,6 @@ CAR_LABELS = ("car1", "car2")
 
 
 class SafetyAction(str, enum.Enum):
-    NO_ACTION = "none"
     ACC_ON = "acc_on"
     LANE_DEPARTURE_AND_STEERING = "lane_departure_steering"
 
@@ -88,12 +88,6 @@ def check_gap(gap_d: float) -> None:
     """Raise InvalidValue unless a longitudinal gap (m) is finite and nonnegative."""
     if not (math.isfinite(gap_d) and gap_d >= 0.0):
         raise InvalidValue(f"gap must be finite and nonnegative, got {gap_d!r}")
-
-
-def _check_time(t: float) -> None:
-    """Raise InvalidValue unless a prediction time (s) is finite and nonnegative."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise InvalidValue(f"time must be finite and nonnegative, got {t!r}")
 
 
 @dataclass(frozen=True)
@@ -169,7 +163,7 @@ def flow2_crash_probabilities(car1: VehicleModel, car2: VehicleModel, t: float) 
     The result is NOT a distribution; each entry is a standalone joint
     probability.
     """
-    _check_time(t)
+    check_time(t)
     pi1, pi2 = (
         propagate(unit_vector(N_LANES, car.current_lane - 1), car.lane_chain, t / car.frame_interval)
         for car in (car1, car2)
@@ -328,7 +322,7 @@ def assess_many(
             check_gap(gap)
             flow1 = _flow1(diagonals, gap, pair, front, thresholds.speed_stability)
             if flow1 is not None:
-                _check_time(flow1[0])  # flow 2's check, before it reads a lane
+                check_time(flow1[0])  # flow 2's check, before it reads a lane
                 starts = starts or [unit_vector(N_LANES, lane - 1) for lane in lanes]
         except Exception as exc:  # raised when reached; no later tick is
             flows1.append(exc)

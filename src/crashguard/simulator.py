@@ -114,10 +114,6 @@ class AccParams:
         if self.set_speed is not None and not math.isfinite(self.set_speed):
             raise InvalidValue(f"set_speed must be finite, got {self.set_speed!r}")
 
-    def set_speed_for(self, speed: float) -> float:
-        """The set speed ACC holds for a car engaging at ``speed``."""
-        return self.set_speed if self.set_speed is not None else speed
-
 
 @dataclass(frozen=True)
 class CarConfig:
@@ -182,7 +178,6 @@ class SimState:
     clock: float = 0.0
     # car label -> resolved set speed, in engagement order
     acc_set_speed: dict[str, float] = field(default_factory=dict)
-    steering_on: bool = False
     events: list[TriggeredAction] = field(default_factory=list)
 
 
@@ -281,14 +276,16 @@ def _integrate(car: CarState, accel: float, dt: float) -> None:
     """Constant-acceleration kinematics with a stop at v = 0, in place.
 
     If braking would cross zero speed within the step, the position
-    advances only until the stop instead of drifting backward.
+    advances only until the stop instead of drifting backward.  A speed is
+    never negative (a config takes [0, 60) and each branch leaves v >= 0),
+    so the stop branch has accel < 0.
     """
     v = car.speed
     if v + accel * dt >= 0.0:
         car.position = car.position + v * dt + 0.5 * accel * dt * dt
         car.speed = v + accel * dt
     else:
-        t_stop = 0.0 if accel >= 0.0 else v / -accel
+        t_stop = v / -accel
         car.position = car.position + v * t_stop + 0.5 * accel * t_stop * t_stop
         car.speed = 0.0
 
@@ -323,13 +320,12 @@ def _latch(state: SimState, config: ScenarioConfig, assessment: CrashAssessment,
         if action.action is SafetyAction.ACC_ON:
             if action.target in state.acc_set_speed:
                 continue
-            speed = speeds[CAR_LABELS.index(action.target)]
-            state.acc_set_speed[action.target] = config.acc_params.set_speed_for(speed)
+            set_speed = config.acc_params.set_speed  # None: the car's speed as it engages
+            state.acc_set_speed[action.target] = speeds[CAR_LABELS.index(action.target)] if set_speed is None else set_speed
             engaged = True
-        else:  # lane departure and steering: a signal only, lanes never move
-            if state.steering_on:
-                continue
-            state.steering_on = True
+        # lane departure and steering: a signal only, latched once; lanes never move
+        elif any(event.action is SafetyAction.LANE_DEPARTURE_AND_STEERING for event in state.events):
+            continue
         state.events.append(TriggeredAction(clock, action.lane, action.action, action.target))
     return engaged
 
@@ -378,14 +374,20 @@ def step(
 
 @dataclass(frozen=True)
 class SimReport:
-    crash: bool
-    crash_time: float | None
+    crash_time: float | None  # None when the run ends without a crash
     min_gap: float
     min_gap_time: float
     predicted_crash_time: float | None  # absolute clock of the first prediction
-    closest_approach_time: float
     triggered_actions: tuple[TriggeredAction, ...]
     timeline: tuple[dict, ...]
+
+    @property
+    def crash(self) -> bool:
+        return self.crash_time is not None
+
+    @property
+    def closest_approach_time(self) -> float:
+        return self.min_gap_time if self.crash_time is None else self.crash_time
 
 
 def _gap_after(cars, front: int) -> float:
@@ -536,14 +538,11 @@ def run(config: ScenarioConfig, disable_actions: bool = False) -> SimReport:
             if engaged:
                 break
 
-    crash = crash_time is not None
     return SimReport(
-        crash=crash,
         crash_time=crash_time,
         min_gap=min_gap,
         min_gap_time=min_gap_time,
         predicted_crash_time=predicted_crash_time,
-        closest_approach_time=crash_time if crash else min_gap_time,
         triggered_actions=tuple(state.events),
         timeline=tuple(timeline),
     )

@@ -384,14 +384,11 @@ def reference_run(config, disable_actions=False):
             crash_time = state.clock
             break
 
-    crash = crash_time is not None
     return simulator.SimReport(
-        crash=crash,
         crash_time=crash_time,
         min_gap=min_gap,
         min_gap_time=min_gap_time,
         predicted_crash_time=predicted_crash_time,
-        closest_approach_time=crash_time if crash else min_gap_time,
         triggered_actions=tuple(state.events),
         timeline=tuple(timeline),
     )

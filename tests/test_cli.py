@@ -1,10 +1,15 @@
 """CLI contract tests: subcommands, exit codes, and byte-stable output."""
 
+import csv
 import hashlib
 import importlib.resources
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,8 +50,11 @@ def test_estimate_writes_one_model_per_vehicle(tmp_path, capsys):
     written = sorted(p.name for p in out_dir.glob("*.json"))
     assert written == ["vehicle_1.json", "vehicle_2.json"]
     summary = capsys.readouterr().out
-    assert "vehicle 1" in summary and "vehicle 2" in summary
-    assert "unobserved lane rows" in summary
+    with open(SAMPLE_CSV, newline="") as f:
+        rows = [row["vehicle_id"] for row in csv.DictReader(f)]
+    for vehicle in ("1", "2"):
+        n = rows.count(vehicle)
+        assert f"vehicle {vehicle}: {n} records, {n - 1} transitions, unobserved lane rows " in summary
 
 
 def test_estimate_empty_csv_exits_2(tmp_path, capsys):
@@ -826,3 +834,15 @@ def test_log_env_var_smoke(monkeypatch, tmp_path):
     monkeypatch.setenv("CRASHGUARD_LOG", "debug")
     out_dir = tmp_path / "models"
     assert cli.main(["estimate", "--csv", SAMPLE_CSV, "--out-dir", str(out_dir)]) == 0
+
+
+@pytest.mark.parametrize("level,logged", [("info", True), ("warning", False), ("basic_format", False)])
+def test_log_level_is_read_from_the_environment(tmp_path, level, logged):
+    # a process of its own, since logging.basicConfig configures a process
+    # once; logging.BASIC_FORMAT is a name that is not a level
+    report = tmp_path / "report.json"
+    env = dict(os.environ, CRASHGUARD_LOG=level, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    result = subprocess.run([sys.executable, "-m", "crashguard.cli", "simulate", "--scenario", SCENARIO3,
+                             "--report-path", str(report)], env=env, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, f"INFO wrote {report}\n" if logged else "")
+    assert report.exists()

@@ -122,6 +122,60 @@ def test_stochastic_matrix_entries_cannot_be_made_writeable():
     assert markov.propagate(markov.unit_vector(2, 0), P, 0.5).entries.tobytes() == before.tobytes()
 
 
+def stacked_rows(P):
+    """propagate_many's results at two times that its stacked product takes."""
+    return list(markov.propagate_many(markov.unit_vector(2, 0), P, (0.3, 1.7)))
+
+
+def passage_matrix(P):
+    w = markov.stationary_distribution(P)
+    return markov.mean_first_passage(markov.fundamental_matrix(P, markov.limiting_matrix(P)), w)
+
+
+# every way the module builds a value, each given a fresh TWO_STATE chain
+READ_ONLY_PATHS = {
+    "validate_stochastic": lambda P: P.entries,
+    "StochasticMatrix": lambda P: markov.StochasticMatrix(TWO_STATE).entries,
+    "ProbabilityVector": lambda P: markov.ProbabilityVector([0.25, 0.75]).entries,
+    "matrix_power": lambda P: markov.matrix_power(P, 3).entries,
+    "matrix_power_real": lambda P: markov.matrix_power_real(P, 0.3).entries,
+    "probability_vector": lambda P: markov.probability_vector([0.25, 0.75]).entries,
+    "unit_vector": lambda P: markov.unit_vector(2, 1).entries,
+    "propagate_integral": lambda P: markov.propagate(markov.unit_vector(2, 0), P, 3.0).entries,
+    "propagate_fractional": lambda P: markov.propagate(markov.unit_vector(2, 0), P, 0.3).entries,
+    "propagate_many_stacked_first": lambda P: stacked_rows(P)[0].entries,
+    "propagate_many_stacked_second": lambda P: stacked_rows(P)[1].entries,
+    "stationary_distribution": lambda P: markov.stationary_distribution(P).entries,
+    "mean_first_passage": lambda P: passage_matrix(P).entries,
+    "eig_values": lambda P: P._eig[0],
+    "eig_vectors": lambda P: P._eig[1],
+    "eig_inverse": lambda P: P._eig[2],
+}
+
+
+@pytest.mark.parametrize("build", READ_ONLY_PATHS.values(), ids=READ_ONLY_PATHS.keys())
+def test_every_built_array_refuses_to_be_made_writeable(build):
+    # numpy lets an array that owns its memory, or views a writeable one,
+    # be made writeable again; a value must be neither
+    a = build(markov.validate_stochastic(TWO_STATE))
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a.flags.writeable = True
+
+
+def memory_owner(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_stacked_rows_are_views_of_one_array():
+    P = markov.validate_stochastic(TWO_STATE)
+    assert markov._stacked_propagations(markov.unit_vector(2, 0), P, [0.3, 1.7])  # the stacked path runs
+    first, second = stacked_rows(P)
+    assert memory_owner(first.entries) is memory_owner(second.entries)
+
+
 # --- regularity ---
 
 def test_periodic_chain_is_not_regular():

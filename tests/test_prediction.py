@@ -350,15 +350,31 @@ def test_flow3_flags_a_lane_exactly_at_the_crash_threshold():
 
 
 def test_flow3_a_passage_time_equal_to_t_selects_steering():
-    # ACC needs a passage time strictly above t
+    # ACC needs a passage time strictly above t, in either car's seat
+    cars = make_model(pinned_passage_chain(0.5, 6, 5), lane=6), make_model(banded_chain(), lane=5)
+    for seated in (cars, cars[::-1]):
+        enc = encounter(*seated, crash=0.05)
+        first = prediction.flow3_select_actions(enc, np.array([0, 0, 0, 0, 0.4, 0]), 4.0)[0]
+        entries = (first.m1_entry, first.m2_entry)
+        m = max(entries)
+        assert m == pytest.approx(2.0) and min(entries) == 0.0
+        action = next(a for a in prediction.assess(enc, horizon=m).actions if a.lane == 5)
+        assert (action.m1_entry, action.m2_entry) == entries
+        assert (action.action, action.branch) == (SafetyAction.LANE_DEPARTURE_AND_STEERING, "else")
+
+
+def test_flow3_names_m2_when_m1_equals_t_and_m2_is_above_it():
     enc = encounter(
-        make_model(pinned_passage_chain(0.5, 6, 5), lane=6), make_model(banded_chain(), lane=5), crash=0.05
+        make_model(pinned_passage_chain(0.5, 6, 5), lane=6),
+        make_model(pinned_passage_chain(0.25, 2, 5), lane=2),
+        crash=0.05,
     )
-    m1 = prediction.flow3_select_actions(enc, np.array([0, 0, 0, 0, 0.4, 0]), 4.0)[0].m1_entry
-    assert m1 == pytest.approx(2.0)
+    first = prediction.flow3_select_actions(enc, np.array([0, 0, 0, 0, 0.4, 0]), 4.0)[0]
+    m1, m2 = first.m1_entry, first.m2_entry
+    assert (m1, m2) == (pytest.approx(2.0), pytest.approx(4.0))
     action = next(a for a in prediction.assess(enc, horizon=m1).actions if a.lane == 5)
-    assert (action.m1_entry, action.m2_entry) == (m1, 0.0)
-    assert (action.action, action.branch) == (SafetyAction.LANE_DEPARTURE_AND_STEERING, "else")
+    assert (action.m1_entry, action.m2_entry) == (m1, m2)
+    assert (action.action, action.target, action.branch) == (SafetyAction.ACC_ON, "car2", "m2")
 
 
 def test_flow3_builds_each_car_passage_matrix_once(monkeypatch):

@@ -176,12 +176,26 @@ def test_integrate_stops_mid_step():
     assert car.position == pytest.approx(0.1 * 0.1 / 6.0)
 
 
+def test_integrate_a_stop_exactly_at_the_tick_end_moves_as_the_scripted_motion_does():
+    # v + a·dt is exactly 0, so the moving branch runs, as run's scripted
+    # columns take it; the stop branch's v / -a is one ulp off dt here and
+    # would land one ulp short
+    v, accel, dt = 0.26251833548202747, -2.6251833548202748, 0.1
+    speeds, positions = simulator._scripted_motion(CarState(v, 0.0), accel, dt, 1)
+    car = CarState(v, 0.0)
+    simulator._integrate(car, accel, dt)
+    assert (car.speed, car.position) == (speeds[1], positions[1]) == (0.0, 0.013125916774101375)
+
+
 # --- ACC policy ---
 
 def test_acc_at_set_speed_with_huge_gap():
     ego = CarState(40.0, 0.0)
     lead = CarState(35.0, 500.0)
     assert simulator.acc_command(ego, lead, AccParams(), set_speed=40.0) == pytest.approx(0.0)
+    # gap 100 m > g* = 10 + 1.4 * 30 = 52 m: the spacing law, which would
+    # read 0.23 * 48 + 0.74 * (10 - 30) = -3.76 and clip to -3, is not applied
+    assert simulator.acc_command(CarState(30.0, 0.0), CarState(10.0, 100.0), AccParams(), set_speed=30.0) == 0.0
 
 
 def test_acc_spacing_equilibrium():
@@ -206,6 +220,10 @@ def test_acc_with_nothing_ahead_tracks_set_speed_within_limits():
 def test_acc_rejects_lead_behind():
     with pytest.raises(LeadBehindEgo):
         simulator.acc_command(CarState(30.0, 10.0), CarState(30.0, 0.0), AccParams(), set_speed=30.0)
+    with pytest.raises(LeadBehindEgo):  # level with the ego
+        simulator.acc_command(CarState(30.0, 10.0), CarState(10.0, 10.0), AccParams(), set_speed=30.0)
+
+
 
 
 def test_acc_never_exceeds_limits_or_set_speed():
@@ -313,6 +331,22 @@ def test_scenario1_zero_accel_variant_crashes_at_four_seconds():
     assert report.crash_time == pytest.approx(4.0, abs=0.1)
 
 
+def test_a_crash_on_the_runs_last_tick_ends_it_as_the_per_tick_loop_does():
+    # the scripted move stops right after the crash tick, here the last
+    # tick of the run and of its one segment; 0.25 s steps keep the clock exact
+    config = dataclasses.replace(zero_acceleration(simulator.force_same_lane(load("scenario1"))), time_step=0.25)
+    ticks = len(simulator.run(config, disable_actions=True).timeline)
+    config = dataclasses.replace(config, duration=0.25 * ticks)
+    assert_runs_alike(config, disable_actions=True)
+    assert simulator.run(config, disable_actions=True).crash_time == config.duration == 4.0
+
+
+@pytest.mark.parametrize("short,ticks", [(1.5e-9, 9), (0.5e-9, 10)])
+def test_a_run_takes_the_floor_of_duration_over_time_step_within_1e_9(short, ticks):
+    config = dataclasses.replace(load("scenario3"), time_step=1.0, duration=10.0 - short)
+    assert len(simulator.run(config).timeline) == ticks
+
+
 def test_closure_time_exact_within_one_step():
     # no actions, zero accelerations: zero-gap time equals d/V in closed form
     config = zero_acceleration(simulator.force_same_lane(load("scenario1")))
@@ -339,7 +373,7 @@ def test_scenario3_no_actions():
 
 
 @pytest.mark.parametrize("offset", [
-    -1.0, float("nan"), float("inf"), 1e155, math.nextafter(simulator.MAX_LATERAL_OFFSET, math.inf),
+    -1.0, float("nan"), float("inf"), 1e155, math.nextafter(1e6, math.inf),  # README's bound, as a number
 ])
 def test_lateral_offset_is_checked_at_construction(offset):
     # the file's rule holds for a config built in code, too
@@ -366,7 +400,7 @@ def test_simulate_refuses_a_huge_lateral_offset_at_load(tmp_path, capsys):
 
 
 def test_simulate_at_the_largest_lateral_offset_writes_a_report(tmp_path):
-    code, report = simulate_with_lateral_offset(tmp_path, simulator.MAX_LATERAL_OFFSET)
+    code, report = simulate_with_lateral_offset(tmp_path, 1e6)
     assert code in (0, 1)
     assert json.loads(report.read_text())["timeline"]
 
@@ -374,6 +408,7 @@ def test_simulate_at_the_largest_lateral_offset_writes_a_report(tmp_path):
 @pytest.mark.parametrize("build", [
     lambda config: AccParams(min_gap=0.0),
     lambda config: AccParams(accel_limit=simulator.MAX_ACCELERATION),
+    lambda config: AccParams(time_gap=5e-324, accel_limit=5e-324),
     lambda config: dataclasses.replace(config, lateral_offset=0.0),
     lambda config: dataclasses.replace(config, duration=config.time_step),
     lambda config: dataclasses.replace(config, time_step=simulator.MAX_TIME_STEP, duration=simulator.MAX_TIME_STEP),
@@ -381,7 +416,7 @@ def test_simulate_at_the_largest_lateral_offset_writes_a_report(tmp_path):
     lambda config: with_car(config, 1, lane=6, speed=math.nextafter(60.0, 0.0)),
     lambda config: with_car(config, 0, position=-simulator.MAX_POSITION, acceleration=-simulator.MAX_ACCELERATION),
     lambda config: with_car(config, 1, position=simulator.MAX_POSITION, acceleration=simulator.MAX_ACCELERATION),
-], ids=["min_gap_0", "accel_limit_max", "lateral_offset_0", "duration_of_one_step", "time_step_max",
+], ids=["min_gap_0", "accel_limit_max", "time_gap_and_accel_limit_tiny", "lateral_offset_0", "duration_of_one_step", "time_step_max",
         "lane_1_speed_0", "lane_6_speed_below_60", "car_bounds_low", "car_bounds_high"])
 def test_boundary_values_are_accepted_at_construction(build):
     build(load("scenario1"))
@@ -415,7 +450,9 @@ def test_zero_duration_is_rejected():
 def test_step_count_cap_is_inclusive_and_checked_at_construction():
     # neither config runs; 20 s over the tiniest step is infinitely many steps
     base = load("scenario1")
-    dataclasses.replace(base, time_step=0.5, duration=0.5 * simulator.MAX_STEPS)
+    dataclasses.replace(base, time_step=0.5, duration=0.5 * 100_000)  # README's cap, as a number
+    with pytest.raises(SchemaError, match="duration: must be at most 100000 time steps"):
+        dataclasses.replace(base, time_step=0.5, duration=0.5 * 100_001)
     with pytest.raises(SchemaError, match="duration: must be at most"):
         dataclasses.replace(base, time_step=5e-324)
 
@@ -446,6 +483,14 @@ def test_halving_time_step_barely_moves_min_gap():
         coarse = simulator.run(config).min_gap
         fine = simulator.run(dataclasses.replace(config, time_step=config.time_step / 2)).min_gap
         assert abs(coarse - fine) <= max(0.05 * abs(coarse), 0.05 * 10)
+
+
+def test_report_derives_crash_and_closest_approach_from_its_times():
+    report = simulator.SimReport(crash_time=None, min_gap=3.0, min_gap_time=2.5, predicted_crash_time=None,
+                                 triggered_actions=(), timeline=())
+    assert (report.crash, report.closest_approach_time) == (False, 2.5)
+    report = dataclasses.replace(report, min_gap=-0.5, crash_time=4.0)
+    assert (report.crash, report.closest_approach_time) == (True, 4.0)
 
 
 def test_report_dict_shape():
