@@ -43,20 +43,27 @@ EXIT_INPUT_ERROR = 2
 def _float(x: float) -> str:
     """``repr`` of x rounded to 6 significant digits, as ``json`` writes it.
 
-    The ``.6g`` string is already ``repr`` of the rounded value unless it
-    needs a ``.0`` or holds an exponent, a NaN or an infinity.
+    The ``%.6g`` text is tested on its most common form first.  With a
+    ``.`` and no exponent it is already ``repr`` of the rounded value; with
+    none of ``.``, ``e`` or ``n`` it is an integral value that needs a
+    ``.0``.  Anything else, an exponent, a NaN or an infinity, is read back
+    and written as ``json`` writes that float: an exponent's digits can
+    differ from ``repr``'s, as ``4.94066e-324`` against ``5e-324``.
     """
-    s = f"{x:.6g}"
-    if "e" in s or "n" in s:
-        rounded = float(s)
-        if rounded != rounded:
-            return "NaN"
-        if rounded == math.inf:
-            return "Infinity"
-        if rounded == -math.inf:
-            return "-Infinity"
-        return float.__repr__(rounded)
-    return s if "." in s else s + ".0"
+    s = "%.6g" % x
+    if "." in s:
+        if "e" not in s:
+            return s
+    elif "e" not in s and "n" not in s:
+        return s + ".0"
+    rounded = float(s)
+    if rounded != rounded:
+        return "NaN"
+    if rounded == math.inf:
+        return "Infinity"
+    if rounded == -math.inf:
+        return "-Infinity"
+    return float.__repr__(rounded)
 
 
 @functools.lru_cache(maxsize=256)

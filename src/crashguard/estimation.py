@@ -26,7 +26,7 @@ from .errors import (
     SpeedOutOfRange,
     TooShort,
 )
-from .markov import StochasticMatrix, validate_stochastic
+from .markov import StochasticMatrix, _read_only, validate_stochastic
 
 __all__ = [
     "N_LANES",
@@ -53,6 +53,8 @@ _CSV_DTYPES = {"vehicle_id": np.int64, "frame": np.int64, "lane": np.int64,
                "speed_mps": np.float64, "pos_m": np.float64}
 
 DEFAULT_FRAME_INTERVAL = 0.1  # seconds between consecutive frames
+
+_TRAJECTORY_COLUMNS = ("frames", "lanes", "speeds", "positions")
 
 
 def require_positive(field: str, value: float) -> None:
@@ -84,7 +86,9 @@ def require_field(data: dict, key: str, kind, where: str = ""):
 class Trajectory:
     """One vehicle's rows sorted by frame, as read-only columns of equal length.
 
-    Compared and hashed by identity, as the array wrappers of ``markov`` are.
+    Columns passed in are copied and held under ``markov``'s read-only rule,
+    so numpy refuses to make them writeable again.  Compared and hashed by
+    identity, as the array wrappers of ``markov`` are.
     """
 
     frames: np.ndarray
@@ -93,12 +97,20 @@ class Trajectory:
     positions: np.ndarray  # m, longitudinal
 
     def __post_init__(self):
-        for name in ("frames", "lanes", "speeds", "positions"):
-            column = np.asarray(getattr(self, name)).view()
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        for name in _TRAJECTORY_COLUMNS:
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
         if not len(self.frames) == len(self.lanes) == len(self.speeds) == len(self.positions):
             raise ValueError("trajectory columns differ in length")
+
+    @classmethod
+    def _built(cls, *columns: np.ndarray) -> Trajectory:
+        """Wrap equal-length columns of a table that this module has just
+        built and made read-only, and that no caller holds, as they are:
+        views of a read-only owner need no copy."""
+        trajectory = object.__new__(cls)
+        for name, column in zip(_TRAJECTORY_COLUMNS, columns):
+            object.__setattr__(trajectory, name, column)
+        return trajectory
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -109,16 +121,15 @@ class ObservationMatrix:
     """Per-lane speed-symbol distributions; column j is the lane-(j+1) column.
 
     ``uniform_lanes`` lists 1-based lanes that had no data and were filled
-    with the uniform distribution.  Compared and hashed by identity.
+    with the uniform distribution.  ``entries`` is a copy of what is passed,
+    held under ``markov``'s read-only rule.  Compared and hashed by identity.
     """
 
     entries: np.ndarray
     uniform_lanes: tuple[int, ...] = ()
 
     def __post_init__(self):
-        a = np.array(self.entries, dtype=float)
-        a.flags.writeable = False
-        object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "entries", _read_only(np.array(self.entries, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -261,8 +272,7 @@ def _group(table: np.ndarray) -> dict[int, Trajectory]:
     if not len(table):
         return {}
     order = np.lexsort((table["frame"], table["vehicle_id"]))
-    table = table[order]
-    table.flags.writeable = False
+    table = _read_only(table[order])
     vehicles, frames = table["vehicle_id"], table["frame"]
     same_vehicle = vehicles[1:] == vehicles[:-1]
     starts = np.flatnonzero(np.concatenate(([True], ~same_vehicle)))
@@ -277,7 +287,7 @@ def _group(table: np.ndarray) -> dict[int, Trajectory]:
     grouped = {}
     for g in np.argsort(first_rows, kind="stable"):
         rows = table[starts[g]:ends[g]]
-        grouped[ids[g]] = Trajectory(rows["frame"], rows["lane"], rows["speed_mps"], rows["pos_m"])
+        grouped[ids[g]] = Trajectory._built(rows["frame"], rows["lane"], rows["speed_mps"], rows["pos_m"])
     return grouped
 
 

@@ -22,6 +22,10 @@ bits differ from the general power that an array of exponents gets.
 
 All types are immutable after construction and every operation is a pure
 function of its inputs, so values can be shared freely across threads.
+Every array that a value holds, and each array of a memoised
+eigendecomposition, is read-only up to the owner of its memory, so numpy
+refuses to make it writeable again.  ``propagate_many``'s stacked results
+are rows of one such owner, frozen once for all of them.
 A StochasticMatrix memoises its eigendecomposition on first use; that is
 a pure function of the read-only entries, so a race between threads at
 worst computes the same value twice.
@@ -101,11 +105,13 @@ class _FrozenArray:
         object.__setattr__(self, "entries", _read_only(np.array(self.entries, dtype=float)))
 
     @classmethod
-    def _built(cls, a: np.ndarray):
+    def _built(cls, a: np.ndarray, frozen: bool = False):
         """Wrap a float array that this module has just built and that no
-        caller holds, made read-only in place instead of copied."""
+        caller holds, made read-only in place instead of copied; a
+        ``frozen`` array already views a read-only owner and is kept as it
+        is."""
         wrapped = object.__new__(cls)
-        object.__setattr__(wrapped, "entries", _read_only(a))
+        object.__setattr__(wrapped, "entries", a if frozen else _read_only(a))
         return wrapped
 
     @property
@@ -425,7 +431,9 @@ def _stacked_propagations(pi0: ProbabilityVector, P: StochasticMatrix, times: li
             result = clipped / totals[:, None]
     except (IllConditioned, FloatingPointError):
         return {}
-    return {i: ProbabilityVector._built(row) for i, row in zip(picked, result)}
+    # one freeze for every row: a row views the read-only result, so numpy
+    # refuses to make it writeable again
+    return {i: ProbabilityVector._built(row, frozen=True) for i, row in zip(picked, _read_only(result))}
 
 
 def propagate_many(

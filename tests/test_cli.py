@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -685,6 +685,34 @@ json_values = st.recursive(
 @given(json_values)
 def test_dumps_stable_equals_the_two_pass_writer(value):
     assert cli.dumps_stable(value) == oracles.stable_json(value)
+
+
+# bare floats for each test of _float in its order: a "." and no exponent,
+# an integral value without either, an exponent with and without a "." (its
+# digits can differ from repr's, as 4.94066e-324 against 5e-324), NaN and
+# the infinities
+bare_floats = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from(EDGE_FLOATS + [3.0]),
+    st.floats(1e6, 1e16),
+    st.integers(10 ** 6, 10 ** 16).map(float),
+    st.integers(-(2 ** 52) + 1, 2 ** 52 - 1).map(lambda m: m * 5e-324),  # subnormals
+)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(bare_floats)
+@example(0.5)
+@example(3.0)
+@example(1.5e-7)
+@example(1e16)
+@example(5e-324)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+def test_dumps_stable_writes_a_bare_float_as_the_two_pass_writer(x):
+    assert cli.dumps_stable(x) == oracles.stable_json(x)
 
 
 # a simulation timeline: many dicts with one key tuple, some of them with

@@ -312,6 +312,18 @@ def test_trajectory_columns_are_read_only():
         estimation.Trajectory(frames=[0, 1], lanes=[1, 1], speeds=[5.0], positions=[0.0, 1.0])
 
 
+def test_trajectory_and_observation_copy_the_callers_arrays():
+    frames = np.arange(3)
+    trajectory = estimation.Trajectory(frames=frames, lanes=[1, 2, 2], speeds=[5.0, 15.0, 25.0],
+                                       positions=[0.0, 10.0, 20.0])
+    entries = np.full((6, 6), 1.0 / 6.0)
+    matrix = estimation.ObservationMatrix(entries)
+    frames[0] = 7
+    entries[0, 0] = 7.0
+    assert trajectory.frames.tolist() == [0, 1, 2]
+    assert matrix.entries[0, 0] == 1.0 / 6.0
+
+
 def test_trajectories_and_models_compare_and_hash_by_identity():
     rows = ("1,1,1,10.0,0.0", "1,2,2,12.0,1.0")
     a = estimation.ingest_trajectories(csv_stream(*rows))

@@ -2,8 +2,10 @@
 
 import functools
 import importlib.resources
+import io
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -132,7 +134,22 @@ def passage_matrix(P):
     return markov.mean_first_passage(markov.fundamental_matrix(P, markov.limiting_matrix(P)), w)
 
 
-# every way the module builds a value, each given a fresh TWO_STATE chain
+def caller_trajectory():
+    """A trajectory built from arrays that the caller keeps."""
+    return estimation.Trajectory(
+        frames=np.arange(4), lanes=np.array([1, 2, 2, 3]), speeds=np.array([5.0, 15.0, 25.0, 12.0]),
+        positions=np.array([0.0, 10.0, 20.0, 30.0]),
+    )
+
+
+def ingested_trajectory():
+    csv = "vehicle_id,frame,lane,speed_mps,pos_m\n1,1,1,10.0,0.0\n1,2,2,12.0,1.0\n2,1,3,4.0,5.0\n"
+    return estimation.ingest_trajectories(io.StringIO(csv))[1]
+
+
+# every way the module builds a value, each given a fresh TWO_STATE chain,
+# and every array of estimation's values that a caller can reach (an edited
+# observation would write a model file that model_from_dict refuses)
 READ_ONLY_PATHS = {
     "validate_stochastic": lambda P: P.entries,
     "StochasticMatrix": lambda P: markov.StochasticMatrix(TWO_STATE).entries,
@@ -150,6 +167,14 @@ READ_ONLY_PATHS = {
     "eig_values": lambda P: P._eig[0],
     "eig_vectors": lambda P: P._eig[1],
     "eig_inverse": lambda P: P._eig[2],
+    "build_vehicle_model_observation": lambda P: estimation.build_vehicle_model(caller_trajectory()).observation.entries,
+    "model_from_dict_observation": lambda P: estimation.model_from_dict(
+        estimation.model_to_dict(estimation.build_vehicle_model(caller_trajectory()))).observation.entries,
+    "ObservationMatrix": lambda P: estimation.ObservationMatrix(np.full((6, 6), 1.0 / 6.0)).entries,
+    **{f"Trajectory_{name}": (lambda P, name=name: getattr(caller_trajectory(), name))
+       for name in ("frames", "lanes", "speeds", "positions")},
+    **{f"ingest_trajectories_{name}": (lambda P, name=name: getattr(ingested_trajectory(), name))
+       for name in ("frames", "lanes", "speeds", "positions")},
 }
 
 
@@ -170,10 +195,20 @@ def memory_owner(a):
 
 
 def test_stacked_rows_are_views_of_one_array():
+    # the stacked product is frozen once for all its rows, not once a row
     P = markov.validate_stochastic(TWO_STATE)
-    assert markov._stacked_propagations(markov.unit_vector(2, 0), P, [0.3, 1.7])  # the stacked path runs
-    first, second = stacked_rows(P)
-    assert memory_owner(first.entries) is memory_owner(second.entries)
+    pi0 = markov.unit_vector(2, 0)
+    P._eig  # the memoised decomposition freezes its own arrays, once a chain
+    times = [0.3, 1.7, 2.2, 4.6]
+    assert sorted(markov._stacked_propagations(pi0, P, times)) == [0, 1, 2, 3]  # every time is stacked
+    with mock.patch.object(markov, "_read_only", wraps=markov._read_only) as read_only:
+        rows = list(markov.propagate_many(pi0, P, times))
+    assert read_only.call_count == 1
+    assert len({id(memory_owner(v.entries)) for v in rows}) == 1
+    for v, t in zip(rows, times):
+        assert v.entries.tobytes() == markov.propagate(pi0, P, t).entries.tobytes()
+        with pytest.raises(ValueError):
+            v.entries.flags.writeable = True
 
 
 # --- regularity ---
