@@ -69,10 +69,10 @@ class ParseError(IngestError):
 
 
 class DuplicateFrame(IngestError):
-    def __init__(self, vehicle_id, frame, line=None):
+    def __init__(self, vehicle_id, frame):
         self.vehicle_id = vehicle_id
         self.frame = frame
-        super().__init__(f"duplicate frame {frame} for vehicle {vehicle_id}", line)
+        super().__init__(f"duplicate frame {frame} for vehicle {vehicle_id}")
 
 
 class LaneOutOfRange(IngestError):

@@ -26,7 +26,7 @@ from .errors import (
     SpeedOutOfRange,
     TooShort,
 )
-from .markov import StochasticMatrix, _read_only, validate_stochastic
+from .markov import StochasticMatrix, _FrozenArray, _read_only, validate_stochastic
 
 __all__ = [
     "N_LANES",
@@ -117,7 +117,7 @@ class Trajectory:
 
 
 @dataclass(frozen=True, eq=False)
-class ObservationMatrix:
+class ObservationMatrix(_FrozenArray):
     """Per-lane speed-symbol distributions; column j is the lane-(j+1) column.
 
     ``uniform_lanes`` lists 1-based lanes that had no data and were filled
@@ -125,11 +125,7 @@ class ObservationMatrix:
     held under ``markov``'s read-only rule.  Compared and hashed by identity.
     """
 
-    entries: np.ndarray
     uniform_lanes: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _read_only(np.array(self.entries, dtype=float)))
 
 
 @dataclass(frozen=True)

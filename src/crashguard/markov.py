@@ -25,10 +25,12 @@ function of its inputs, so values can be shared freely across threads.
 Every array that a value holds, and each array of a memoised
 eigendecomposition, is read-only up to the owner of its memory, so numpy
 refuses to make it writeable again.  ``propagate_many``'s stacked results
-are rows of one such owner, frozen once for all of them.
-A StochasticMatrix memoises its eigendecomposition on first use; that is
-a pure function of the read-only entries, so a race between threads at
-worst computes the same value twice.
+are rows of one such owner, frozen once for all of them.  The rule guards
+against accidents, not against intent: numpy still lets the owner itself,
+reached through ``.base``, be made writeable again.
+A StochasticMatrix memoises its eigendecomposition and its stationary
+vector on first use; each is a pure function of the read-only entries, so
+a race between threads at worst computes the same value twice.
 """
 
 from __future__ import annotations
@@ -105,13 +107,13 @@ class _FrozenArray:
         object.__setattr__(self, "entries", _read_only(np.array(self.entries, dtype=float)))
 
     @classmethod
-    def _built(cls, a: np.ndarray, frozen: bool = False):
-        """Wrap a float array that this module has just built and that no
-        caller holds, made read-only in place instead of copied; a
-        ``frozen`` array already views a read-only owner and is kept as it
-        is."""
+    def _built(cls, a: np.ndarray):
+        """Wrap a float array without a copy: one that this module has just
+        built and that no caller holds, made read-only in place, or a
+        read-only view of a frozen owner, kept as it is.  Callers pass
+        nothing else, so a read-only ``a`` always views a frozen owner."""
         wrapped = object.__new__(cls)
-        object.__setattr__(wrapped, "entries", a if frozen else _read_only(a))
+        object.__setattr__(wrapped, "entries", _read_only(a) if a.flags.writeable else a)
         return wrapped
 
     @property
@@ -139,6 +141,24 @@ class StochasticMatrix(_FrozenArray):
         # the largest column sum of absolute values is the 1-norm that
         # np.linalg.norm(a, 1) computes, without its dispatch
         return (*parts, float(np.abs(vecs).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()))
+
+    @cached_property
+    def _stationary(self) -> ProbabilityVector:
+        """The stationary vector, computed on first use and kept for the
+        matrix's lifetime; NotRegular and SingularSystem are raised on every
+        call and not kept."""
+        if not is_regular(self):
+            raise NotRegular("chain has no entrywise-positive power within n^2 steps")
+        n = self.n
+        A = self.entries.T - np.eye(n)
+        A[-1, :] = 1.0
+        b = np.zeros(n)
+        b[-1] = 1.0
+        try:
+            w = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(str(exc)) from exc
+        return probability_vector(w)
 
 
 class ProbabilityVector(_FrozenArray):
@@ -321,20 +341,10 @@ def stationary_distribution(P: StochasticMatrix) -> ProbabilityVector:
     """The vector w with wP = w, strictly positive entries, sum 1.
 
     Solved directly as a linear system (transpose minus identity with a
-    normalization row), not by iteration.  Requires a regular chain.
+    normalization row), not by iteration, once per matrix: ``limiting_matrix``
+    and later calls read P's memo.  Requires a regular chain.
     """
-    if not is_regular(P):
-        raise NotRegular("chain has no entrywise-positive power within n^2 steps")
-    n = P.n
-    A = P.entries.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        w = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return probability_vector(w)
+    return P._stationary
 
 
 def limiting_matrix(P: StochasticMatrix) -> np.ndarray:
@@ -432,8 +442,8 @@ def _stacked_propagations(pi0: ProbabilityVector, P: StochasticMatrix, times: li
     except (IllConditioned, FloatingPointError):
         return {}
     # one freeze for every row: a row views the read-only result, so numpy
-    # refuses to make it writeable again
-    return {i: ProbabilityVector._built(row, frozen=True) for i, row in zip(picked, _read_only(result))}
+    # refuses to make it writeable again, and _built keeps it as it is
+    return {i: ProbabilityVector._built(row) for i, row in zip(picked, _read_only(result))}
 
 
 def propagate_many(

@@ -153,6 +153,10 @@ class ScenarioConfig:
         if not self.duration / self.time_step <= MAX_STEPS:  # an infinite ratio fails too
             raise SchemaError("duration", f"must be at most {MAX_STEPS} time steps of {self.time_step} s")
 
+    @property
+    def same_lane(self) -> bool:
+        return self.cars[0].lane == self.cars[1].lane
+
 
 @dataclass
 class CarState:
@@ -423,7 +427,7 @@ def _scripted_motion(car: CarState, accel: float, dt: float, ticks: int):
     return speeds, np.add.accumulate(steps)[::2]
 
 
-def _move_scripted(state: SimState, config: ScenarioConfig, ticks: int, same_lane: bool) -> _Segment:
+def _move_scripted(state: SimState, config: ScenarioConfig, ticks: int) -> _Segment:
     """Move cars without ACC up to ``ticks`` ticks at once, stopping after a
     crash or before the first tick that takes ``_integrate``'s stop branch
     for either car; the segment's gaps are left to fill."""
@@ -436,7 +440,7 @@ def _move_scripted(state: SimState, config: ScenarioConfig, ticks: int, same_lan
     fronts = np.where(positions1[:n] >= positions2[:n], 0, 1)  # _front_index's tie rule
     after1, after2 = positions1[1:n + 1], positions2[1:n + 1]
     gaps_after = np.where(fronts == 0, after1 - after2, after2 - after1)
-    if same_lane:
+    if config.same_lane:
         crashes = np.flatnonzero(gaps_after <= 0.0)
         n = int(crashes[0]) + 1 if crashes.size else n
     clocks = np.full(n + 1, dt)
@@ -454,7 +458,7 @@ def _move_scripted(state: SimState, config: ScenarioConfig, ticks: int, same_lan
     )
 
 
-def _move_ahead(state: SimState, config: ScenarioConfig, ticks: int, same_lane: bool) -> _Segment:
+def _move_ahead(state: SimState, config: ScenarioConfig, ticks: int) -> _Segment:
     """Move the cars up to ``ticks`` ticks with no new ACC engagement,
     stopping after a crash.
 
@@ -465,9 +469,9 @@ def _move_ahead(state: SimState, config: ScenarioConfig, ticks: int, same_lane: 
     trip, which never raises; ``assess_many`` checks the gaps.
     """
     cars = state.cars
-    segment = _Segment() if state.acc_set_speed else _move_scripted(state, config, ticks, same_lane)
+    segment = _Segment() if state.acc_set_speed else _move_scripted(state, config, ticks)
     gaps_after = segment.gaps_after
-    while len(gaps_after) < ticks and not (same_lane and gaps_after and gaps_after[-1] <= 0.0):
+    while len(gaps_after) < ticks and not (config.same_lane and gaps_after and gaps_after[-1] <= 0.0):
         segment.clocks.append(state.clock)
         for car, speeds, positions in zip(cars, segment.speeds, segment.positions):
             speeds.append(car.speed)
@@ -500,7 +504,7 @@ def run(config: ScenarioConfig, disable_actions: bool = False) -> SimReport:
     cars = state.cars
     models = tuple(c.model for c in config.cars)
     lanes = tuple(c.lane for c in config.cars)
-    same_lane = lanes[0] == lanes[1]
+    same_lane = config.same_lane
     ticks_left = int(math.floor(config.duration / config.time_step + 1e-9))
 
     min_gap = abs(cars[0].position - cars[1].position)
@@ -510,7 +514,7 @@ def run(config: ScenarioConfig, disable_actions: bool = False) -> SimReport:
     timeline = []
 
     while ticks_left and crash_time is None:
-        segment = _move_ahead(state, config, min(ticks_left, SEGMENT_TICKS), same_lane)
+        segment = _move_ahead(state, config, min(ticks_left, SEGMENT_TICKS))
         assessments = assess_many(models, lanes, segment.speeds, segment.gaps, segment.fronts, config.thresholds)
         for k, assessment in enumerate(assessments):
             ticks_left -= 1

@@ -22,15 +22,15 @@ __all__ = [
 ]
 
 
-def banded_chain(n: int = N_LANES, self_loop: float = 0.92) -> StochasticMatrix:
-    """Chain that keeps its state with probability ``self_loop`` and splits
-    the remainder equally over adjacent states.  Regular for any
-    self_loop in (0, 1)."""
+def banded_chain(self_loop: float = 0.92) -> StochasticMatrix:
+    """Chain over the six lanes or speed bins that keeps its state with
+    probability ``self_loop`` and splits the remainder equally over adjacent
+    states.  Regular for any self_loop in (0, 1)."""
     if not 0.0 < self_loop < 1.0:
         raise ValueError(f"self_loop must be in (0, 1), got {self_loop!r}")
-    P = np.zeros((n, n))
-    for i in range(n):
-        neighbors = [j for j in (i - 1, i + 1) if 0 <= j < n]
+    P = np.zeros((N_LANES, N_LANES))
+    for i in range(N_LANES):
+        neighbors = [j for j in (i - 1, i + 1) if 0 <= j < N_LANES]
         P[i, i] = self_loop
         for j in neighbors:
             P[i, j] = (1.0 - self_loop) / len(neighbors)
@@ -45,14 +45,14 @@ def with_rows(chain: StochasticMatrix, overrides: dict[int, list[float]]) -> Sto
     return validate_stochastic(P)
 
 
-def smoothed_diagonal_observation(weight: float = 0.7) -> ObservationMatrix:
-    """Observation matrix pairing lane j with speed bin j, smoothed to neighbors."""
+def smoothed_diagonal_observation() -> ObservationMatrix:
+    """Observation matrix pairing lane j with speed bin j at 0.7, smoothed to neighbors."""
     B = np.zeros((N_LANES, N_LANES))
     for j in range(N_LANES):
         neighbors = [i for i in (j - 1, j + 1) if 0 <= i < N_LANES]
-        B[j, j] = weight
+        B[j, j] = 0.7
         for i in neighbors:
-            B[i, j] = (1.0 - weight) / len(neighbors)
+            B[i, j] = (1.0 - B[j, j]) / len(neighbors)
     return ObservationMatrix(B)
 
 

@@ -211,6 +211,17 @@ def test_stacked_rows_are_views_of_one_array():
             v.entries.flags.writeable = True
 
 
+@pytest.mark.xfail(strict=True, reason="FOUND (CHANGES.md): numpy lets the owner reached through .base "
+                                       "be made writeable again")
+def test_the_owners_of_a_chains_arrays_refuse_to_be_made_writeable():
+    # an edited owner changes the entries, and an edited eigendecomposition
+    # every later fractional power
+    P = markov.validate_stochastic([[0.5, 0.5], [0.2, 0.8]])
+    for owner in (memory_owner(P.entries), memory_owner(P._eig[2])):
+        with pytest.raises(ValueError):
+            owner.flags.writeable = True
+
+
 # --- regularity ---
 
 def test_periodic_chain_is_not_regular():
@@ -778,6 +789,27 @@ def test_stationary_doubly_stochastic_uniform():
 def test_stationary_rejects_periodic():
     with pytest.raises(NotRegular):
         markov.stationary_distribution(markov.validate_stochastic(PERIODIC))
+
+
+def test_stationary_vector_is_solved_once_a_matrix_and_its_errors_are_not_kept():
+    P = markov.validate_stochastic(TWO_STATE)
+    with mock.patch.object(markov, "is_regular", wraps=markov.is_regular) as regular:
+        w = markov.stationary_distribution(P)
+        assert markov.stationary_distribution(P) is w
+        assert markov.limiting_matrix(P).tobytes() == np.tile(w.entries, (2, 1)).tobytes()
+    assert regular.call_count == 1
+    periodic = markov.validate_stochastic(PERIODIC)
+    with mock.patch.object(markov, "is_regular", wraps=markov.is_regular) as regular:
+        for _ in range(2):
+            with pytest.raises(NotRegular):
+                markov.stationary_distribution(periodic)
+    assert regular.call_count == 2
+    fresh = markov.validate_stochastic(TWO_STATE)
+    with mock.patch.object(markov.np.linalg, "solve", side_effect=np.linalg.LinAlgError("singular")):
+        for _ in range(2):
+            with pytest.raises(SingularSystem, match="^singular$"):
+                markov.stationary_distribution(fresh)
+    assert markov.stationary_distribution(fresh).entries.tobytes() == w.entries.tobytes()
 
 
 def test_stationary_is_fixed_point():

@@ -3,17 +3,18 @@
 import importlib.resources
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import scenario1_lane_chains
-from crashguard import cli, prediction, simulator
+from crashguard import cli, markov, prediction, simulator
 from crashguard.errors import DimensionMismatch, InvalidValue, NotRegular, SpeedOutOfRange
 from crashguard.markov import validate_stochastic
 from crashguard.prediction import EncounterInput, SafetyAction, Thresholds
-from crashguard.synthetic import banded_chain, make_model, with_rows
+from crashguard.synthetic import banded_chain, make_model, smoothed_diagonal_observation, with_rows
 
 
 def encounter(car1, car2, gap=40.0, front="car1", **thresholds):
@@ -394,6 +395,17 @@ def test_flow3_builds_each_car_passage_matrix_once(monkeypatch):
     assert analysed == [car1.lane_chain, car2.lane_chain]
 
 
+def test_a_scenario1_run_analyses_its_lane_chain_once():
+    # one passage build: limiting_matrix reads the chain's memoised
+    # stationary vector instead of checking regularity and solving again
+    config = simulator.load_scenario(importlib.resources.files("crashguard") / "data" / "scenario1.json")
+    with mock.patch.object(prediction, "stationary_distribution", wraps=prediction.stationary_distribution) as built, \
+            mock.patch.object(markov, "is_regular", wraps=markov.is_regular) as regular, \
+            mock.patch.object(markov.np.linalg, "solve", wraps=np.linalg.solve) as solve:
+        simulator.run(config)
+    assert (built.call_count, regular.call_count, solve.call_count) == (1, 1, 1)
+
+
 # --- assess ---
 
 def test_assess_scenario3_style_no_action():
@@ -680,3 +692,24 @@ def test_assess_many_checks_each_gap_first_as_encounter_input_does(gap):
         with pytest.raises(InvalidValue, match="^gap must be finite and nonnegative"):
             next(ticks)
         assert next(ticks, None) is None
+
+
+# --- synthetic builders ---
+
+@pytest.mark.parametrize("self_loop", [0.0, 1.0, -0.1, float("nan")])
+def test_banded_chain_refuses_a_self_loop_outside_the_open_unit_interval(self_loop):
+    with pytest.raises(ValueError, match=r"^self_loop must be in \(0, 1\), got "):
+        banded_chain(self_loop=self_loop)
+
+
+def test_smoothed_diagonal_observation_pairs_lane_j_with_speed_bin_j():
+    # column j is lane j + 1: 0.7 on bin j, 0.3 split over the neighbouring bins
+    expected = np.array([
+        [0.7, 0.15, 0.0, 0.0, 0.0, 0.0],
+        [0.3, 0.7, 0.15, 0.0, 0.0, 0.0],
+        [0.0, 0.15, 0.7, 0.15, 0.0, 0.0],
+        [0.0, 0.0, 0.15, 0.7, 0.15, 0.0],
+        [0.0, 0.0, 0.0, 0.15, 0.7, 0.3],
+        [0.0, 0.0, 0.0, 0.0, 0.15, 0.7],
+    ])
+    np.testing.assert_allclose(smoothed_diagonal_observation().entries, expected, rtol=0.0, atol=1e-15)

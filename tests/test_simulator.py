@@ -669,7 +669,7 @@ def test_acc_holds_the_set_speed_latched_at_engagement(set_speed, acceleration, 
     assert {call.args[3] for call in command.call_args_list} == {expected}
 
 
-def per_tick_segment(state, config, ticks, same_lane):
+def per_tick_segment(state, config, ticks):
     """What _move_ahead's columns hold, taken one _advance at a time."""
     cars = state.cars
     segment = simulator._Segment()
@@ -683,7 +683,7 @@ def per_tick_segment(state, config, ticks, same_lane):
         simulator._advance(state, config)
         segment.fronts.append(front)
         segment.gaps_after.append(cars[front].position - cars[1 - front].position)
-        if same_lane and segment.gaps_after[-1] <= 0.0:
+        if config.same_lane and segment.gaps_after[-1] <= 0.0:
             break
     return segment
 
@@ -714,6 +714,9 @@ def test_segment_columns_are_the_per_tick_loops_floats(motion1, motion2, dt, tic
     config = dataclasses.replace(config, time_step=dt, cars=tuple(
         dataclasses.replace(c, speed=v, acceleration=a, position=p) for c, (v, a, p) in zip(config.cars, (motion1, motion2))
     ))
+    # lanes move no car, so the crash cut is taken on a state that run reaches
+    config = simulator.force_same_lane(config) if same_lane else config
+    assert config.same_lane is same_lane
 
     def start():
         state = simulator.SimState(cars=tuple(CarState(c.speed, c.position) for c in config.cars))
@@ -721,8 +724,8 @@ def test_segment_columns_are_the_per_tick_loops_floats(motion1, motion2, dt, tic
         return state
 
     moved, expected = start(), start()
-    segment = simulator._move_ahead(moved, config, ticks, same_lane)
-    assert hexed(segment) == hexed(per_tick_segment(expected, config, ticks, same_lane))
+    segment = simulator._move_ahead(moved, config, ticks)
+    assert hexed(segment) == hexed(per_tick_segment(expected, config, ticks))
     assert [(c.speed.hex(), c.position.hex()) for c in moved.cars] == [
         (c.speed.hex(), c.position.hex()) for c in expected.cars
     ]
@@ -779,7 +782,7 @@ def test_the_bounds_corner_moves_max_steps_ticks_of_finite_gaps_with_acc_on_with
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         while ticks < simulator.MAX_STEPS:
-            segment = simulator._move_ahead(state, config, simulator.SEGMENT_TICKS, same_lane=False)
+            segment = simulator._move_ahead(state, config, simulator.SEGMENT_TICKS)
             assert all(map(math.isfinite, segment.gaps))
             ticks += len(segment.gaps)
     assert 4e18 < state.cars[0].position < 6e18  # 0.5 * 1e3 * (1e8 s)^2 ahead
