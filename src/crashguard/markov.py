@@ -10,11 +10,13 @@ the principal power through the eigendecomposition, its real part, then
 each row that is built clipped to [0, 1] and renormalised.  The clip is
 a projection, not a power of the chain (a stochastic matrix need not
 have a stochastic t-th power).  ``propagate`` builds only the rows in the
-support of its start vector, so the drift check runs on those rows, and ``matrix_power_real`` builds and checks every row.
+support of its start vector, so the drift check runs on those rows, and
+``matrix_power_real`` builds and checks every row.
 
-``propagate_many`` gives ``propagate``'s bytes for many times at once.  It
-stacks the times as a ``(K, 1, n)`` array of rows before the product with
-V⁻¹, so numpy runs the same ``(1, n) @ (n, n)`` kernel once per time; a flat
+``propagate_many`` gives ``propagate``'s bytes for many times at once, and
+``prediction.assess_many`` reads the same stacked rows.  The stack holds
+the times' rows as a ``(K, 1, n)`` array before the product with V⁻¹,
+so numpy runs the same ``(1, n) @ (n, n)`` kernel once per time; a flat
 ``(K, n) @ (n, n)`` product goes through another kernel and changes the
 last bits of most rows.  It leaves ``t == 0.5`` to ``propagate``, because
 numpy takes ``evals ** 0.5`` with a scalar exponent as a square root, whose
@@ -24,9 +26,9 @@ All types are immutable after construction and every operation is a pure
 function of its inputs, so values can be shared freely across threads.
 Every array that a value holds, and each array of a memoised
 eigendecomposition, is read-only up to the owner of its memory, so numpy
-refuses to make it writeable again.  ``propagate_many``'s stacked results
-are rows of one such owner, frozen once for all of them.  The rule guards
-against accidents, not against intent: numpy still lets the owner itself,
+refuses to make it writeable again.  The stacked results are rows of one
+such owner, frozen once for all of them.  The rule guards against
+accidents, not against intent: numpy still lets the owner itself,
 reached through ``.base``, be made writeable again.
 A StochasticMatrix memoises its eigendecomposition and its stationary
 vector on first use; each is a pure function of the read-only entries, so
@@ -411,39 +413,50 @@ def _raising_errstate() -> np.errstate:
     return np.errstate(**{kind: "raise" if mode != "ignore" else mode for kind, mode in np.geterr().items()})
 
 
-def _stacked_propagations(pi0: ProbabilityVector, P: StochasticMatrix, times: list) -> dict:
-    """Time index -> ``propagate(pi0, P, t)`` for the times that one stacked
-    product can take, in one pass of each check; empty when any check or
-    floating-point event would have made ``propagate`` raise, warn or fall
-    back.
+def _stacked_rows(pi0: ProbabilityVector, P: StochasticMatrix, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(taken, rows)``: which of the float array ``times`` one stacked
+    product takes, and one read-only ``(len(times), pi0.n)`` array whose row
+    i holds ``propagate(pi0, P, times[i])``'s entries where ``taken[i]``, and
+    NaN elsewhere.
 
-    Left out, so left to ``propagate``: a time that is invalid, integral or
-    exactly 0.5, and every time of a mismatched or ill-conditioned chain.
+    Taken, in one pass of each check: every valid time that is neither
+    integral nor exactly 0.5, unless any check or floating-point event would
+    have made ``propagate`` raise, warn or fall back at one of them, or the
+    chain and pi0 do not match; then none is.
     """
-    picked = [
-        i for i, t in enumerate(times)
-        if 0 <= t < math.inf and abs(t - round(t)) > INTEGRAL_TIME_TOLERANCE and t != 0.5
-    ]
-    if not picked or pi0.n != P.n:
-        return {}
-    support = pi0.entries.nonzero()[0]
-    try:
-        with _raising_errstate():
-            stacked = np.array([times[i] for i in picked], dtype=float)[:, None, None]
-            # (K, len(support), n); each time's rows as propagate builds them
-            v = pi0.entries[support] @ _eig_rows(P, stacked, support)
-            clipped = np.maximum(v, 0.0)
-            totals = clipped.sum(axis=-1)
-            # probability_vector's test, on every row at once
-            if not (v.min() >= -DISTRIBUTION_TOLERANCE
-                    and np.abs(totals - 1.0).max() <= DISTRIBUTION_TOLERANCE):
-                return {}
-            result = clipped / totals[:, None]
-    except (IllConditioned, FloatingPointError):
-        return {}
+    taken = np.zeros(times.size, dtype=bool)
+    rows = np.full((times.size, pi0.n), np.nan)
+    valid = np.flatnonzero((times >= 0.0) & (times < np.inf))  # check_time's test
+    fractional = times[valid]
+    picked = valid[(np.abs(fractional - np.round(fractional)) > INTEGRAL_TIME_TOLERANCE) & (fractional != 0.5)]
+    if picked.size and pi0.n == P.n:
+        support = pi0.entries.nonzero()[0]
+        try:
+            with _raising_errstate():
+                # (K, len(support), n); each time's rows as propagate builds them
+                v = pi0.entries[support] @ _eig_rows(P, times[picked][:, None, None], support)
+                clipped = np.maximum(v, 0.0)
+                totals = clipped.sum(axis=-1)
+                # probability_vector's test, on every row at once
+                if (v.min() >= -DISTRIBUTION_TOLERANCE
+                        and np.abs(totals - 1.0).max() <= DISTRIBUTION_TOLERANCE):
+                    rows[picked] = clipped / totals[:, None]
+                    taken[picked] = True
+        except (IllConditioned, FloatingPointError):
+            pass
     # one freeze for every row: a row views the read-only result, so numpy
-    # refuses to make it writeable again, and _built keeps it as it is
-    return {i: ProbabilityVector._built(row) for i, row in zip(picked, _read_only(result))}
+    # refuses to make it writeable again
+    return taken, _read_only(rows)
+
+
+def _stacked_propagations(pi0: ProbabilityVector, P: StochasticMatrix, times: list) -> dict:
+    """Time index -> ``propagate(pi0, P, t)`` for the times that
+    :func:`_stacked_rows` takes; ``_built`` keeps each read-only row as it is."""
+    try:
+        taken, rows = _stacked_rows(pi0, P, np.array(times, dtype=float))
+    except OverflowError:  # an integer beyond float range, which propagate takes exactly
+        return {}
+    return {i: ProbabilityVector._built(rows[i]) for i in np.flatnonzero(taken).tolist()}
 
 
 def propagate_many(

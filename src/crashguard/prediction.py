@@ -6,9 +6,18 @@ the marginals into per-lane joint crash probabilities; flow 3 picks the
 active-safety action for every lane over the crash threshold by comparing
 mean first passage times with the probable crash time.
 
-All functions are pure: none of them loops or resamples, the simulator
-owns that.  A lane chain's passage matrix (in chain steps) is memoised
-for as long as the chain object lives, since the chain is immutable.
+All functions are pure: none of them resamples, the simulator owns that.
+``assess`` runs the flows on one encounter, on floats, and is the
+reference.  ``assess_many`` runs them on a run segment's columns in one
+array pass: the checks and flow 1 over every tick at once, one stacked
+flow-2 product per car and one frozen ``pc`` product over every closing
+tick, and flow 3 only on the stable ticks that flag a lane.  Each tick
+gets ``assess``'s bytes.  Its error, raised again by the scalar checks,
+and any fallback warning of a propagation that the stack leaves to
+``propagate`` come when the consumer reaches that tick, never before.
+
+A lane chain's passage matrix (in chain steps) is memoised for as long
+as the chain object lives, since the chain is immutable.
 """
 
 from __future__ import annotations
@@ -21,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidValue, NotRegular
-from .estimation import N_LANES, VehicleModel, speed_bin_index
+from .errors import DimensionMismatch, InvalidValue, NotRegular
+from .estimation import N_LANES, SPEED_BIN_WIDTH, SPEED_MAX, VehicleModel, speed_bin_index
 from .markov import (
     StochasticMatrix,
     check_state,
@@ -31,11 +40,11 @@ from .markov import (
     limiting_matrix,
     mean_first_passage,
     propagate,
-    propagate_many,
     stationary_distribution,
     unit_vector,
 )
-from .sensing import probable_crash_time
+from .markov import _stacked_rows
+from .sensing import CLOSING_SPEED_FLOOR, probable_crash_time
 
 __all__ = [
     "SafetyAction",
@@ -199,18 +208,23 @@ def _passage_row(model: VehicleModel, lane: int, label: str) -> np.ndarray:
     return steps[lane - 1]
 
 
+def _flagged(pc: np.ndarray, crash: float) -> list[int]:
+    """The 0-based lanes whose joint probability is at or over the ``crash``
+    threshold, which flow 3 acts on."""
+    return np.flatnonzero(pc >= crash).tolist()
+
+
 def _flow3(
     cars: tuple[VehicleModel, VehicleModel],
     lanes: tuple[int, int],
     front: int,
-    crash: float,
-    pc: np.ndarray,
+    flagged: Sequence[int],
     t: float,
 ) -> tuple[LaneAction, ...]:
     """Flow 3 for two cars with the chains and frame intervals of ``cars``
     in ``lanes``, ``front`` the index of the leading car; the cars' state
-    fields are not read.  No lane at or over the ``crash`` threshold, no
-    actions.
+    fields are not read.  ``flagged`` lists the lanes to act on, as
+    :func:`_flagged` gives them; no lane flagged, no actions.
 
     A mean-first-passage entry (in seconds) above t means the car is not
     expected to reach the flagged lane before the crash time: a rear-end
@@ -219,7 +233,6 @@ def _flow3(
     goes on for both cars.  A car's own lane reads 0 for any chain, so
     both cars already in the flagged lane always means steering.
     """
-    flagged = [k for k in range(N_LANES) if pc[k] >= crash]
     actions = []
     for k in flagged:
         lane = k + 1
@@ -249,7 +262,7 @@ def flow3_select_actions(
     current lanes."""
     car1, car2 = encounter.car1, encounter.car2
     return _flow3((car1, car2), (car1.current_lane, car2.current_lane), CAR_LABELS.index(encounter.front_car),
-                  encounter.thresholds.crash, np.asarray(pc, dtype=float), t)
+                  _flagged(np.asarray(pc, dtype=float), encounter.thresholds.crash), t)
 
 
 def assess(encounter: EncounterInput, horizon: float | None = None) -> CrashAssessment:
@@ -278,9 +291,93 @@ def assess(encounter: EncounterInput, horizon: float | None = None) -> CrashAsse
         t, stable = horizon, None
     pc = flow2_crash_probabilities(car1, car2, t)
     actions = () if stable is False else _flow3(
-        (car1, car2), (car1.current_lane, car2.current_lane), front, crash, pc, t
+        (car1, car2), (car1.current_lane, car2.current_lane), front, _flagged(pc, crash), t
     )
     return CrashAssessment(t=t, speed_stable=stable, pc=pc, actions=actions)
+
+
+def _segment_flow1(
+    cars: tuple[VehicleModel, VehicleModel],
+    speeds: tuple[Sequence[float], Sequence[float]],
+    gaps: Sequence[float],
+    fronts: Sequence[int],
+    threshold: float,
+) -> tuple[list[bool], np.ndarray, np.ndarray, int]:
+    """Flow 1 and the checks before flow 2 over a segment's columns, as
+    arrays: ``(closing, t, stable, stop)``, with ``stop`` the first tick
+    that ``check_gap``, ``_flow1`` or ``check_time`` refuses (the number of
+    ticks when none does), ``closing`` whether each tick before it is
+    closing, and ``t`` and ``stable`` the crash time and speed gate of each
+    closing tick among them.
+
+    Each test is the scalar one on the same floats.  A closing speed at or
+    below CLOSING_SPEED_FLOOR is not closing, so NaN closes, as in
+    ``probable_crash_time``; a speed must lie in [0, SPEED_MAX) for its bin
+    to be read, car 2's only once car 1's gate is stable; a closing tick's
+    time must be finite and nonnegative.
+    """
+    # Python's float operations raise no numpy warning, and the times and
+    # gates of the ticks that are not closing are never read
+    with np.errstate(all="ignore"):
+        gap = np.array(gaps, dtype=float)
+        v = np.array(speeds, dtype=float)
+        front = np.array(fronts, dtype=np.intp)
+        ticks = np.arange(gap.size)
+        closing = v[1 - front, ticks] - v[front, ticks]  # trailing minus leading
+        t = gap / closing
+        known = (v >= 0.0) & (v < SPEED_MAX)  # speed_bin_index's range
+        bins = (np.where(known, v, 0.0) // SPEED_BIN_WIDTH).astype(np.intp)
+        gates = [ok & (1.0 - car.speed_chain.entries.diagonal()[b] < threshold)
+                 for car, ok, b in zip(cars, known, bins)]
+        is_closing = ~(closing <= CLOSING_SPEED_FLOOR)
+        closing_refused = ~known[0] | (gates[0] & ~known[1]) | ~((t >= 0.0) & (t < np.inf))
+        refused = ~(np.isfinite(gap) & (gap >= 0.0)) | (is_closing & closing_refused)
+    stop = int(refused.argmax()) if refused.any() else gap.size
+    closing = is_closing[:stop]
+    return closing.tolist(), t[:stop][closing], (gates[0] & gates[1])[:stop][closing], stop
+
+
+def _segment_flow2(
+    cars: tuple[VehicleModel, VehicleModel],
+    lanes: tuple[int, int],
+    t: np.ndarray,
+    crash: float,
+) -> Iterator[tuple[np.ndarray, list[int]]]:
+    """Yield flow 2's ``pc`` and the 0-based lanes that it flags at or
+    over ``crash`` for each closing tick of a segment, at the crash times
+    ``t``.
+
+    The first ``next`` builds the lanes' start vectors, which checks the
+    lanes in flow 2's order, one stacked product per car over its steps
+    ``t / frame_interval``, and one frozen ``(K, 6)`` product of the two: a
+    tick whose steps both stacks take gets a read-only row of it.  Each other
+    step goes through ``propagate`` when its tick is reached, car 1's
+    first, with its warning or error.
+    """
+    with np.errstate(all="ignore"):  # a step that overflows is propagate's to refuse
+        steps = [t / car.frame_interval for car in cars]
+    start1 = unit_vector(N_LANES, lanes[0] - 1)
+    try:
+        starts = (start1, unit_vector(N_LANES, lanes[1] - 1))
+    except DimensionMismatch:  # flow 2 propagates car 1 before it reads car 2's lane
+        propagate(start1, cars[0].lane_chain, float(steps[0][0]))
+        raise
+    stacked = [_stacked_rows(start, car.lane_chain, s) for start, car, s in zip(starts, cars, steps)]
+    (taken1, rows1), (taken2, rows2) = stacked
+    pcs = rows1 * rows2  # NaN where a car's stack leaves the tick
+    pcs.flags.writeable = False  # one owner for every tick's row
+    flags = [[] for _ in pcs]  # _flagged of every row at once
+    for j, k in zip(*(index.tolist() for index in np.nonzero(pcs >= crash))):
+        flags[j].append(k)
+    for j, (both, pc, flagged) in enumerate(zip((taken1 & taken2).tolist(), pcs, flags)):
+        if not both:
+            pi1, pi2 = (
+                rows[j] if taken[j] else propagate(start, car.lane_chain, float(s[j])).entries
+                for (taken, rows), start, car, s in zip(stacked, starts, cars, steps)
+            )
+            pc = pi1 * pi2
+            flagged = _flagged(pc, crash)
+        yield pc, flagged
 
 
 def assess_many(
@@ -291,59 +388,42 @@ def assess_many(
     fronts: Sequence[int],
     thresholds: Thresholds,
 ) -> Iterator[CrashAssessment]:
-    """Yield the assessment of each tick of a segment, in order, with flow 2
-    batched.
+    """Yield the assessment of each tick of a segment, in order, from one
+    array pass over its columns.
 
     The columns hold one entry per tick: ``speeds[i]`` is car i's speeds,
     ``gaps`` the measured gaps, and ``fronts`` the index of the leading
     car.  Over the segment the cars keep the lanes ``lanes`` and the chains
-    and frame intervals of ``cars``, whose state fields are not read.  Tick k gets the bytes that ``assess`` gives the
-    encounter of the two cars in their lanes at tick k's speeds and gap,
-    with ``thresholds``.
+    and frame intervals of ``cars``, whose state fields are not read.
+    Tick k gets the bytes that ``assess`` gives the encounter of the two
+    cars in their lanes at tick k's speeds and gap, with ``thresholds``.
 
-    Each tick is checked on the floats in ``assess``'s order: the gap, as
-    ``EncounterInput`` checks it, flow 1, and flow 2's check of its time;
-    the first closing tick also builds the lanes' start vectors, which
-    checks the lanes.  Flow 2 then propagates
-    each (lane chain, lane) pair through one :func:`markov.propagate_many`
-    over every tick's steps.  Flow 3 runs as the tick is yielded, unless
-    its speeds are unstable.  A tick's error, and any fallback warning of
-    its propagation, comes only when the consumer reaches that tick: a
-    consumer that stops early never sees the errors or warnings of the
-    ticks it skipped.
+    The first ``next`` runs the checks and flow 1 over every tick as
+    arrays (:func:`_segment_flow1`), up to the first tick that a check
+    refuses.  The first closing tick runs flow 2 for every closing tick
+    (:func:`_segment_flow2`).  Flow 3 runs as a tick is yielded, if its
+    speeds are stable and it flags a lane.  The refused tick raises when
+    it is reached: ``check_gap``, ``_flow1`` and ``check_time`` check it
+    again, in ``assess``'s order, and raise its error.  So a tick's
+    error, and any fallback warning of its propagation, comes only when
+    the consumer reaches that tick: a consumer that stops early never sees
+    the errors or warnings of the ticks it skipped.
     """
-    diagonals = tuple(car.speed_chain.entries.diagonal().tolist() for car in cars)  # read once per segment
-    keys = [(car.lane_chain, lane) for car, lane in zip(cars, lanes)]
-    flows1 = []  # per tick: (t, speed_stable), None if non-closing, or its error
-    steps = {key: [] for key in keys}  # (lane chain, lane) -> the steps of every propagation through it
-    starts = ()  # the lanes' start vectors, once a tick is closing
-    for gap, front, pair in zip(gaps, fronts, zip(*speeds)):
-        try:
-            check_gap(gap)
-            flow1 = _flow1(diagonals, gap, pair, front, thresholds.speed_stability)
-            if flow1 is not None:
-                check_time(flow1[0])  # flow 2's check, before it reads a lane
-                starts = starts or [unit_vector(N_LANES, lane - 1) for lane in lanes]
-        except Exception as exc:  # raised when reached; no later tick is
-            flows1.append(exc)
-            break
-        flows1.append(flow1)
-        if flow1 is not None:
-            for car, key in zip(cars, keys):
-                steps[key].append(flow1[0] / car.frame_interval)
-    marginals = {key: propagate_many(start, key[0], steps[key]) for key, start in zip(keys, starts)}
-    marginals1, marginals2 = (marginals.get(key) for key in keys)  # None while no tick is closing
-
-    for k, flow1 in enumerate(flows1):
-        if flow1 is None:
+    closing, t, stable, stop = _segment_flow1(cars, speeds, gaps, fronts, thresholds.speed_stability)
+    flows = zip(t.tolist(), stable.tolist(), _segment_flow2(cars, lanes, t, thresholds.crash))
+    for front, is_closing in zip(fronts, closing):
+        if not is_closing:
             yield _NON_CLOSING
             continue
-        if isinstance(flow1, Exception):
-            raise flow1
-        t, stable = flow1
-        pc = next(marginals1).entries * next(marginals2).entries
-        actions = () if stable is False else _flow3(cars, lanes, fronts[k], thresholds.crash, pc, t)
-        yield CrashAssessment(t=t, speed_stable=stable, pc=pc, actions=actions)
+        t_k, stable_k, (pc, flagged) = next(flows)
+        actions = _flow3(cars, lanes, front, flagged, t_k) if stable_k and flagged else ()
+        yield CrashAssessment(t=t_k, speed_stable=stable_k, pc=pc, actions=actions)
+    if stop < len(gaps):  # the refused tick
+        check_gap(gaps[stop])
+        diagonals = tuple(car.speed_chain.entries.diagonal() for car in cars)
+        t_stop, _ = _flow1(diagonals, gaps[stop], (speeds[0][stop], speeds[1][stop]), fronts[stop],
+                           thresholds.speed_stability)
+        check_time(t_stop)
 
 
 def assessment_to_dict(assessment: CrashAssessment) -> dict:

@@ -739,6 +739,15 @@ def test_propagate_many_stacks_the_fractional_times_but_a_half():
     assert sorted(markov._stacked_propagations(markov.unit_vector(6, 4), P, times)) == [0, 3, 5]
 
 
+def test_propagate_many_takes_an_integer_time_beyond_float_range():
+    # no float holds it, so the batch goes to propagate, which powers exactly
+    P = markov.validate_stochastic(TWO_STATE)
+    pi0 = markov.unit_vector(2, 0)
+    times = [0.3, 10**400]
+    many = list(markov.propagate_many(pi0, P, times))
+    assert [v.entries.tobytes() for v in many] == [markov.propagate(pi0, P, t).entries.tobytes() for t in times]
+
+
 def test_propagate_many_warns_only_when_the_consumer_reaches_the_time():
     # one time past the drift check sends the batch to propagate, which
     # falls back and warns at that time only

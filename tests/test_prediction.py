@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import scenario1_lane_chains
@@ -14,6 +16,7 @@ from crashguard import cli, markov, prediction, simulator
 from crashguard.errors import DimensionMismatch, InvalidValue, NotRegular, SpeedOutOfRange
 from crashguard.markov import validate_stochastic
 from crashguard.prediction import EncounterInput, SafetyAction, Thresholds
+from crashguard.sensing import CLOSING_SPEED_FLOOR
 from crashguard.synthetic import banded_chain, make_model, smoothed_diagonal_observation, with_rows
 
 
@@ -692,6 +695,146 @@ def test_assess_many_checks_each_gap_first_as_encounter_input_does(gap):
         with pytest.raises(InvalidValue, match="^gap must be finite and nonnegative"):
             next(ticks)
         assert next(ticks, None) is None
+
+
+def undecomposable_chain():
+    """A lane chain whose fractional powers are ill-conditioned, so
+    ``propagate`` falls back to an integer power with a warning."""
+    return validate_stochastic(0.9 * (np.eye(6, k=1) + np.diag([0, 0, 0, 0, 0, 1.0])) + 0.1 / 6)
+
+
+def assert_assess_many_gives_assess(cars, lanes, speeds, gaps, fronts, thresholds):
+    """Each tick of assess_many has the bytes, error and warnings of assess
+    on its encounter, built inside the call so a refused gap counts; after
+    the first error nothing more is yielded.  Returns the outcomes."""
+    many = prediction.assess_many(cars, lanes, speeds, gaps, fronts, thresholds)
+    outcomes = []
+    for k in range(len(gaps)):
+        want = assessed(lambda: prediction.assess(segment_encounter(cars, lanes, speeds, gaps, fronts, thresholds, k)))
+        assert assessed(lambda: next(many)) == want, f"tick {k}"
+        outcomes.append(want)
+        if len(want[0]) == 2:  # an error ends the segment
+            break
+    assert next(many, None) is None
+    return outcomes
+
+
+@pytest.mark.parametrize("chain, taken, warnings_per_tick", [
+    (scenario1_lane_chains()[0], [[False, True, False, True, True, False], [False, False, False, True, True, False]],
+     [0] * 7),
+    (undecomposable_chain(), [[False] * 6] * 2, [1, 2, 0, 0, 2, 2, 1]),
+], ids=["stacked", "ill_conditioned"])
+def test_assess_many_mixes_stacked_and_single_propagations_on_one_lane_chain(chain, taken, warnings_per_tick):
+    # both cars on one lane-chain object in one lane, so they share one
+    # (chain, lane) pair, stepping every 1 s and every 0.5 s; a closing
+    # speed of 10 m/s turns gaps of 5, 2.5, 20, 13 and 7.5 m into crash
+    # times of 0.5, 0.25, 2, 1.3 and 0.75 s: steps of exactly 0.5 beside
+    # integral ones, integral steps on both cars and fractional ones
+    cars = (make_model(chain, frame_interval=1.0), make_model(chain, frame_interval=0.5))
+    gaps = [5.0, 2.5, 20.0, 40.0, 13.0, 7.5, 5.0]
+    speeds = ([20.0] * 7, [30.0, 30.0, 30.0, 20.0, 30.0, 30.0, 30.0])  # tick 3 is not closing
+    stacked = []
+
+    def recorded(*args):
+        stacked.append(markov._stacked_rows(*args))
+        return stacked[-1]
+
+    with mock.patch.object(prediction, "_stacked_rows", recorded):
+        outcomes = assert_assess_many_gives_assess(cars, (6, 6), speeds, gaps, [0] * 7, Thresholds(crash=0.05))
+    assert [rows_taken.tolist() for rows_taken, _ in stacked] == taken
+    assert [len(warned) for _, warned in outcomes] == warnings_per_tick
+    assert all(actions for (_, _, actions), _ in outcomes[:3] + outcomes[4:])  # flow 3 on both kinds of row
+
+
+def test_assess_many_propagates_car_1_before_it_reads_car_2s_lane():
+    # assess's flow 2 reads car 1's lane, propagates car 1, then reads car
+    # 2's lane: car 1's fallback warning, at its own step, comes before car
+    # 2's lane error
+    cars = (make_model(undecomposable_chain(), frame_interval=0.5), make_model(banded_chain(), frame_interval=1.0))
+    outcomes = assert_assess_many_gives_assess(
+        cars, (6, 7), ([20.0] * 3, [30.0] * 3), [13.0, 7.0, 40.0], [0] * 3, Thresholds()
+    )
+    warning = (RuntimeWarning, "eigendecomposition failed for t=2.6; using integer power 3 (approximate)")
+    assert outcomes == [((DimensionMismatch, "state 6 outside 0..5"), [warning])]
+
+
+def test_assess_many_flags_a_lane_exactly_at_the_crash_threshold():
+    # a stacked row's pc equal to the threshold flags its lane, as in assess
+    cars = tuple(make_model(chain, lane=lane) for chain, lane in zip(scenario1_lane_chains(), (6, 5)))
+    speeds, gaps = ([30.0, 30.0], [37.0, 41.0]), [40.0, 30.0]
+    crash = float(prediction.assess(segment_encounter(cars, (6, 5), speeds, gaps, [0, 0], Thresholds(), 0)).pc[4])
+    outcomes = assert_assess_many_gives_assess(cars, (6, 5), speeds, gaps, [0, 0], Thresholds(crash=crash))
+    assert [a.lane for a in outcomes[0][0][2]] == [5]
+
+
+def test_a_segments_pc_rows_are_views_of_one_array():
+    # the closing ticks' pc is one frozen product, not one array a tick
+    cars = tuple(make_model(chain, lane=lane) for chain, lane in zip(scenario1_lane_chains(), (6, 5)))
+    speeds = ([30.0] * 5, [37.0, 20.0, 41.0, 43.0, 47.0])  # tick 1 is not closing
+    gaps, fronts = [40.0, 40.0, 30.0, 50.0, 20.0], [0] * 5
+    pcs = [a.pc for a in prediction.assess_many(cars, (6, 5), speeds, gaps, fronts, Thresholds()) if a.pc is not None]
+    owners = set()
+    for k, pc in zip((0, 2, 3, 4), pcs):
+        want = prediction.assess(segment_encounter(cars, (6, 5), speeds, gaps, fronts, Thresholds(), k)).pc
+        assert pc.tobytes() == want.tobytes()
+        owners.add(id(pc.base))
+        assert pc.base.base is None  # the owner of its memory
+        with pytest.raises(ValueError):
+            pc.flags.writeable = True
+    assert len(pcs) == 4 and len(owners) == 1
+
+
+# the cars of the boundary property: car 2's speed chain leaves each bin
+# with a probability of its own
+BOUNDARY_CARS = (
+    make_model(scenario1_lane_chains()[0], lane=6, frame_interval=0.1),
+    make_model(scenario1_lane_chains()[1], frame_interval=1.0, speed_chain=validate_stochastic(
+        np.diag([0.95, 0.5, 0.7, 0.3, 0.8, 0.6]) + np.diag([0.05, 0.5, 0.3, 0.7, 0.2], k=1) + np.diag([0.4], k=-5)
+    )),
+)
+ABOVE_FLOOR = float(np.nextafter(CLOSING_SPEED_FLOOR, np.inf))
+# (leading speed, trailing speed): closing at the floor, which is not
+# closing, and one ulp above it; speeds on and under the bin edges, at 60
+# m/s, which flow 1 refuses, and under it; a NaN speed, whose closing
+# speed closes; and not closing at all
+BOUNDARY_SPEEDS = [
+    (0.0, CLOSING_SPEED_FLOOR), (0.0, ABOVE_FLOOR), (0.0, ABOVE_FLOOR),
+    (10.0, 20.0), (float(np.nextafter(10.0, 0.0)), 30.0), (40.0, 50.0), (50.0, 60.0), (20.0, 60.0),
+    (float(np.nextafter(60.0, 0.0)), 60.0), (20.0, float(np.nextafter(60.0, 0.0))), (30.0, float("nan")),
+    (30.0, 20.0), (30.0, 30.0),
+]
+# a gap of 0, gaps whose time overflows at the floor's closing speed, and,
+# one draw in seven, a gap that check_gap refuses
+BOUNDARY_GAPS = [0.0, 15.0, 40.0, 1e300, 1.7e308, 1e300] * 3 + [-1.0, float("inf"), float("nan")]
+
+
+@st.composite
+def boundary_segments(draw):
+    """A segment's columns at the boundaries of the checks and flow 1, with
+    a speed threshold equal to one minus a diagonal entry of one car's
+    speed chain, or next to it."""
+    ticks = draw(st.lists(st.tuples(st.sampled_from(BOUNDARY_SPEEDS), st.sampled_from(BOUNDARY_GAPS),
+                                    st.integers(0, 1), st.booleans()), min_size=1, max_size=10))
+    speeds, gaps, fronts = ([], []), [], []
+    for (lead, trail), gap, front, flipped in ticks:
+        pair = (trail, lead) if flipped else (lead, trail)  # flipped: the faster car leads
+        for column, speed in zip(speeds, pair if front == 0 else pair[::-1]):
+            column.append(speed)
+        gaps.append(gap)
+        fronts.append(front)
+    car = draw(st.sampled_from(BOUNDARY_CARS))
+    leave = float(1.0 - car.speed_chain.entries.diagonal()[draw(st.integers(0, 5))])
+    speed_stability = draw(st.sampled_from([leave, float(np.nextafter(leave, 0.0)), float(np.nextafter(leave, 1.0))]))
+    lanes = draw(st.sampled_from([(6, 5), (6, 6), (2, 7)]))  # lane 7 is refused at the first closing tick
+    return lanes, speeds, gaps, fronts, Thresholds(speed_stability, draw(st.sampled_from([0.05, 0.3, 0.9])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(boundary_segments())
+def test_assess_many_gives_assess_on_boundary_columns(segment):
+    # each tick's bytes, or its error at its own tick and nothing after it
+    lanes, speeds, gaps, fronts, thresholds = segment
+    assert_assess_many_gives_assess(BOUNDARY_CARS, lanes, speeds, gaps, fronts, thresholds)
 
 
 # --- synthetic builders ---
