@@ -13,14 +13,14 @@ have a stochastic t-th power).  ``propagate`` builds only the rows in the
 support of its start vector, so the drift check runs on those rows, and
 ``matrix_power_real`` builds and checks every row.
 
-``propagate_many`` gives ``propagate``'s bytes for many times at once, and
-``prediction.assess_many`` reads the same stacked rows.  The stack holds
-the times' rows as a ``(K, 1, n)`` array before the product with V⁻¹,
-so numpy runs the same ``(1, n) @ (n, n)`` kernel once per time; a flat
-``(K, n) @ (n, n)`` product goes through another kernel and changes the
-last bits of most rows.  It leaves ``t == 0.5`` to ``propagate``, because
-numpy takes ``evals ** 0.5`` with a scalar exponent as a square root, whose
-bits differ from the general power that an array of exponents gets.
+``_stacked_rows`` gives ``propagate``'s bytes for many times at once, and
+``prediction.assess_many`` reads them.  The stack holds the times' rows
+as a ``(K, 1, n)`` array before the product with V⁻¹, so numpy runs the
+same ``(1, n) @ (n, n)`` kernel once per time; a flat ``(K, n) @ (n, n)``
+product goes through another kernel and changes the last bits of most
+rows.  It leaves ``t == 0.5`` to ``propagate``, because numpy takes
+``evals ** 0.5`` with a scalar exponent as a square root, whose bits
+differ from the general power that an array of exponents gets.
 
 All types are immutable after construction and every operation is a pure
 function of its inputs, so values can be shared freely across threads.
@@ -33,13 +33,27 @@ reached through ``.base``, be made writeable again.
 A StochasticMatrix memoises its eigendecomposition and its stationary
 vector on first use; each is a pure function of the read-only entries, so
 a race between threads at worst computes the same value twice.
+
+``validate_stochastic`` interns its chains: every check runs on every
+call, and then the renormalised entries, byte for byte, look up one
+shared chain in a cache of the last INTERN_SIZE distinct chains.  So a
+chain that a process loads again, from a scenario or a model file, keeps
+its memoised analysis (and ``prediction``'s passage matrix) while the
+cache holds it.  An interned chain's entries are owned by immutable
+``bytes``, so numpy refuses to make them writeable even through
+``.base``.  Its memoised eigendecomposition is not: an edit through
+that ``.base`` reaches every later load of the chain in the process.
+The ``StochasticMatrix`` constructor, ``matrix_power`` and
+``matrix_power_real`` build a fresh chain on every call.  On the
+benchmark's replay workload 99.3% of the calls find their chain cached;
+on encounters no lane chain repeats, and estimate analyses no chain, so
+there the cache only costs one ``tobytes``, lookup and ``frombuffer``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -74,7 +88,6 @@ __all__ = [
     "fundamental_matrix",
     "mean_first_passage",
     "propagate",
-    "propagate_many",
 ]
 
 ROW_SUM_TOLERANCE = 1e-9  # |row sum - 1| accepted before renormalizing
@@ -84,6 +97,12 @@ INTEGRAL_TIME_TOLERANCE = 1e-9  # |t - round(t)| treated as an integer exponent
 # that a fractional power trusts; the bundled and sample-CSV chains read
 # below 60, a chain defective at eigenvalue 0 above 1e17
 EIG_CONDITION_LIMIT = 1e8
+# distinct chains that validate_stochastic keeps shared: a scenario or CLI
+# process loads at most 6 (lane, speed and observation of two cars), and
+# the whole replay workload reads 6, so 16 keeps every chain a process
+# reloads with room to spare, while chains that never repeat (encounters,
+# estimate) hold at most 16 small analyses alive
+INTERN_SIZE = 16
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -112,8 +131,9 @@ class _FrozenArray:
     def _built(cls, a: np.ndarray):
         """Wrap a float array without a copy: one that this module has just
         built and that no caller holds, made read-only in place, or a
-        read-only view of a frozen owner, kept as it is.  Callers pass
-        nothing else, so a read-only ``a`` always views a frozen owner."""
+        read-only view of a frozen owner or of immutable ``bytes``, kept as
+        it is.  Callers pass nothing else, so a read-only ``a`` always views
+        memory that numpy refuses to make writeable."""
         wrapped = object.__new__(cls)
         object.__setattr__(wrapped, "entries", _read_only(a) if a.flags.writeable else a)
         return wrapped
@@ -174,6 +194,10 @@ class PassageMatrix(_FrozenArray):
 def validate_stochastic(raw, tolerance: float = ROW_SUM_TOLERANCE) -> StochasticMatrix:
     """Check a raw matrix and return it with rows renormalized to sum exactly 1.
 
+    Every check runs on every call; a chain with the same renormalised
+    entries, byte for byte, as one of the last INTERN_SIZE distinct chains
+    returned is that same object, memoised analysis included.
+
     Raises
     ------
     NotSquare
@@ -196,7 +220,17 @@ def validate_stochastic(raw, tolerance: float = ROW_SUM_TOLERANCE) -> Stochastic
             raise NegativeEntry(int(i), int(j), float(a[i, j]))
         i = int(np.argwhere(~(np.abs(sums - 1.0) <= tolerance))[0][0])
         raise RowSumOutOfTolerance(i, float(sums[i]))
-    return StochasticMatrix._built(a / sums[:, None])
+    return _interned(a.shape[0], (a / sums[:, None]).tobytes())
+
+
+@lru_cache(maxsize=INTERN_SIZE)
+def _interned(n: int, data: bytes) -> StochasticMatrix:
+    """The one chain whose n x n entries are the float64 bytes ``data``.
+
+    The entries view ``data`` itself, which numpy never makes writeable, so
+    a shared chain can never drift from its key.
+    """
+    return StochasticMatrix._built(np.frombuffer(data).reshape(n, n))
 
 
 def probability_vector(raw) -> ProbabilityVector:
@@ -447,31 +481,3 @@ def _stacked_rows(pi0: ProbabilityVector, P: StochasticMatrix, times: np.ndarray
     # one freeze for every row: a row views the read-only result, so numpy
     # refuses to make it writeable again
     return taken, _read_only(rows)
-
-
-def _stacked_propagations(pi0: ProbabilityVector, P: StochasticMatrix, times: list) -> dict:
-    """Time index -> ``propagate(pi0, P, t)`` for the times that
-    :func:`_stacked_rows` takes; ``_built`` keeps each read-only row as it is."""
-    try:
-        taken, rows = _stacked_rows(pi0, P, np.array(times, dtype=float))
-    except OverflowError:  # an integer beyond float range, which propagate takes exactly
-        return {}
-    return {i: ProbabilityVector._built(rows[i]) for i in np.flatnonzero(taken).tolist()}
-
-
-def propagate_many(
-    pi0: ProbabilityVector, P: StochasticMatrix, times: Iterable[float]
-) -> Iterator[ProbabilityVector]:
-    """Yield ``propagate(pi0, P, t)`` for each real t of ``times``, in order.
-
-    The fractional times go through one stacked eigendecomposition product
-    when it passes every check, on the first ``next``.  The rest, or all of
-    them when a check fails, go through ``propagate`` one at a time as they
-    are reached.  So each result has ``propagate``'s bytes, and its warning
-    or error comes when the consumer reaches that time and not before.
-    """
-    times = list(times)
-    stacked = _stacked_propagations(pi0, P, times)
-    for i, t in enumerate(times):
-        result = stacked.get(i)
-        yield propagate(pi0, P, t) if result is None else result

@@ -12,12 +12,15 @@ reference.  ``assess_many`` runs them on a run segment's columns in one
 array pass: the checks and flow 1 over every tick at once, one stacked
 flow-2 product per car and one frozen ``pc`` product over every closing
 tick, and flow 3 only on the stable ticks that flag a lane.  Each tick
-gets ``assess``'s bytes.  Its error, raised again by the scalar checks,
-and any fallback warning of a propagation that the stack leaves to
-``propagate`` come when the consumer reaches that tick, never before.
+gets ``assess``'s bytes.  Its error, raised by ``assess`` itself on the
+tick the array pass refuses, and any fallback warning of a propagation
+that the stack leaves to ``propagate`` come when the consumer reaches
+that tick, never before.
 
 A lane chain's passage matrix (in chain steps) is memoised for as long
-as the chain object lives, since the chain is immutable.
+as the chain object lives, since the chain is immutable.  Chains from
+``markov.validate_stochastic`` are interned, so it is built once per
+distinct chain while ``markov``'s intern cache holds it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import enum
 import math
 import weakref
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -190,9 +193,9 @@ def _passage_row(model: VehicleModel, lane: int, label: str) -> np.ndarray:
     chain steps.
 
     The lane is checked first, as flow 2's start vector checks it.  The
-    matrix is built once per chain object.  The chain must be regular; the
-    error names the car and its unobserved lane rows, and is raised again
-    on every call.
+    matrix is built once per chain object, so once per distinct interned
+    chain.  The chain must be regular; the error names the car and its
+    unobserved lane rows, and is raised again on every call.
     """
     check_state(N_LANES, lane - 1)
     chain = model.lane_chain
@@ -308,7 +311,9 @@ def _segment_flow1(
     that ``check_gap``, ``_flow1`` or ``check_time`` refuses (the number of
     ticks when none does), ``closing`` whether each tick before it is
     closing, and ``t`` and ``stable`` the crash time and speed gate of each
-    closing tick among them.
+    closing tick among them.  An entry that no float holds, a Python int
+    beyond float range, ends the pass at its tick: ``stop`` is at most that
+    tick.
 
     Each test is the scalar one on the same floats.  A closing speed at or
     below CLOSING_SPEED_FLOOR is not closing, so NaN closes, as in
@@ -316,11 +321,15 @@ def _segment_flow1(
     to be read, car 2's only once car 1's gate is stable; a closing tick's
     time must be finite and nonnegative.
     """
+    try:
+        gap = np.array(gaps, dtype=float)
+        v = np.array(speeds, dtype=float)
+    except OverflowError:
+        n = min(_float_prefix(column) for column in (gaps, *speeds))
+        return _segment_flow1(cars, (speeds[0][:n], speeds[1][:n]), gaps[:n], fronts[:n], threshold)
     # Python's float operations raise no numpy warning, and the times and
     # gates of the ticks that are not closing are never read
     with np.errstate(all="ignore"):
-        gap = np.array(gaps, dtype=float)
-        v = np.array(speeds, dtype=float)
         front = np.array(fronts, dtype=np.intp)
         ticks = np.arange(gap.size)
         closing = v[1 - front, ticks] - v[front, ticks]  # trailing minus leading
@@ -335,6 +344,16 @@ def _segment_flow1(
     stop = int(refused.argmax()) if refused.any() else gap.size
     closing = is_closing[:stop]
     return closing.tolist(), t[:stop][closing], (gates[0] & gates[1])[:stop][closing], stop
+
+
+def _float_prefix(column: Sequence[float]) -> int:
+    """The number of leading entries of ``column`` that a float holds."""
+    for i, x in enumerate(column):
+        try:
+            float(x)
+        except OverflowError:
+            return i
+    return len(column)
 
 
 def _segment_flow2(
@@ -402,12 +421,13 @@ def assess_many(
     arrays (:func:`_segment_flow1`), up to the first tick that a check
     refuses.  The first closing tick runs flow 2 for every closing tick
     (:func:`_segment_flow2`).  Flow 3 runs as a tick is yielded, if its
-    speeds are stable and it flags a lane.  The refused tick raises when
-    it is reached: ``check_gap``, ``_flow1`` and ``check_time`` check it
-    again, in ``assess``'s order, and raise its error.  So a tick's
-    error, and any fallback warning of its propagation, comes only when
-    the consumer reaches that tick: a consumer that stops early never sees
-    the errors or warnings of the ticks it skipped.
+    speeds are stable and it flags a lane.  The refused tick goes through
+    ``assess`` when it is reached, which raises its error; a tick that
+    ended the pass only because no float holds one of its entries may pass
+    there, and then the pass starts again after it.  So a tick's error,
+    and any fallback warning of its propagation, comes only when the
+    consumer reaches that tick: a consumer that stops early never sees the
+    errors or warnings of the ticks it skipped.
     """
     closing, t, stable, stop = _segment_flow1(cars, speeds, gaps, fronts, thresholds.speed_stability)
     flows = zip(t.tolist(), stable.tolist(), _segment_flow2(cars, lanes, t, thresholds.crash))
@@ -419,11 +439,11 @@ def assess_many(
         actions = _flow3(cars, lanes, front, flagged, t_k) if stable_k and flagged else ()
         yield CrashAssessment(t=t_k, speed_stable=stable_k, pc=pc, actions=actions)
     if stop < len(gaps):  # the refused tick
-        check_gap(gaps[stop])
-        diagonals = tuple(car.speed_chain.entries.diagonal() for car in cars)
-        t_stop, _ = _flow1(diagonals, gaps[stop], (speeds[0][stop], speeds[1][stop]), fronts[stop],
-                           thresholds.speed_stability)
-        check_time(t_stop)
+        models = (replace(car, current_lane=lane, current_speed=speed[stop])
+                  for car, lane, speed in zip(cars, lanes, speeds))
+        yield assess(EncounterInput(*models, gaps[stop], CAR_LABELS[fronts[stop]], thresholds))
+        rest = slice(stop + 1, None)
+        yield from assess_many(cars, lanes, (speeds[0][rest], speeds[1][rest]), gaps[rest], fronts[rest], thresholds)
 
 
 def assessment_to_dict(assessment: CrashAssessment) -> dict:

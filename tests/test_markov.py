@@ -125,8 +125,10 @@ def test_stochastic_matrix_entries_cannot_be_made_writeable():
 
 
 def stacked_rows(P):
-    """propagate_many's results at two times that its stacked product takes."""
-    return list(markov.propagate_many(markov.unit_vector(2, 0), P, (0.3, 1.7)))
+    """_stacked_rows' rows at two times that its stacked product takes."""
+    taken, rows = markov._stacked_rows(markov.unit_vector(2, 0), P, np.array([0.3, 1.7]))
+    assert taken.all()
+    return rows
 
 
 def passage_matrix(P):
@@ -160,8 +162,8 @@ READ_ONLY_PATHS = {
     "unit_vector": lambda P: markov.unit_vector(2, 1).entries,
     "propagate_integral": lambda P: markov.propagate(markov.unit_vector(2, 0), P, 3.0).entries,
     "propagate_fractional": lambda P: markov.propagate(markov.unit_vector(2, 0), P, 0.3).entries,
-    "propagate_many_stacked_first": lambda P: stacked_rows(P)[0].entries,
-    "propagate_many_stacked_second": lambda P: stacked_rows(P)[1].entries,
+    "stacked_rows_first": lambda P: stacked_rows(P)[0],
+    "stacked_rows_second": lambda P: stacked_rows(P)[1],
     "stationary_distribution": lambda P: markov.stationary_distribution(P).entries,
     "mean_first_passage": lambda P: passage_matrix(P).entries,
     "eig_values": lambda P: P._eig[0],
@@ -200,26 +202,72 @@ def test_stacked_rows_are_views_of_one_array():
     pi0 = markov.unit_vector(2, 0)
     P._eig  # the memoised decomposition freezes its own arrays, once a chain
     times = [0.3, 1.7, 2.2, 4.6]
-    assert sorted(markov._stacked_propagations(pi0, P, times)) == [0, 1, 2, 3]  # every time is stacked
     with mock.patch.object(markov, "_read_only", wraps=markov._read_only) as read_only:
-        rows = list(markov.propagate_many(pi0, P, times))
+        taken, rows = markov._stacked_rows(pi0, P, np.array(times))
+    assert taken.all()  # every time is stacked
     assert read_only.call_count == 1
-    assert len({id(memory_owner(v.entries)) for v in rows}) == 1
-    for v, t in zip(rows, times):
-        assert v.entries.tobytes() == markov.propagate(pi0, P, t).entries.tobytes()
+    assert len({id(memory_owner(row)) for row in rows}) == 1
+    for row, t in zip(rows, times):
+        assert row.tobytes() == markov.propagate(pi0, P, t).entries.tobytes()
         with pytest.raises(ValueError):
-            v.entries.flags.writeable = True
+            row.flags.writeable = True
 
 
-@pytest.mark.xfail(strict=True, reason="FOUND (CHANGES.md): numpy lets the owner reached through .base "
-                                       "be made writeable again")
-def test_the_owners_of_a_chains_arrays_refuse_to_be_made_writeable():
-    # an edited owner changes the entries, and an edited eigendecomposition
-    # every later fractional power
+def test_the_owner_of_an_interned_chains_entries_refuses_to_be_made_writeable():
+    # the entries view immutable bytes, so no edit through .base can make a
+    # shared chain drift from its key
     P = markov.validate_stochastic([[0.5, 0.5], [0.2, 0.8]])
-    for owner in (memory_owner(P.entries), memory_owner(P._eig[2])):
-        with pytest.raises(ValueError):
-            owner.flags.writeable = True
+    owner = memory_owner(P.entries)
+    assert type(owner.base) is bytes
+    with pytest.raises(ValueError):
+        owner.flags.writeable = True
+    assert markov.validate_stochastic([[0.5, 0.5], [0.2, 0.8]]) is P
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: numpy lets the owner of a memoised eigendecomposition, "
+                                       "reached through .base, be made writeable again")
+def test_the_owner_of_a_chains_eigendecomposition_refuses_to_be_made_writeable():
+    # an edited eigendecomposition changes every later fractional power, of
+    # every load of an interned chain; a fresh chain keeps the shared ones intact
+    P = markov.StochasticMatrix([[0.5, 0.5], [0.2, 0.8]])
+    with pytest.raises(ValueError):
+        memory_owner(P._eig[2]).flags.writeable = True
+
+
+# --- interning ---
+
+def test_validate_stochastic_shares_one_chain_per_distinct_entries():
+    markov._interned.cache_clear()
+    P = markov.validate_stochastic(TWO_STATE)
+    assert markov.validate_stochastic(np.array(TWO_STATE)) is P
+    assert markov.validate_stochastic(np.asfortranarray(TWO_STATE)) is P  # the key is the entries in C order
+    nudged = [[0.7, float(np.nextafter(0.3, 1.0))], [0.2, 0.8]]  # the row still sums to exactly 1
+    Q = markov.validate_stochastic(nudged)
+    assert Q is not P and Q.entries.tolist() == nudged  # one ulp apart
+    assert markov.validate_stochastic(nudged) is Q
+    assert markov.StochasticMatrix(TWO_STATE) is not P  # the constructor builds a fresh chain
+    assert markov.matrix_power(P, 1) is not P and markov.matrix_power_real(P, 1.0) is not P
+    assert markov._interned.cache_info().currsize == 2
+
+
+def test_validate_stochastic_runs_every_check_on_an_interned_chain():
+    loose = [[0.7, 0.3], [0.2, 0.8 + 5e-10]]
+    P = markov.validate_stochastic(loose)
+    assert markov.validate_stochastic(loose) is P
+    with pytest.raises(RowSumOutOfTolerance):  # the same raw entries, a tighter tolerance
+        markov.validate_stochastic(loose, tolerance=1e-10)
+
+
+def test_the_intern_cache_keeps_the_last_intern_size_chains():
+    markov._interned.cache_clear()
+    chains = [markov.validate_stochastic([[1.0 - p, p], [0.5, 0.5]])
+              for p in np.linspace(0.1, 0.9, markov.INTERN_SIZE + 1)]
+    assert markov._interned.cache_info().currsize == markov.INTERN_SIZE
+    last = chains[-1].entries.tolist()
+    assert markov.validate_stochastic(last) is chains[-1]
+    first = chains[0].entries.tolist()
+    assert markov.validate_stochastic(first) is not chains[0]  # evicted
+    assert markov.validate_stochastic(first).entries.tobytes() == chains[0].entries.tobytes()
 
 
 # --- regularity ---
@@ -705,60 +753,59 @@ def propagation_batches(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(propagation_batches())
-def test_propagate_many_gives_propagate_at_every_time(batch):
-    # each next() has propagate's bytes, error and warnings, in order; the
-    # two sides get chains of the same entries, each decomposed afresh
+def test_stacked_rows_give_propagate_at_every_time_they_take(batch):
+    # a taken time's row has propagate's bytes, where propagate neither
+    # warns nor raises; the stack takes every valid time that is neither
+    # integral nor 0.5, or none when propagate refuses, warns or falls back
+    # at one of them; the two sides get chains of the same entries, each
+    # decomposed afresh
     a, pi0, times = batch
-    many = markov.propagate_many(pi0, markov.StochasticMatrix(a), times)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        taken, rows = markov._stacked_rows(pi0, markov.StochasticMatrix(a), np.array(times, dtype=float))
     P = markov.StochasticMatrix(a)
-    for t in times:
-        got = one_outcome(lambda: next(many))
-        want = one_outcome(lambda: markov.propagate(pi0, P, t))
-        assert got == want
-        if len(want[0]) == 2:  # an error ends both
-            break
-    else:
-        assert next(many, None) is None
+    outcomes = [one_outcome(lambda: markov.propagate(pi0, P, t)) for t in times]
+    stackable = [0.0 <= t < math.inf and abs(t - round(t)) > markov.INTEGRAL_TIME_TOLERANCE and t != 0.5
+                 for t in times]
+    clean = all(len(want) == 3 and not caught for (want, caught), ok in zip(outcomes, stackable) if ok)
+    assert taken.tolist() == (stackable if clean else [False] * len(times))
+    assert rows.shape == (len(times), pi0.n) and not rows.flags.writeable
+    for row, is_taken, (want, _) in zip(rows, taken, outcomes):
+        if is_taken:
+            assert row.tobytes() == want[2]
+        else:
+            assert np.isnan(row).all()
 
 
-def test_propagate_many_keeps_the_start_vector_check_of_propagate():
+def test_stacked_rows_take_no_time_for_a_start_vector_that_propagate_refuses():
     # a start vector built without validation, whose negative entry
     # probability_vector refuses although the clipped rest sums to 1
     P = markov.validate_stochastic(np.eye(3))
     pi0 = markov.ProbabilityVector([0.5, -0.25, 0.5])
-    with pytest.raises(NegativeEntry) as want:
+    with pytest.raises(NegativeEntry):
         markov.propagate(pi0, P, 0.3)
-    with pytest.raises(NegativeEntry) as got:
-        next(markov.propagate_many(pi0, P, [0.3, 0.7]))
-    assert str(got.value) == str(want.value)
+    taken, rows = markov._stacked_rows(pi0, P, np.array([0.3, 0.7]))
+    assert not taken.any() and np.isnan(rows).all()
 
 
-def test_propagate_many_stacks_the_fractional_times_but_a_half():
+def test_stacked_rows_take_the_fractional_times_but_a_half():
     P = simulator.load_scenario(importlib.resources.files("crashguard") / "data" / "scenario2.json").cars[0].model.lane_chain
-    times = [0.3, 0.5, 2.0, 7.25, 1e-12, 33.3]
-    assert sorted(markov._stacked_propagations(markov.unit_vector(6, 4), P, times)) == [0, 3, 5]
+    taken, _ = markov._stacked_rows(markov.unit_vector(6, 4), P, np.array([0.3, 0.5, 2.0, 7.25, 1e-12, 33.3]))
+    assert np.flatnonzero(taken).tolist() == [0, 3, 5]
 
 
-def test_propagate_many_takes_an_integer_time_beyond_float_range():
-    # no float holds it, so the batch goes to propagate, which powers exactly
+def test_stacked_rows_leave_integral_times_beyond_float_precision_to_propagate():
+    # floats this large are integers, which propagate powers exactly; an
+    # int beyond float range never reaches the stack, whose caller
+    # assess_many ends its array pass at such a tick
     P = markov.validate_stochastic(TWO_STATE)
     pi0 = markov.unit_vector(2, 0)
-    times = [0.3, 10**400]
-    many = list(markov.propagate_many(pi0, P, times))
-    assert [v.entries.tobytes() for v in many] == [markov.propagate(pi0, P, t).entries.tobytes() for t in times]
-
-
-def test_propagate_many_warns_only_when_the_consumer_reaches_the_time():
-    # one time past the drift check sends the batch to propagate, which
-    # falls back and warns at that time only
-    P = scenario1_lane_chains()[0]
-    many = markov.propagate_many(markov.unit_vector(6, 5), P, [0.3, 1e13 + 0.5, 2.7])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        first = next(many)
-    assert first.entries.tobytes() == markov.propagate(markov.unit_vector(6, 5), P, 0.3).entries.tobytes()
-    with pytest.warns(RuntimeWarning, match="eigendecomposition failed for t=10000000000000.5"):
-        next(many)
+    times = [0.3, 2.0 ** 60, 1e300]
+    taken, rows = markov._stacked_rows(pi0, P, np.array(times))
+    assert taken.tolist() == [True, False, False] and np.isnan(rows[1:]).all()
+    assert rows[0].tobytes() == markov.propagate(pi0, P, 0.3).entries.tobytes()
+    for t in (*times[1:], 10**400):
+        assert markov.propagate(pi0, P, t).entries.tobytes() == markov.matrix_power(P, int(t)).entries[0].tobytes()
 
 
 def test_unit_vector_is_built_once_and_keeps_its_errors():
@@ -801,19 +848,23 @@ def test_stationary_rejects_periodic():
 
 
 def test_stationary_vector_is_solved_once_a_matrix_and_its_errors_are_not_kept():
+    markov._interned.cache_clear()  # no earlier test's analysis of these chains
     P = markov.validate_stochastic(TWO_STATE)
     with mock.patch.object(markov, "is_regular", wraps=markov.is_regular) as regular:
         w = markov.stationary_distribution(P)
         assert markov.stationary_distribution(P) is w
         assert markov.limiting_matrix(P).tobytes() == np.tile(w.entries, (2, 1)).tobytes()
     assert regular.call_count == 1
+    with mock.patch.object(markov, "is_regular", wraps=markov.is_regular) as regular:
+        assert markov.stationary_distribution(markov.validate_stochastic(TWO_STATE)) is w  # a second load
+    assert regular.call_count == 0
     periodic = markov.validate_stochastic(PERIODIC)
     with mock.patch.object(markov, "is_regular", wraps=markov.is_regular) as regular:
         for _ in range(2):
             with pytest.raises(NotRegular):
                 markov.stationary_distribution(periodic)
     assert regular.call_count == 2
-    fresh = markov.validate_stochastic(TWO_STATE)
+    fresh = markov.StochasticMatrix(TWO_STATE)
     with mock.patch.object(markov.np.linalg, "solve", side_effect=np.linalg.LinAlgError("singular")):
         for _ in range(2):
             with pytest.raises(SingularSystem, match="^singular$"):

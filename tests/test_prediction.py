@@ -390,23 +390,34 @@ def test_flow3_builds_each_car_passage_matrix_once(monkeypatch):
         return original(chain)
 
     monkeypatch.setattr(prediction, "stationary_distribution", counting)
+    markov._interned.cache_clear()  # no earlier test's analysis of these chains
     car1 = make_model(banded_chain(), lane=1)
     car2 = make_model(banded_chain(self_loop=0.8), lane=2)
     pc = np.array([0, 0, 0.4, 0.4, 0, 0])  # two flagged lanes, neither car's own
     actions = prediction.flow3_select_actions(encounter(car1, car2, front="car1"), pc, 4.0)
     assert [a.lane for a in actions] == [3, 4]
     assert analysed == [car1.lane_chain, car2.lane_chain]
+    # built again, the chains are the interned ones, whose matrices are kept
+    again = (make_model(banded_chain(), lane=1), make_model(banded_chain(self_loop=0.8), lane=2))
+    assert prediction.flow3_select_actions(encounter(*again, front="car1"), pc, 4.0) == actions
+    assert analysed == [car1.lane_chain, car2.lane_chain]
 
 
 def test_a_scenario1_run_analyses_its_lane_chain_once():
     # one passage build: limiting_matrix reads the chain's memoised
-    # stationary vector instead of checking regularity and solving again
-    config = simulator.load_scenario(importlib.resources.files("crashguard") / "data" / "scenario1.json")
-    with mock.patch.object(prediction, "stationary_distribution", wraps=prediction.stationary_distribution) as built, \
-            mock.patch.object(markov, "is_regular", wraps=markov.is_regular) as regular, \
-            mock.patch.object(markov.np.linalg, "solve", wraps=np.linalg.solve) as solve:
-        simulator.run(config)
-    assert (built.call_count, regular.call_count, solve.call_count) == (1, 1, 1)
+    # stationary vector instead of checking regularity and solving again;
+    # a second load shares the interned chains and builds nothing
+    markov._interned.cache_clear()  # no earlier test's analysis of these chains
+    path = importlib.resources.files("crashguard") / "data" / "scenario1.json"
+    counts = []
+    for _ in range(2):
+        config = simulator.load_scenario(path)
+        with mock.patch.object(prediction, "stationary_distribution", wraps=prediction.stationary_distribution) as built, \
+                mock.patch.object(markov, "is_regular", wraps=markov.is_regular) as regular, \
+                mock.patch.object(markov.np.linalg, "solve", wraps=np.linalg.solve) as solve:
+            simulator.run(config)
+        counts.append((built.call_count, regular.call_count, solve.call_count))
+    assert counts == [(1, 1, 1), (0, 0, 0)]
 
 
 # --- assess ---
@@ -706,12 +717,19 @@ def undecomposable_chain():
 def assert_assess_many_gives_assess(cars, lanes, speeds, gaps, fronts, thresholds):
     """Each tick of assess_many has the bytes, error and warnings of assess
     on its encounter, built inside the call so a refused gap counts; after
-    the first error nothing more is yielded.  Returns the outcomes."""
+    the first error nothing more is yielded.  The array pass hands a tick
+    to assess only where assess raises or no float holds an entry, so it
+    refuses no tick that it can assess.  Returns the outcomes."""
     many = prediction.assess_many(cars, lanes, speeds, gaps, fronts, thresholds)
     outcomes = []
     for k in range(len(gaps)):
         want = assessed(lambda: prediction.assess(segment_encounter(cars, lanes, speeds, gaps, fronts, thresholds, k)))
-        assert assessed(lambda: next(many)) == want, f"tick {k}"
+        with mock.patch.object(prediction, "assess", wraps=prediction.assess) as scalar:
+            assert assessed(lambda: next(many)) == want, f"tick {k}"
+        if scalar.call_count:
+            assert scalar.call_count == 1
+            entries = (gaps[k], speeds[0][k], speeds[1][k])
+            assert len(want[0]) == 2 or prediction._float_prefix(entries) < 3, f"tick {k}"
         outcomes.append(want)
         if len(want[0]) == 2:  # an error ends the segment
             break
@@ -767,6 +785,19 @@ def test_assess_many_flags_a_lane_exactly_at_the_crash_threshold():
     assert [a.lane for a in outcomes[0][0][2]] == [5]
 
 
+def test_assess_many_meets_an_int_beyond_float_range_at_its_own_tick():
+    # no float holds 10**400, so the array pass ends at its tick: assess
+    # raises there, or, where it passes that tick, the pass starts again
+    cars = tuple(make_model(chain, lane=lane) for chain, lane in zip(scenario1_lane_chains(), (6, 5)))
+    raised = assert_assess_many_gives_assess(cars, (6, 5), ([30.0, 30.0], [20.0, 10**400]), [40.0, 40.0], [0, 0],
+                                             Thresholds())
+    assert [len(outcome) for outcome, _ in raised] == [3, 2] and raised[1][0][0] is OverflowError
+    # int speeds: car 1 leads at 10**400, so tick 0 is not closing; tick 1 acts
+    passed = assert_assess_many_gives_assess(cars, (6, 5), ([10**400, 30.0], [30, 40.0]), [40.0, 40.0], [0, 0],
+                                             Thresholds())
+    assert [outcome[2] != () for outcome, _ in passed] == [False, True]
+
+
 def test_a_segments_pc_rows_are_views_of_one_array():
     # the closing ticks' pc is one frozen product, not one array a tick
     cars = tuple(make_model(chain, lane=lane) for chain, lane in zip(scenario1_lane_chains(), (6, 5)))
@@ -796,16 +827,18 @@ ABOVE_FLOOR = float(np.nextafter(CLOSING_SPEED_FLOOR, np.inf))
 # (leading speed, trailing speed): closing at the floor, which is not
 # closing, and one ulp above it; speeds on and under the bin edges, at 60
 # m/s, which flow 1 refuses, and under it; a NaN speed, whose closing
-# speed closes; and not closing at all
+# speed closes; not closing at all; and an int speed beyond float range,
+# which is not closing ahead of int 30 and overflows the crash time behind it
 BOUNDARY_SPEEDS = [
     (0.0, CLOSING_SPEED_FLOOR), (0.0, ABOVE_FLOOR), (0.0, ABOVE_FLOOR),
     (10.0, 20.0), (float(np.nextafter(10.0, 0.0)), 30.0), (40.0, 50.0), (50.0, 60.0), (20.0, 60.0),
     (float(np.nextafter(60.0, 0.0)), 60.0), (20.0, float(np.nextafter(60.0, 0.0))), (30.0, float("nan")),
-    (30.0, 20.0), (30.0, 30.0),
+    (30.0, 20.0), (30.0, 30.0), (10**400, 30),
 ]
 # a gap of 0, gaps whose time overflows at the floor's closing speed, and,
-# one draw in seven, a gap that check_gap refuses
-BOUNDARY_GAPS = [0.0, 15.0, 40.0, 1e300, 1.7e308, 1e300] * 3 + [-1.0, float("inf"), float("nan")]
+# four draws in 22, a gap that check_gap refuses, an int beyond float
+# range among them
+BOUNDARY_GAPS = [0.0, 15.0, 40.0, 1e300, 1.7e308, 1e300] * 3 + [-1.0, float("inf"), float("nan"), 10**400]
 
 
 @st.composite

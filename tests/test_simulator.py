@@ -267,7 +267,9 @@ def test_scenario1_acc_prevents_crash():
 
 def test_each_chain_is_analysed_once_per_run(monkeypatch):
     # flows 2 and 3 read the same two lane chains on every tick; each chain
-    # is decomposed and gets its passage matrix built at most once per run
+    # is decomposed and gets its passage matrix built at most once per run,
+    # and a second load shares the interned chains, so its run builds nothing
+    markov._interned.cache_clear()  # no earlier test's analysis of these chains
     config = load("scenario1")
     analysed, decomposed = [], []
     stationary, eig = prediction.stationary_distribution, np.linalg.eig
@@ -291,25 +293,51 @@ def test_each_chain_is_analysed_once_per_run(monkeypatch):
     assert decomposed  # fractional crash times take the eigendecomposition path
     assert len(decomposed) == len(set(decomposed)) <= len(chains)
     assert set(decomposed) <= chains
+    counted = len(analysed), len(decomposed)
+    emitted = cli.dumps_stable(simulator.report_to_dict(report))
+    assert cli.dumps_stable(simulator.report_to_dict(simulator.run(load("scenario1")))) == emitted
+    assert (len(analysed), len(decomposed)) == counted
+
+
+@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+def test_a_second_load_of_a_scenario_decomposes_and_solves_nothing(name):
+    # validate_stochastic interns the loaded chains, so the second load's
+    # run reads the first one's memoised analysis, with the same bytes
+    markov._interned.cache_clear()
+    reports, calls = [], []
+    for _ in range(2):
+        config = load(name)
+        with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig, \
+                mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv, \
+                mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+            reports.append(cli.dumps_stable(simulator.report_to_dict(simulator.run(config))))
+        calls.append((eig.call_count, inv.call_count, solve.call_count))
+    assert calls[0][0] and calls[1] == (0, 0, 0)  # every bundled run decomposes a chain
+    assert reports[1] == reports[0]
 
 
 @pytest.mark.parametrize("path", [simulator.run, oracles.reference_run], ids=["run", "reference_run"])
 def test_each_lane_chain_builds_its_passage_matrix_at_most_once_per_run(path):
     # the passage matrix is memoised per chain object, so a tick's encounter
-    # must share the loaded chains: a copy per tick would build it per tick
+    # must share the loaded chains: a copy per tick would build it per tick;
+    # a second load shares the interned chains, so its run builds nothing
     built = 0
     for name in ("scenario1", "scenario2", "scenario3"):
         for same_lane in (False, True):
-            config = load(name)  # fresh chain objects, so no earlier run's memo
-            config = simulator.force_same_lane(config) if same_lane else config
-            with mock.patch.object(
-                prediction, "stationary_distribution", wraps=prediction.stationary_distribution
-            ) as stationary:
-                path(config)
-            analysed = [call.args[0] for call in stationary.call_args_list]
-            assert len(set(map(id, analysed))) == len(analysed)
-            assert set(map(id, analysed)) <= {id(c.model.lane_chain) for c in config.cars}
-            built += len(analysed)
+            markov._interned.cache_clear()  # fresh chain objects, so no earlier run's memo
+            for again in (False, True):
+                config = load(name)
+                config = simulator.force_same_lane(config) if same_lane else config
+                with mock.patch.object(
+                    prediction, "stationary_distribution", wraps=prediction.stationary_distribution
+                ) as stationary:
+                    path(config)
+                analysed = [call.args[0] for call in stationary.call_args_list]
+                assert len(set(map(id, analysed))) == len(analysed)
+                assert set(map(id, analysed)) <= {id(c.model.lane_chain) for c in config.cars}
+                if again:
+                    assert analysed == []
+                built += len(analysed)
     assert built
 
 
