@@ -20,7 +20,7 @@ def describe(title, encounter):
         f"gap {encounter.gap_d} m, {encounter.front_car} in front"
     )
     result = assess(encounter)
-    if result.non_closing:
+    if result.t is None:
         print("not closing: no probable crash time, nothing to do\n")
         return
     print(f"flow 1: probable crash time t = {result.t:.3f} s, speed stable: {result.speed_stable}")

@@ -62,5 +62,3 @@ from .simulator import (
     run,
     step,
 )
-
-__version__ = "0.1.0"

@@ -29,7 +29,7 @@ from .estimation import (
     ingest_trajectories,
     load_model,
     model_to_dict,
-    require_positive,
+    require_frame_interval,
 )
 from .prediction import EncounterInput, Thresholds, assess, assessment_to_dict
 
@@ -183,7 +183,7 @@ def _fail(message: str) -> int:
 def cmd_estimate(args) -> int:
     """Every model is built before the output directory is created, so a
     bad input in any vehicle writes nothing."""
-    require_positive("frame_interval", args.frame_interval)
+    require_frame_interval("frame_interval", args.frame_interval)
     grouped = ingest_trajectories(args.csv)
     if not grouped:
         return _fail("no records")

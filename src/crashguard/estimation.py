@@ -26,7 +26,7 @@ from .errors import (
     SpeedOutOfRange,
     TooShort,
 )
-from .markov import StochasticMatrix, _FrozenArray, _read_only, validate_stochastic
+from .markov import StochasticMatrix, _FrozenArray, _read_only, check_stochastic, validate_stochastic
 
 __all__ = [
     "N_LANES",
@@ -53,14 +53,27 @@ _CSV_DTYPES = {"vehicle_id": np.int64, "frame": np.int64, "lane": np.int64,
                "speed_mps": np.float64, "pos_m": np.float64}
 
 DEFAULT_FRAME_INTERVAL = 0.1  # seconds between consecutive frames
+# shortest frame interval a model may have.  Flow 2 propagates a lane chain
+# t / frame_interval steps, which must stay below the largest float, about
+# 1.8e308.  The longest crash time a run reaches is a gap of at most about
+# 1e19 m (the simulator's position bounds) closing at just over
+# sensing.CLOSING_SPEED_FLOOR, 1e-9 m/s: about 1e28 s, or 1e308 steps of
+# this interval
+MIN_FRAME_INTERVAL = 1e-280  # s
 
 _TRAJECTORY_COLUMNS = ("frames", "lanes", "speeds", "positions")
 
 
 def require_positive(field: str, value: float) -> None:
-    """The one rule for frame intervals and time steps: finite and positive."""
+    """The one rule for time steps: finite and positive."""
     if not (math.isfinite(value) and value > 0.0):
         raise SchemaError(field, f"must be finite and positive, got {value!r}")
+
+
+def require_frame_interval(field: str, value: float) -> None:
+    """The one rule for frame intervals: finite and at least MIN_FRAME_INTERVAL."""
+    if not (math.isfinite(value) and value >= MIN_FRAME_INTERVAL):
+        raise SchemaError(field, f"must be finite and at least {MIN_FRAME_INTERVAL:g} s, got {value!r}")
 
 
 def require_field(data: dict, key: str, kind, where: str = ""):
@@ -148,7 +161,7 @@ class VehicleModel:
     speed_unobserved: tuple[int, ...] = ()
 
     def __post_init__(self):
-        require_positive("frame_interval", self.frame_interval)
+        require_frame_interval("frame_interval", self.frame_interval)
 
 
 def speed_bin_index(v: float) -> int:
@@ -453,12 +466,12 @@ def model_from_dict(data: dict) -> VehicleModel:
     if not 0.0 <= speed < SPEED_MAX:
         raise SchemaError("current.speed_mps", f"speed {speed} outside [0, {SPEED_MAX})")
     frame_interval = require_field(data, "frame_interval_s", float)
-    require_positive("frame_interval_s", frame_interval)
+    require_frame_interval("frame_interval_s", frame_interval)
     lane_chain = validate_stochastic(_matrix(data, "lane_chain"), MODEL_FILE_TOLERANCE)
     speed_chain = validate_stochastic(_matrix(data, "speed_chain"), MODEL_FILE_TOLERANCE)
     observation = _matrix(data, "observation")
     try:  # each row is one lane's distribution over the speed symbols, kept as written
-        validate_stochastic(observation, MODEL_FILE_TOLERANCE)
+        check_stochastic(observation, MODEL_FILE_TOLERANCE)
     except (NegativeEntry, RowSumOutOfTolerance) as exc:
         raise SchemaError("observation", str(exc)) from exc
     return VehicleModel(

@@ -34,20 +34,24 @@ A StochasticMatrix memoises its eigendecomposition and its stationary
 vector on first use; each is a pure function of the read-only entries, so
 a race between threads at worst computes the same value twice.
 
-``validate_stochastic`` interns its chains: every check runs on every
-call, and then the renormalised entries, byte for byte, look up one
-shared chain in a cache of the last INTERN_SIZE distinct chains.  So a
-chain that a process loads again, from a scenario or a model file, keeps
-its memoised analysis (and ``prediction``'s passage matrix) while the
-cache holds it.  An interned chain's entries are owned by immutable
-``bytes``, so numpy refuses to make them writeable even through
-``.base``.  Its memoised eigendecomposition is not: an edit through
-that ``.base`` reaches every later load of the chain in the process.
-The ``StochasticMatrix`` constructor, ``matrix_power`` and
-``matrix_power_real`` build a fresh chain on every call.  On the
-benchmark's replay workload 99.3% of the calls find their chain cached;
-on encounters no lane chain repeats, and estimate analyses no chain, so
-there the cache only costs one ``tobytes``, lookup and ``frombuffer``.
+``validate_stochastic`` interns its chains, the lane and speed chains of
+every model: ``check_stochastic`` runs every check on every call, and
+then the renormalised entries, byte for byte, look up one shared chain
+in a cache of the last INTERN_SIZE distinct chains.  So a chain that a
+process loads again, from a scenario or a model file, keeps its memoised
+analysis (and ``prediction``'s passage matrix) while the cache holds it.
+A matrix that is only checked, as a model file's observation matrix is,
+goes through ``check_stochastic`` alone and takes no place in the cache.
+An interned chain's entries are owned by immutable ``bytes``, so numpy
+refuses to make them writeable even through ``.base``.  Its memoised
+eigendecomposition is not: an edit through that ``.base`` reaches every
+later load of the chain in the process.  The ``StochasticMatrix``
+constructor, ``matrix_power`` and ``matrix_power_real`` build a fresh
+chain on every call.  Over the benchmark's seed-1 check phases, 99.2% of
+the calls on replay find their chain cached (595 of 600); on encounters
+0.1% do (3 of 4000), since no chain repeats, and on estimate 7.2% (58 of
+804), identity chains that nothing analyses, so there the cache only
+costs one ``tobytes``, lookup and ``frombuffer``.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ __all__ = [
     "StochasticMatrix",
     "ProbabilityVector",
     "PassageMatrix",
+    "check_stochastic",
     "validate_stochastic",
     "probability_vector",
     "check_state",
@@ -98,8 +103,8 @@ INTEGRAL_TIME_TOLERANCE = 1e-9  # |t - round(t)| treated as an integer exponent
 # below 60, a chain defective at eigenvalue 0 above 1e17
 EIG_CONDITION_LIMIT = 1e8
 # distinct chains that validate_stochastic keeps shared: a scenario or CLI
-# process loads at most 6 (lane, speed and observation of two cars), and
-# the whole replay workload reads 6, so 16 keeps every chain a process
+# process loads at most 4 (the lane and speed chains of two cars), and
+# the whole replay workload reads 5, so 16 keeps every chain a process
 # reloads with room to spare, while chains that never repeat (encounters,
 # estimate) hold at most 16 small analyses alive
 INTERN_SIZE = 16
@@ -191,12 +196,9 @@ class PassageMatrix(_FrozenArray):
     """Mean first passage times in chain steps; the diagonal is exactly 0."""
 
 
-def validate_stochastic(raw, tolerance: float = ROW_SUM_TOLERANCE) -> StochasticMatrix:
-    """Check a raw matrix and return it with rows renormalized to sum exactly 1.
-
-    Every check runs on every call; a chain with the same renormalised
-    entries, byte for byte, as one of the last INTERN_SIZE distinct chains
-    returned is that same object, memoised analysis included.
+def check_stochastic(raw, tolerance: float = ROW_SUM_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:
+    """A raw matrix as a float array and its row sums, once it passes every
+    check of a row-stochastic matrix.
 
     Raises
     ------
@@ -220,6 +222,18 @@ def validate_stochastic(raw, tolerance: float = ROW_SUM_TOLERANCE) -> Stochastic
             raise NegativeEntry(int(i), int(j), float(a[i, j]))
         i = int(np.argwhere(~(np.abs(sums - 1.0) <= tolerance))[0][0])
         raise RowSumOutOfTolerance(i, float(sums[i]))
+    return a, sums
+
+
+def validate_stochastic(raw, tolerance: float = ROW_SUM_TOLERANCE) -> StochasticMatrix:
+    """A raw matrix that passes :func:`check_stochastic`, with its rows
+    renormalized to sum exactly 1.
+
+    Every check runs on every call; a chain with the same renormalised
+    entries, byte for byte, as one of the last INTERN_SIZE distinct chains
+    returned is that same object, memoised analysis included.
+    """
+    a, sums = check_stochastic(raw, tolerance)
     return _interned(a.shape[0], (a / sums[:, None]).tobytes())
 
 

@@ -132,10 +132,6 @@ class CrashAssessment:
     pc: np.ndarray | None
     actions: tuple[LaneAction, ...]
 
-    @property
-    def non_closing(self) -> bool:
-        return self.t is None
-
 
 # the assessment of every non-closing encounter; immutable, so one object serves
 _NON_CLOSING = CrashAssessment(t=None, speed_stable=None, pc=None, actions=())

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 
 import oracles
 from crashguard import cli, simulator, synthetic
-from crashguard.estimation import DEFAULT_FRAME_INTERVAL, model_to_dict
+from crashguard.errors import CrashguardError
+from crashguard.estimation import DEFAULT_FRAME_INTERVAL, MIN_FRAME_INTERVAL, model_to_dict
 from crashguard.markov import validate_stochastic
 from crashguard.prediction import Thresholds
 
@@ -91,7 +93,7 @@ def test_estimate_respects_frame_interval(tmp_path):
     assert data["frame_interval_s"] == 0.5
 
 
-@pytest.mark.parametrize("frame_interval", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("frame_interval", ["-1", "0", "1e-310", "nan", "inf"])
 def test_estimate_rejects_bad_frame_interval(tmp_path, capsys, frame_interval):
     out_dir = tmp_path / "models"
     code = cli.main(["estimate", "--csv", SAMPLE_CSV, "--out-dir", str(out_dir),
@@ -592,6 +594,38 @@ def test_simulate_rejects_a_step_count_above_the_cap_before_running(tmp_path, ca
     assert cli.main(["simulate", "--scenario", str(scenario)]) == 2
     assert_one_error_line(capsys)
 
+
+
+# from the smallest subnormal to the largest float: the bound and each side
+# of it, the benchmark's 0.1 s and 1.0 s, and intervals that make a step
+# count underflow
+FRAME_INTERVALS = [5e-324, 1e-310, 1e-300, MIN_FRAME_INTERVAL, 1e-3, 0.1, 1.0, 1e3, 1e300, 1.79e308]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["scenario1", "scenario2", "scenario3"]),
+       st.sampled_from(FRAME_INTERVALS), st.sampled_from(FRAME_INTERVALS))
+@example("scenario1", MIN_FRAME_INTERVAL, MIN_FRAME_INTERVAL)  # the most chain steps per tick
+@example("scenario1", 1e-310, 1.0)
+def test_a_scenario_that_loads_never_exits_2_whatever_its_frame_intervals(name, interval1, interval2):
+    # a frame interval that a model takes must keep flow 2's step count
+    # t / frame_interval finite for every crash time a run reaches
+    data = json.loads((DATA / f"{name}.json").read_text())
+    for car, interval in zip(data["cars"], (interval1, interval2)):
+        car["model"]["frame_interval_s"] = interval
+    with tempfile.TemporaryDirectory() as folder:
+        scenario, report = Path(folder) / "s.json", Path(folder) / "report.json"
+        scenario.write_text(json.dumps(data))
+        try:
+            simulator.load_scenario(scenario)
+        except CrashguardError:
+            loads = False
+        else:
+            loads = True
+        code = cli.main(["simulate", "--scenario", str(scenario), "--report-path", str(report)])
+        assert code in ((0, 1) if loads else (2,))
+        assert report.exists() == loads
+    assert loads == (min(interval1, interval2) >= MIN_FRAME_INTERVAL)
 
 # SHA-256 of each bundled scenario's report, as-is and forced into one lane
 # with actions off; a change to the simulator must leave every byte alone.

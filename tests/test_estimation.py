@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import records_from
-from crashguard import cli, estimation
+from crashguard import cli, estimation, markov
 from crashguard.errors import (
     DuplicateFrame,
     LaneOutOfRange,
@@ -533,7 +533,7 @@ def test_build_model_too_short():
             estimation.build_vehicle_model(records_from(pairs))
 
 
-@pytest.mark.parametrize("frame_interval", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("frame_interval", [0.0, -1.0, 1e-310, float("nan"), float("inf")])
 def test_frame_interval_must_be_finite_and_positive(frame_interval):
     records = records_from([(1, 5.0), (2, 15.0)])
     with pytest.raises(SchemaError, match="frame_interval"):
@@ -597,6 +597,18 @@ def test_model_from_dict_keeps_observation_rows_within_the_file_tolerance():
     loaded = estimation.model_from_dict(data)
     assert loaded.observation.entries[:, 3].tolist() == [0.333333, 0.333333, 0.333333, 0, 0, 0]
 
+
+def test_model_from_dict_interns_its_two_chains_and_only_checks_the_observation():
+    # the observation matrix is no chain, so it takes no slot of markov's intern cache
+    model = estimation.build_vehicle_model(records_from([(1, 5.0), (2, 15.0), (2, 25.0), (1, 5.0)]))
+    data = estimation.model_to_dict(model)
+    markov._interned.cache_clear()
+    loaded = estimation.model_from_dict(data)
+    assert markov._interned.cache_info().currsize == 2
+    assert loaded.lane_chain is markov.validate_stochastic(data["lane_chain"])
+    assert loaded.speed_chain is markov.validate_stochastic(data["speed_chain"])
+    assert np.array_equal(loaded.observation.entries.T, data["observation"])
+    assert markov._interned.cache_info().currsize == 2
 
 def test_model_dict_schema():
     model = estimation.build_vehicle_model(records_from([(1, 5.0), (2, 15.0)]))

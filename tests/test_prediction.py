@@ -436,7 +436,6 @@ def test_assess_non_closing_is_empty():
     car1 = make_model(banded_chain(), lane=6, speed=40.0)
     car2 = make_model(banded_chain(), lane=5, speed=30.0)
     result = prediction.assess(encounter(car1, car2, front="car1"))
-    assert result.non_closing
     assert result.actions == ()
     assert result.t is None and result.pc is None and result.speed_stable is None
 
@@ -632,7 +631,7 @@ def test_assess_many_raises_an_encounters_error_only_when_it_is_reached():
         assess(5, 60.0, "car1")
     ticks = many((6, 5), [closing, non_closing_too_fast, too_fast, closing])
     assert next(ticks).actions == assess(5, 40.0, "car1").actions
-    assert next(ticks).non_closing  # its speed is never gated
+    assert next(ticks).t is None  # its speed is never gated
     with pytest.raises(SpeedOutOfRange):
         next(ticks)
     assert next(ticks, None) is None
@@ -649,7 +648,7 @@ def test_assess_many_raises_an_encounters_error_only_when_it_is_reached():
     with pytest.raises(DimensionMismatch):
         assess(7, 40.0, "car1")
     ticks = many((6, 7), [(30.0, 20.0, 0), (30.0, 20.0, 0), closing, closing])
-    assert next(ticks).non_closing and next(ticks).non_closing
+    assert next(ticks).t is None and next(ticks).t is None
     with pytest.raises(DimensionMismatch):
         next(ticks)
     assert next(ticks, None) is None
@@ -702,7 +701,7 @@ def test_assess_many_checks_each_gap_first_as_encounter_input_does(gap):
         ticks = prediction.assess_many(
             cars, lanes, ([30.0, speeds[0]], [20.0, speeds[1]]), [40.0, gap], [0, 0], Thresholds()
         )
-        assert next(ticks).non_closing
+        assert next(ticks).t is None
         with pytest.raises(InvalidValue, match="^gap must be finite and nonnegative"):
             next(ticks)
         assert next(ticks, None) is None

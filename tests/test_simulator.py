@@ -485,6 +485,13 @@ def test_step_count_cap_is_inclusive_and_checked_at_construction():
         dataclasses.replace(base, time_step=5e-324)
 
 
+
+@pytest.mark.parametrize("time_step", [0.0, -0.1, float("nan"), float("inf")])
+def test_time_step_must_be_finite_and_positive(time_step):
+    # checked before the step cap, which would divide by it
+    with pytest.raises(SchemaError, match=r"^time_step: must be finite and positive"):
+        dataclasses.replace(load("scenario1"), time_step=time_step)
+
 def test_run_is_deterministic():
     a = simulator.report_to_dict(simulator.run(load("scenario1")))
     b = simulator.report_to_dict(simulator.run(load("scenario1")))
