@@ -46,9 +46,11 @@ def _float(x: float) -> str:
     The ``%.6g`` text is tested on its most common form first.  With a
     ``.`` and no exponent it is already ``repr`` of the rounded value; with
     none of ``.``, ``e`` or ``n`` it is an integral value that needs a
-    ``.0``.  Anything else, an exponent, a NaN or an infinity, is read back
-    and written as ``json`` writes that float: an exponent's digits can
-    differ from ``repr``'s, as ``4.94066e-324`` against ``5e-324``.
+    ``.0``.  A two-digit negative exponent, ``e-05`` to ``e-99``, marks a
+    normal float, whose six digits ``repr`` also writes.  Anything else, a
+    positive or three-digit exponent, a NaN or an infinity, is read back and
+    written as ``json`` writes that float: an exponent's digits can differ
+    from ``repr``'s, as ``4.94066e-324`` against ``5e-324``.
     """
     s = "%.6g" % x
     if "." in s:
@@ -56,6 +58,8 @@ def _float(x: float) -> str:
             return s
     elif "e" not in s and "n" not in s:
         return s + ".0"
+    if s[-4:-2] == "e-":
+        return s
     rounded = float(s)
     if rounded != rounded:
         return "NaN"

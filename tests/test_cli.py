@@ -6,6 +6,7 @@ import importlib.resources
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -747,6 +748,28 @@ bare_floats = st.one_of(
 @example(-math.inf)
 def test_dumps_stable_writes_a_bare_float_as_the_two_pass_writer(x):
     assert cli.dumps_stable(x) == oracles.stable_json(x)
+
+
+def repr_of_rounded(x):
+    """``repr`` of x rounded to six significant digits, in json's spelling."""
+    rounded = float("%.6g" % x)
+    if math.isnan(rounded):
+        return "NaN"
+    if math.isinf(rounded):
+        return "Infinity" if rounded > 0 else "-Infinity"
+    return float.__repr__(rounded)
+
+
+# any float by its bit pattern, so that every exponent is as likely as any
+# other: about one in seven has a two-digit negative exponent after rounding
+@settings(max_examples=5000, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 64 - 1).map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0]))
+@example(5e-324)
+@example(2.2250738585072014e-308)
+@example(9.999995e-05)
+@example(1e-30)
+def test_float_text_is_repr_of_the_rounded_float(x):
+    assert cli._float(x) == repr_of_rounded(x)
 
 
 # a simulation timeline: many dicts with one key tuple, some of them with

@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -301,6 +301,39 @@ def test_ingest_of_a_path_not_utf8_past_the_first_block_reads_it_once(tmp_path, 
         estimation.ingest_trajectories(str(path))
 
 
+def rows_past_the_first_block():
+    """Clean rows of three interleaved vehicles, frames out of order, that
+    fill more than two of the C reader's blocks."""
+    rows = [f"{frame % 3},{(frame * 7) % 9001},{1 + frame % 6},{(frame % 600) / 10},{frame}.5\n"
+            for frame in range(9001)]
+    assert len(HEADER + "".join(rows)) > 2 * estimation._BLOCK_CHARS
+    return rows
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("1,9001,1,10.0,\x1c0.0", "malformed row"),  # numpy skips \x1c as whitespace
+    ("1,-\u0663,1,10.0,0.0", "negative frame -3"),  # int() reads an Arabic-Indic 3
+])
+def test_ingest_checks_every_block_for_characters_numpy_reads_unlike_python(tmp_path, bad_row, message):
+    rows = rows_past_the_first_block()
+    text = HEADER + "".join(rows[:6000]) + bad_row + "\n" + "".join(rows[6000:])
+    assert len(HEADER + "".join(rows[:6000])) > estimation._BLOCK_CHARS
+    kind, error, line = assert_same_as_loop(text, tmp_path)
+    assert kind is ParseError
+    assert message in error
+    assert line == 6002
+
+
+def test_ingest_reads_a_clean_file_of_several_blocks_with_the_c_reader_alone(monkeypatch):
+    def no_walk(source):
+        raise AssertionError("the row walk read a plain file")
+
+    text = HEADER + "".join(rows_past_the_first_block())
+    monkeypatch.setattr(estimation, "_walk_rows", no_walk)
+    grouped = estimation.ingest_trajectories(io.StringIO(text))
+    assert list(columns_of(grouped).items()) == list(oracles.loop_ingest(io.StringIO(text)).items())
+
+
 def test_trajectory_columns_are_read_only():
     grouped = estimation.ingest_trajectories(csv_stream("1,1,1,10.0,0.0", "1,2,2,12.0,1.0"))
     for trajectory in (grouped[1], records_from([(1, 5.0), (2, 15.0)])):
@@ -499,19 +532,42 @@ unvisited_pairs = st.lists(
 )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(unvisited_pairs)
-def test_build_model_matches_loop_counting(pairs):
+def assert_build_matches_loop_counting(pairs):
     model = estimation.build_vehicle_model(records_from(pairs))
     lane_chain, lane_empty, speed_chain, speed_empty, observation, uniform = (
         oracles.loop_vehicle_estimate([lane for lane, _ in pairs], [v for _, v in pairs])
     )
-    assert np.array_equal(model.lane_chain.entries, lane_chain)
-    assert np.array_equal(model.speed_chain.entries, speed_chain)
-    assert np.array_equal(model.observation.entries, observation)
+    assert model.lane_chain.entries.tobytes() == lane_chain.tobytes()
+    assert model.speed_chain.entries.tobytes() == speed_chain.tobytes()
+    assert model.observation.entries.tobytes() == observation.tobytes()
     assert model.lane_unobserved == lane_empty
     assert model.speed_unobserved == speed_empty
     assert model.observation.uniform_lanes == uniform
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(unvisited_pairs)
+def test_build_model_matches_loop_counting(pairs):
+    assert_build_matches_loop_counting(pairs)
+
+
+# lanes 1-6 and speeds over all of [0, 60), down to two records: lane 6 and
+# bin f sit on the last row and column of each count block, where a slip of
+# one block's offset would count into the next
+full_range_pairs = st.lists(
+    st.tuples(st.integers(1, 6), st.floats(0.0, 60.0, exclude_max=True)),
+    min_size=2,
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(full_range_pairs)
+@example([(6, 59.5), (6, 59.9)])
+@example([(1, 0.0), (6, 59.9)])
+@example([(6, 0.0), (1, 59.9), (6, 30.0)])
+def test_build_model_matches_loop_counting_over_every_lane_and_bin(pairs):
+    assert_build_matches_loop_counting(pairs)
 
 
 def test_build_model_rejects_speed_out_of_range():
