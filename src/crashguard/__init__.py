@@ -55,6 +55,7 @@ from .simulator import (
     ScenarioConfig,
     SimReport,
     SimState,
+    Timeline,
     acc_command,
     force_same_lane,
     load_scenario,

@@ -31,7 +31,7 @@ from .estimation import (
     model_to_dict,
     require_frame_interval,
 )
-from .prediction import EncounterInput, Thresholds, assess, assessment_to_dict
+from .prediction import _NON_CLOSING, EncounterInput, Thresholds, assess, assessment_to_dict
 
 log = logging.getLogger("crashguard")
 
@@ -91,6 +91,42 @@ def _dict_heads(keys: tuple, newline: str) -> tuple[tuple[tuple[str, str], ...],
     return tuple(heads), inner, newline + "}"
 
 
+@functools.lru_cache(maxsize=16)
+def _non_closing_template(newline: str) -> str:
+    """The ``%`` template of a non-closing timeline row opened on a line
+    that ``newline`` ends, taking the ``_float`` texts of its clock and gap
+    in that order (``"clock"`` sorts before ``"gap"``).
+
+    Its fixed text is the row's memoised heads, each followed by ``_write``
+    of the row's fixed value, so its bytes are the dict path's; a ``%`` in
+    that text is escaped.
+    """
+    row = simulator.Timeline.row(0.0, 0.0, _NON_CLOSING)
+    heads, inner, close = _dict_heads(tuple(row), newline)
+    parts = []
+    for key, head in heads:
+        parts.append(head.replace("%", "%%"))
+        parts.append("%s" if key in ("clock", "gap") else _write(row[key], inner).replace("%", "%%"))
+    parts.append(close.replace("%", "%%"))
+    return "".join(parts)
+
+
+def _write_timeline(timeline: simulator.Timeline, newline: str) -> str:
+    """The JSON text of a timeline, as the list of its rows: a non-closing
+    tick from its template, any other tick by ``_write`` of its row."""
+    if not timeline:
+        return "[]"
+    inner = newline + "  "
+    template = _non_closing_template(inner)
+    row = simulator.Timeline.row
+    body = ("," + inner).join([
+        template % (_float(clock), _float(gap)) if assessment is _NON_CLOSING
+        else _write(row(clock, gap, assessment), inner)
+        for clock, gap, assessment in zip(timeline.clocks, timeline.gaps, timeline.assessments)
+    ])
+    return "[" + inner + body + newline + "]"
+
+
 _FLOAT_ONLY = frozenset([float])
 
 
@@ -102,7 +138,8 @@ def _write(obj, newline: str) -> str:
     appended to its head in place.  A list or tuple of exact floats is one
     join.  Anything else, such as ``np.float64`` or a subclass of dict,
     list or str, takes the ``isinstance`` tests (a bool before an int) and
-    is written with the same bytes.
+    is written with the same bytes.  A ``simulator.Timeline`` is written
+    tick by tick (:func:`_write_timeline`), as the list of its rows.
     """
     cls = type(obj)
     if cls is float:
@@ -120,6 +157,8 @@ def _write(obj, newline: str) -> str:
             return "false"
         if isinstance(obj, int):
             return int.__repr__(obj)
+        if isinstance(obj, simulator.Timeline):
+            return _write_timeline(obj, newline)
         if isinstance(obj, dict):
             cls = dict
         elif not isinstance(obj, (list, tuple)):

@@ -18,6 +18,7 @@ full sensing path runs every tick.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -60,6 +61,7 @@ __all__ = [
     "CarState",
     "SimState",
     "TriggeredAction",
+    "Timeline",
     "SimReport",
     "load_scenario",
     "force_same_lane",
@@ -71,8 +73,9 @@ __all__ = [
 
 ACC_GAP_GAIN = 0.23  # 1/s^2, on spacing error
 ACC_SPEED_GAIN = 0.74  # 1/s, on speed error
-# most ticks a scenario may ask for (duration / time_step); a run holds
-# one timeline entry per tick
+# most ticks a scenario may ask for (duration / time_step); a run's
+# timeline holds one clock, gap and assessment per tick, and builds a
+# tick's row dict only when it is read
 MAX_STEPS = 100_000
 # most ticks ``run`` moves ahead of their assessments: the cap bounds a
 # segment's columns and the ticks moved past an ACC engagement and dropped
@@ -376,14 +379,60 @@ def step(
 
 # --- full runs ---
 
+@dataclass(frozen=True, eq=False)
+class Timeline(Sequence):
+    """A run's ticks as three equal-length columns: entry k of each is tick
+    k's clock, measured gap and assessment, and every non-closing tick
+    holds the one shared non-closing assessment.
+
+    It reads as a read-only sequence of row dicts.  ``row`` builds each
+    one afresh on every read, by index or by iteration, so a change to a
+    row read reaches neither the next read nor the report.  A timeline
+    equals another timeline with the same rows, and no other sequence.
+    """
+
+    clocks: tuple[float, ...]
+    gaps: tuple[float, ...]
+    assessments: tuple[CrashAssessment, ...]
+
+    def __post_init__(self):
+        if not len(self.clocks) == len(self.gaps) == len(self.assessments):
+            raise ValueError("a timeline's columns must have equal lengths")
+
+    @staticmethod
+    def row(clock: float, gap: float, assessment: CrashAssessment) -> dict:
+        """The row dict of one tick: its clock and gap, and the assessment's keys."""
+        return {"clock": clock, "gap": gap, **assessment_to_dict(assessment)}
+
+    def __len__(self) -> int:
+        return len(self.clocks)
+
+    def __getitem__(self, index: int) -> dict:
+        if isinstance(index, slice):
+            raise TypeError("a timeline takes an int index, not a slice")
+        return self.row(self.clocks[index], self.gaps[index], self.assessments[index])
+
+    def __iter__(self) -> Iterator[dict]:
+        return map(self.row, self.clocks, self.gaps, self.assessments)
+
+    def __eq__(self, other):
+        if not isinstance(other, Timeline):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 @dataclass(frozen=True)
 class SimReport:
+    """A run's outcome.  ``timeline`` is a :class:`Timeline` from ``run``;
+    any sequence of row dicts serves as well, as the reference loop in the
+    tests gives one."""
+
     crash_time: float | None  # None when the run ends without a crash
     min_gap: float
     min_gap_time: float
     predicted_crash_time: float | None  # absolute clock of the first prediction
     triggered_actions: tuple[TriggeredAction, ...]
-    timeline: tuple[dict, ...]
+    timeline: Sequence[dict]
 
     @property
     def crash(self) -> bool:
@@ -499,6 +548,10 @@ def run(config: ScenarioConfig, disable_actions: bool = False) -> SimReport:
     the next segment starts after it; the ticks moved past it are dropped
     unread, their errors and warnings included.  Each car engages ACC at
     most once, so actions add at most two segments to a run.
+
+    Each tick kept appends its clock, measured gap and assessment to the
+    three columns of the report's :class:`Timeline`; no row dict is built
+    until the timeline is read or written.
     """
     state = SimState(cars=tuple(CarState(c.speed, c.position) for c in config.cars))
     cars = state.cars
@@ -511,15 +564,17 @@ def run(config: ScenarioConfig, disable_actions: bool = False) -> SimReport:
     min_gap_time = 0.0
     crash_time = None
     predicted_crash_time = None
-    timeline = []
+    clocks, gaps, assessments = [], [], []
 
     while ticks_left and crash_time is None:
         segment = _move_ahead(state, config, min(ticks_left, SEGMENT_TICKS))
-        assessments = assess_many(models, lanes, segment.speeds, segment.gaps, segment.fronts, config.thresholds)
-        for k, assessment in enumerate(assessments):
+        assessed = assess_many(models, lanes, segment.speeds, segment.gaps, segment.fronts, config.thresholds)
+        for k, assessment in enumerate(assessed):
             ticks_left -= 1
             clock, gap_after = segment.clocks[k], segment.gaps_after[k]
-            timeline.append({"clock": clock, "gap": segment.gaps[k], **assessment_to_dict(assessment)})
+            clocks.append(clock)
+            gaps.append(segment.gaps[k])
+            assessments.append(assessment)
             if predicted_crash_time is None and assessment.t is not None:
                 predicted_crash_time = clock + assessment.t
 
@@ -548,11 +603,15 @@ def run(config: ScenarioConfig, disable_actions: bool = False) -> SimReport:
         min_gap_time=min_gap_time,
         predicted_crash_time=predicted_crash_time,
         triggered_actions=tuple(state.events),
-        timeline=tuple(timeline),
+        timeline=Timeline(tuple(clocks), tuple(gaps), tuple(assessments)),
     )
 
 
 def report_to_dict(report: SimReport) -> dict:
+    """The report as a JSON-ready tree.  ``"timeline"`` is the report's own
+    timeline, a read-only sequence of row dicts built on demand: pass
+    ``list()`` of it to ``json.dumps``, or write the tree with
+    ``cli.dumps_stable``."""
     prediction_error = None
     if report.predicted_crash_time is not None:
         prediction_error = report.closest_approach_time - report.predicted_crash_time
@@ -568,5 +627,5 @@ def report_to_dict(report: SimReport) -> dict:
             {"clock": e.clock, "lane": e.lane, "action": e.action.value, "target": e.target}
             for e in report.triggered_actions
         ],
-        "timeline": list(report.timeline),
+        "timeline": report.timeline,
     }

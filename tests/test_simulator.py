@@ -495,6 +495,8 @@ def test_time_step_must_be_finite_and_positive(time_step):
 def test_run_is_deterministic():
     a = simulator.report_to_dict(simulator.run(load("scenario1")))
     b = simulator.report_to_dict(simulator.run(load("scenario1")))
+    # json.dumps takes a list, not the timeline; it writes every float at full precision
+    a["timeline"], b["timeline"] = list(a["timeline"]), list(b["timeline"])
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -537,6 +539,118 @@ def test_report_dict_shape():
     assert data["crash"] is False
     entry = data["timeline"][0]
     assert {"clock", "gap", "t", "speed_stable", "pc", "actions", "diagnostics"} <= set(entry)
+
+
+# --- the timeline's columns, and its writer ---
+
+def assert_written_as_its_rows(report):
+    """The report's bytes equal the two-pass writer's of its tree with the
+    timeline read into a list of row dicts; returns the bytes."""
+    tree = simulator.report_to_dict(report)
+    assert tree["timeline"] is report.timeline
+    text = cli.dumps_stable(tree)
+    assert text == oracles.stable_json({**tree, "timeline": list(tree["timeline"])})
+    return text
+
+
+def tick_kinds(timeline):
+    """Which kinds of tick a timeline holds: non-closing, closing, with actions."""
+    return {"non_closing" if a is prediction._NON_CLOSING else "actions" if a.actions else "closing"
+            for a in timeline.assessments}
+
+
+@pytest.mark.parametrize("disable_actions", [False, True])
+@pytest.mark.parametrize("same_lane", [False, True])
+@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+def test_a_timeline_is_written_as_its_rows(name, same_lane, disable_actions):
+    config = load(name)
+    report = simulator.run(simulator.force_same_lane(config) if same_lane else config, disable_actions)
+    assert isinstance(report.timeline, simulator.Timeline)
+    assert_written_as_its_rows(report)
+
+
+def test_a_timeline_at_half_the_time_step_is_written_as_its_rows():
+    config = load("scenario1")
+    report = simulator.run(dataclasses.replace(config, time_step=config.time_step / 2))
+    assert len(report.timeline) == 400
+    assert tick_kinds(report.timeline) == {"non_closing", "closing", "actions"}
+    assert_written_as_its_rows(report)
+
+
+def test_a_run_of_no_tick_writes_an_empty_timeline():
+    # a duration below one step, which a config refuses at construction
+    config = load("scenario1")
+    object.__setattr__(config, "duration", config.time_step / 2)
+    report = simulator.run(config)
+    assert len(report.timeline) == 0 and list(report.timeline) == []
+    assert '"timeline": []' in assert_written_as_its_rows(report)
+
+
+def test_a_timeline_reads_as_fresh_row_dicts():
+    report = simulator.run(load("scenario1"))
+    timeline = report.timeline
+    rows = [{"clock": c, "gap": g, **prediction.assessment_to_dict(a)}
+            for c, g, a in zip(timeline.clocks, timeline.gaps, timeline.assessments)]
+    assert tick_kinds(timeline) == {"non_closing", "closing", "actions"}
+    assert all(a is prediction._NON_CLOSING for a in timeline.assessments if a.t is None)
+    assert len(timeline) == len(rows) == 200
+    assert list(timeline) == rows
+    assert [timeline[k] for k in range(len(rows))] == rows
+    assert (timeline[-1], timeline[-len(rows)]) == (rows[-1], rows[0])
+    for index in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            timeline[index]
+    with pytest.raises(TypeError, match="slice"):
+        timeline[1:3]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        timeline.clocks = ()
+    assert {type(timeline.clocks), type(timeline.gaps), type(timeline.assessments)} == {tuple}
+
+    text = cli.dumps_stable(simulator.report_to_dict(report))
+    acting = next(k for k, a in enumerate(timeline.assessments) if a.actions)
+    quiet = timeline.assessments.index(prediction._NON_CLOSING)
+    for k in (acting, quiet):
+        row = timeline[k]
+        row["actions"].append({"lane": 9})
+        row["clock"] = -1.0
+    for row in timeline:
+        row["actions"].append({"lane": 9})
+    assert timeline[acting]["actions"] == rows[acting]["actions"] != []
+    assert timeline[quiet]["actions"] == [] and list(timeline) == rows
+    assert cli.dumps_stable(simulator.report_to_dict(report)) == text
+
+
+def test_reports_of_one_run_compare_equal():
+    # each run holds its own pc arrays, which ``==`` compares elementwise
+    config = load("scenario1")
+    a, b = simulator.run(config), simulator.run(config)
+    k = next(k for k, x in enumerate(a.timeline.assessments) if x.pc is not None)
+    assert a.timeline.assessments[k].pc is not b.timeline.assessments[k].pc
+    assert a == b
+    assert a.timeline != simulator.run(config, disable_actions=True).timeline
+    assert a.timeline != list(a.timeline)  # a list of the same rows is another type, as a tuple's would be
+    clocks = (a.timeline.clocks[0] + 1.0, *a.timeline.clocks[1:])
+    assert a.timeline != dataclasses.replace(a.timeline, clocks=clocks)
+
+
+@pytest.mark.parametrize("lengths", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 2, 1)])
+def test_a_timelines_columns_have_equal_lengths(lengths):
+    clocks, gaps, assessments = ((0.0,) * lengths[0], (1.0,) * lengths[1], (prediction._NON_CLOSING,) * lengths[2])
+    with pytest.raises(ValueError, match="equal lengths"):
+        simulator.Timeline(clocks, gaps, assessments)
+
+
+def test_the_non_closing_template_escapes_a_percent_in_its_fixed_text(monkeypatch):
+    # no fixed text of the row has a ``%`` today; a row shape with one
+    # in a key and a value is still written as its dict
+    to_dict = simulator.assessment_to_dict
+    monkeypatch.setattr(simulator, "assessment_to_dict", lambda a: {**to_dict(a), "100%": "%s %d %%"})
+    cli._non_closing_template.cache_clear()
+    try:
+        text = assert_written_as_its_rows(simulator.run(load("scenario3"), disable_actions=True))
+    finally:
+        cli._non_closing_template.cache_clear()
+    assert '"100%": "%s %d %%"' in text
 
 
 # --- the segmented run against the per-tick loop ---
