@@ -21,6 +21,8 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import numpy as np
+
 from . import simulator
 from .errors import CrashguardError
 from .estimation import (
@@ -31,7 +33,17 @@ from .estimation import (
     model_to_dict,
     require_frame_interval,
 )
-from .prediction import _NON_CLOSING, EncounterInput, Thresholds, assess, assessment_to_dict
+from .prediction import (
+    _NON_CLOSING,
+    CrashAssessment,
+    EncounterInput,
+    LaneAction,
+    SafetyAction,
+    Thresholds,
+    assess,
+    assessment_to_dict,
+    top_action,
+)
 
 log = logging.getLogger("crashguard")
 
@@ -91,40 +103,110 @@ def _dict_heads(keys: tuple, newline: str) -> tuple[tuple[tuple[str, str], ...],
     return tuple(heads), inner, newline + "}"
 
 
-@functools.lru_cache(maxsize=16)
-def _non_closing_template(newline: str) -> str:
-    """The ``%`` template of a non-closing timeline row opened on a line
-    that ``newline`` ends, taking the ``_float`` texts of its clock and gap
-    in that order (``"clock"`` sorts before ``"gap"``).
+# the keys of a timeline row whose values differ from tick to tick, which
+# _row_texts fills; every other value is fixed text of the row's template
+_SLOT_KEYS = frozenset(["clock", "gap", "t", "pc", "lane", "action", "target", "m1_entry", "m2_entry", "branch"])
 
-    Its fixed text is the row's memoised heads, each followed by ``_write``
-    of the row's fixed value, so its bytes are the dict path's; a ``%`` in
-    that text is escaped.
+
+def _template_text(value, newline: str, slot: bool) -> str:
+    """The ``%`` template text of a value of a sample row: ``%s`` for a
+    slot (a list of them for ``pc``), a dict or a non-empty list walked
+    value by value, and any other value as ``_write`` writes it.  A ``%``
+    in the fixed text is escaped."""
+    if slot and value is not None and type(value) is not list:
+        return "%s"
+    if type(value) is dict and value:
+        heads, inner, close = _dict_heads(tuple(value), newline)
+        parts = [head.replace("%", "%%") + _template_text(value[key], inner, key in _SLOT_KEYS) for key, head in heads]
+        return "".join(parts) + close
+    if type(value) is list and value:
+        inner = newline + "  "
+        items = ["%s" if slot else _template_text(item, inner, False) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return _write(value, newline).replace("%", "%%")
+
+
+def _row_texts(clock: float, gap: float, assessment: CrashAssessment) -> tuple[str, ...]:
+    """The texts of a timeline row's slots in its template's order, the
+    order of the sorted keys: each action's action, lane and target; the
+    clock; the top action's branch, lane, m1 and m2 entries; the gap; the
+    ``pc`` entries; ``t``."""
+    actions, pc, t = assessment.actions, assessment.pc, assessment.t
+    texts = []
+    for action in actions:
+        texts += (encode_basestring_ascii(action.action.value), int.__repr__(action.lane),
+                  encode_basestring_ascii(action.target))
+    texts.append(_float(clock))
+    if actions:
+        top = top_action(assessment)
+        texts += encode_basestring_ascii(top.branch), int.__repr__(top.lane), _float(top.m1_entry), _float(top.m2_entry)
+    texts.append(_float(gap))
+    if pc is not None:
+        texts += map(_float, pc.tolist())
+    if t is not None:
+        texts.append(_float(t))
+    return tuple(texts)
+
+
+@functools.lru_cache(maxsize=64, typed=True)  # np.True_ is no bool to the writer
+def _row_template(newline: str, closing: bool, speed_stable: bool | None, lanes: int | None,
+                  actions: int) -> str | None:
+    """The ``%`` template of a timeline row opened on a line that
+    ``newline`` ends, for an assessment of this shape: closing or not (``t``
+    set or None), its ``speed_stable``, the length of its ``pc`` (None for
+    no ``pc``) and its action count.  ``_row_texts`` fills it.
+
+    Its fixed text is the heads and ``_write`` text of the row of a sample
+    assessment of the shape, so its bytes are the dict path's.  None, for
+    the dict path, when no sample of the shape has a row (actions without a
+    ``pc`` to rank them), or when the filled template does not write the
+    sample's row as ``_write`` does (a row key that ``_row_texts`` does not
+    fill).  The sample's floats all differ, so a fill that swaps two of
+    them fails that check.
     """
-    row = simulator.Timeline.row(0.0, 0.0, _NON_CLOSING)
-    heads, inner, close = _dict_heads(tuple(row), newline)
-    parts = []
-    for key, head in heads:
-        parts.append(head.replace("%", "%%"))
-        parts.append("%s" if key in ("clock", "gap") else _write(row[key], inner).replace("%", "%%"))
-    parts.append(close.replace("%", "%%"))
-    return "".join(parts)
+    if actions and not lanes:
+        return None
+    sample = CrashAssessment(
+        t=3.0 if closing else None,
+        speed_stable=speed_stable,
+        pc=None if lanes is None else np.arange(4.0, 4.0 + lanes),
+        actions=tuple(LaneAction(k % lanes + 1, SafetyAction.ACC_ON, f"target{k}", -1.0 - k, -0.5 - k, f"branch{k}")
+                      for k in range(actions)),
+    )
+    row = simulator.Timeline.row(1.0, 2.0, sample)
+    template = _template_text(row, newline, False)
+    try:
+        written = template % _row_texts(1.0, 2.0, sample)
+    except TypeError:  # a slot count other than _row_texts's
+        return None
+    return template if written == _write(row, newline) else None
+
+
+# a second name of the template cache, which tests/test_simulator.py clears
+_non_closing_template = _row_template
 
 
 def _write_timeline(timeline: simulator.Timeline, newline: str) -> str:
-    """The JSON text of a timeline, as the list of its rows: a non-closing
-    tick from its template, any other tick by ``_write`` of its row."""
+    """The JSON text of a timeline, as the list of its rows: each tick from
+    the template of its assessment's shape, filled by ``_row_texts``; a tick
+    whose shape has no template by ``_write`` of its row."""
     if not timeline:
         return "[]"
     inner = newline + "  "
-    template = _non_closing_template(inner)
-    row = simulator.Timeline.row
-    body = ("," + inner).join([
-        template % (_float(clock), _float(gap)) if assessment is _NON_CLOSING
-        else _write(row(clock, gap, assessment), inner)
-        for clock, gap, assessment in zip(timeline.clocks, timeline.gaps, timeline.assessments)
-    ])
-    return "[" + inner + body + newline + "]"
+    non_closing = _row_template(inner, False, None, None, 0)
+    rows = []
+    for clock, gap, assessment in zip(timeline.clocks, timeline.gaps, timeline.assessments):
+        if assessment is _NON_CLOSING:
+            template = non_closing
+        else:
+            pc = assessment.pc
+            template = _row_template(inner, assessment.t is not None, assessment.speed_stable,
+                                     None if pc is None else len(pc), len(assessment.actions))
+        if template is None:
+            rows.append(_write(simulator.Timeline.row(clock, gap, assessment), inner))
+        else:
+            rows.append(template % _row_texts(clock, gap, assessment))
+    return "[" + inner + ("," + inner).join(rows) + newline + "]"
 
 
 _FLOAT_ONLY = frozenset([float])
@@ -139,7 +221,8 @@ def _write(obj, newline: str) -> str:
     join.  Anything else, such as ``np.float64`` or a subclass of dict,
     list or str, takes the ``isinstance`` tests (a bool before an int) and
     is written with the same bytes.  A ``simulator.Timeline`` is written
-    tick by tick (:func:`_write_timeline`), as the list of its rows.
+    tick by tick (:func:`_write_timeline`), as the list of its rows, each
+    from the template of its assessment's shape without a row dict.
     """
     cls = type(obj)
     if cls is float:

@@ -312,6 +312,12 @@ def matrix_power(P: StochasticMatrix, k: int) -> StochasticMatrix:
     Every product is renormalised to unit row sums, so the rows stay
     stochastic to rounding at any k, 1e16 included.  A k that is negative,
     not integral, NaN or infinite raises InvalidValue.
+
+    Squaring stops once a square is a bitwise fixed point of the next
+    squaring: every later square would be that one.  Each remaining set bit
+    of k then multiplies ``result`` by it, until ``result`` is a fixed point
+    of that product too.  Both skips leave the bytes of the full loop, and
+    a huge k costs a few dozen products rather than one per bit.
     """
     if not (0 <= k < math.inf and k == int(k)):  # NaN fails the first test
         raise InvalidValue(f"power must be a nonnegative integer, got {k!r}")
@@ -323,7 +329,17 @@ def matrix_power(P: StochasticMatrix, k: int) -> StochasticMatrix:
             result = _renormalized(result @ square)
         k >>= 1
         if k:
-            square = _renormalized(square @ square)
+            squared = _renormalized(square @ square)
+            if squared.tobytes() == square.tobytes():
+                break
+            square = squared
+    while k:
+        if k & 1:
+            product = _renormalized(result @ square)
+            if product.tobytes() == result.tobytes():
+                break
+            result = product
+        k >>= 1
     return StochasticMatrix._built(result)
 
 

@@ -60,6 +60,7 @@ __all__ = [
     "flow3_select_actions",
     "assess",
     "assess_many",
+    "top_action",
     "assessment_to_dict",
 ]
 
@@ -442,6 +443,13 @@ def assess_many(
         yield from assess_many(cars, lanes, (speeds[0][rest], speeds[1][rest]), gaps[rest], fronts[rest], thresholds)
 
 
+def top_action(assessment: CrashAssessment) -> LaneAction:
+    """The action whose lane has the highest crash probability, the first
+    of them on a tie: the one the diagnostics describe."""
+    pc = assessment.pc
+    return max(assessment.actions, key=lambda a: pc[a.lane - 1])
+
+
 def assessment_to_dict(assessment: CrashAssessment) -> dict:
     """JSON-ready form: t, speed_stable, pc, actions, and diagnostics for
     the highest-probability flagged lane."""
@@ -458,7 +466,7 @@ def assessment_to_dict(assessment: CrashAssessment) -> dict:
             {"lane": a.lane, "action": a.action.value, "target": a.target}
             for a in assessment.actions
         ]
-        top = max(assessment.actions, key=lambda a: pc[a.lane - 1])
+        top = top_action(assessment)
         data["diagnostics"] = {
             "lane": top.lane,
             "m1_entry": top.m1_entry,

@@ -17,6 +17,7 @@ from crashguard.errors import (
     DimensionMismatch,
     DuplicateFrame,
     IllConditioned,
+    InvalidValue,
     LaneOutOfRange,
     NegativeEntry,
     NotSquare,
@@ -296,6 +297,24 @@ def stable_json(obj):
 # return the same bytes and raise the same errors.  The bodies are kept as
 # they were, so the fused versions are compared with the originals, except
 # that a row whose finite entries sum to NaN now counts as drifted.
+
+def reference_matrix_power(P: StochasticMatrix, k: int) -> StochasticMatrix:
+    """P^k by binary powering with one renormalised squaring per bit of k."""
+    if not (0 <= k < math.inf and k == int(k)):  # NaN fails the first test
+        raise InvalidValue(f"power must be a nonnegative integer, got {k!r}")
+    k = int(k)
+    result = np.eye(P.n)
+    square = P.entries
+    while k:
+        if k & 1:
+            result = result @ square
+            result = result / result.sum(axis=1, keepdims=True)
+        k >>= 1
+        if k:
+            square = square @ square
+            square = square / square.sum(axis=1, keepdims=True)
+    return StochasticMatrix._built(result)
+
 
 def eig_condition(vecs, inverse):
     """The condition estimate ||V||_1 ||V^-1||_1 through numpy's norm."""

@@ -384,6 +384,69 @@ def test_huge_power_of_a_regular_chain_is_the_limiting_matrix():
         np.testing.assert_allclose(Pk, markov.limiting_matrix(P), atol=1e-12, rtol=0)
 
 
+@st.composite
+def power_chains(draw):
+    """A seeded chain of 2-6 states: regular (dense), periodic (each state
+    moves to the next of 2-n cyclic classes; n classes make a permutation)
+    or with 1 to n-1 absorbing states among sparse rows."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("regular", "periodic", "absorbing")))
+    if kind == "regular":
+        a = rng.random((n, n)) + 0.01
+    elif kind == "periodic":
+        classes = np.arange(n) % draw(st.integers(2, n))
+        a = (rng.random((n, n)) + 0.01) * (classes[None, :] == (classes[:, None] + 1) % (classes.max() + 1))
+    else:
+        a = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+        a[np.arange(n), rng.integers(0, n, n)] += 0.05  # no empty row
+        absorbing = rng.choice(n, draw(st.integers(1, n - 1)), replace=False)
+        a[absorbing] = 0.0
+        a[absorbing, absorbing] = 1.0
+    return markov.validate_stochastic(a / a.sum(axis=1, keepdims=True))
+
+
+huge_exponents = st.one_of(
+    st.integers(0, 64),
+    st.integers(0, 2**1023),
+    st.integers(2**1024, 2**1100),  # beyond float range
+    st.sampled_from([2**1000 + 12345, 2**1023 - 1, 2**1023, 10**16, 1e300, 2.0**1023]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(power_chains(), huge_exponents)
+def test_matrix_power_gives_the_bytes_of_one_squaring_per_bit(P, k):
+    assert markov.matrix_power(P, k).entries.tobytes() == oracles.reference_matrix_power(P, k).entries.tobytes()
+
+
+@pytest.mark.parametrize("k", [2**1000 + 12345, 2**1023 - 1, 10**300], ids=["2^1000+12345", "2^1023-1", "10^300"])
+def test_a_huge_power_of_a_scenario_chain_takes_a_few_dozen_products(k, monkeypatch):
+    # the squares of a scenario-1 chain settle after 17-30 squarings, and
+    # the result soon after; one product per bit of k would be ~2000
+    products = []
+    renormalized = markov._renormalized
+    monkeypatch.setattr(markov, "_renormalized", lambda a: products.append(1) or renormalized(a))
+    for P in scenario1_lane_chains():
+        products.clear()
+        got = markov.matrix_power(P, k).entries
+        assert len(products) < 100
+        assert got.tobytes() == oracles.reference_matrix_power(P, k).entries.tobytes()
+
+
+def test_a_power_of_a_cycle_squares_once_per_bit():
+    # the squares of a 3-cycle alternate between two permutations, so none
+    # is a fixed point and every bit of k takes its squaring
+    cycle = markov.validate_stochastic([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    k = 2**200 + 1
+    products = []
+    renormalized = markov._renormalized
+    with mock.patch.object(markov, "_renormalized", lambda a: products.append(1) or renormalized(a)):
+        got = markov.matrix_power(cycle, k).entries
+    assert len(products) == 202  # 200 squarings and 2 set bits
+    assert np.array_equal(got, np.linalg.matrix_power(cycle.entries, k % 3))
+
+
 @pytest.mark.parametrize("exponent", [-1, -0.5, 2.5, math.inf, -math.inf, math.nan])
 def test_matrix_power_rejects_an_exponent_that_is_not_a_nonnegative_integer(exponent):
     with pytest.raises(InvalidValue, match="nonnegative integer"):

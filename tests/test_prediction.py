@@ -518,6 +518,7 @@ def test_assessment_to_dict_shape():
 @pytest.mark.parametrize("pc,lane", [
     ([0.0, 0.6, 0.1, 0.4, 0.0, 0.0], 2),
     ([0.0, 0.4, 0.1, 0.6, 0.0, 0.0], 4),
+    ([0.0, 0.4, 0.1, 0.4, 0.0, 0.0], 2),  # a tie goes to the first action
 ])
 def test_assessment_to_dict_diagnoses_the_flagged_lane_with_the_larger_pc(pc, lane):
     pc = np.array(pc)
@@ -525,7 +526,10 @@ def test_assessment_to_dict_diagnoses_the_flagged_lane_with_the_larger_pc(pc, la
     actions = prediction.flow3_select_actions(enc, pc, 4.0)
     assert [a.lane for a in actions] == [2, 4]
     assessment = prediction.CrashAssessment(t=4.0, speed_stable=True, pc=pc, actions=actions)
+    assert prediction.top_action(assessment).lane == lane
     assert prediction.assessment_to_dict(assessment)["diagnostics"]["lane"] == lane
+    reversed_actions = replace(assessment, actions=actions[::-1])
+    assert prediction.top_action(reversed_actions).lane == (4 if pc[1] == pc[3] else lane)
 
 
 def test_thresholds_validated():

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from crashguard import cli, markov, prediction, simulator
+from crashguard import cli, markov, prediction, simulator, synthetic
 from crashguard.errors import InvalidValue, LeadBehindEgo, SchemaError, SpeedOutOfRange
 from crashguard.prediction import SafetyAction, Thresholds
 from crashguard.simulator import AccParams, CarState
@@ -651,6 +651,136 @@ def test_the_non_closing_template_escapes_a_percent_in_its_fixed_text(monkeypatc
     finally:
         cli._non_closing_template.cache_clear()
     assert '"100%": "%s %d %%"' in text
+
+
+ROW_NEWLINE = "\n    "  # a timeline row's indentation in a report
+
+
+def row_shape(assessment):
+    """The shape that picks an assessment's row template."""
+    pc = assessment.pc
+    return assessment.t is not None, assessment.speed_stable, None if pc is None else len(pc), len(assessment.actions)
+
+
+def test_the_closing_and_action_templates_escape_a_percent_in_their_fixed_text(monkeypatch):
+    # a key and a fixed value with a ``%`` at the top of each row, in each
+    # action and in the diagnostics
+    to_dict = simulator.assessment_to_dict
+
+    def with_percents(assessment):
+        data = {**to_dict(assessment), "100%": "%s %d %%"}
+        data["actions"] = [{**action, "5%": "%d"} for action in data["actions"]]
+        if data["diagnostics"] is not None:
+            data["diagnostics"]["%"] = "%%"
+        return data
+
+    monkeypatch.setattr(simulator, "assessment_to_dict", with_percents)
+    cli._row_template.cache_clear()
+    try:
+        report = simulator.run(load("scenario1"))
+        text = assert_written_as_its_rows(report)
+        shapes = {row_shape(a) for a in report.timeline.assessments}
+        assert None not in {cli._row_template(ROW_NEWLINE, *shape) for shape in shapes}
+    finally:
+        cli._row_template.cache_clear()
+    assert tick_kinds(report.timeline) == {"non_closing", "closing", "actions"}
+    assert {'"100%": "%s %d %%"', '"5%": "%d"', '"%": "%%"'} <= set(line.strip(" ,") for line in text.splitlines())
+
+
+def test_a_timeline_of_known_shapes_is_written_without_a_row_dict(monkeypatch):
+    tree = simulator.report_to_dict(simulator.run(load("scenario1")))
+    text = cli.dumps_stable(tree)  # memoises the templates of its three shapes
+    assert tick_kinds(tree["timeline"]) == {"non_closing", "closing", "actions"}
+    monkeypatch.setattr(simulator.Timeline, "row", staticmethod(lambda *row: pytest.fail("a row dict was built")))
+    assert cli.dumps_stable(tree) == text
+
+
+def test_a_row_key_the_texts_do_not_fill_takes_the_dict_path(monkeypatch):
+    to_dict = simulator.assessment_to_dict
+
+    def renamed(assessment):
+        data = to_dict(assessment)
+        if data["diagnostics"] is not None:
+            data["diagnostics"]["m1"] = data["diagnostics"].pop("m1_entry")
+        return data
+
+    monkeypatch.setattr(simulator, "assessment_to_dict", renamed)
+    cli._row_template.cache_clear()
+    try:
+        report = simulator.run(load("scenario1"))
+        text = assert_written_as_its_rows(report)
+        acting = next(a for a in report.timeline.assessments if a.actions)
+        assert cli._row_template(ROW_NEWLINE, *row_shape(acting)) is None
+        assert cli._row_template(ROW_NEWLINE, *row_shape(prediction._NON_CLOSING)) is not None
+    finally:
+        cli._row_template.cache_clear()
+    assert '"m1": ' in text
+
+
+def test_a_timeline_with_several_actions_on_a_tick_and_an_unstable_speed_is_written_as_its_rows():
+    # car 1 leaves its speed bin half the time once past 40 m/s, and a low
+    # crash threshold flags two lanes on some ticks
+    config = load("scenario1")
+    car = config.cars[0]
+    speed_chain = synthetic.with_rows(car.model.speed_chain, {5: [0, 0, 0, 0.25, 0.5, 0.25]})
+    car = dataclasses.replace(car, model=dataclasses.replace(car.model, speed_chain=speed_chain))
+    config = dataclasses.replace(config, cars=(car, config.cars[1]), thresholds=Thresholds(0.2, 0.01))
+    report = simulator.run(config, disable_actions=True)
+    assessments = report.timeline.assessments
+    assert max(len(a.actions) for a in assessments) == 2
+    assert any(a.speed_stable is False for a in assessments)
+    assert cli.dumps_stable(report.timeline) == oracles.stable_json(list(report.timeline))
+    assert_written_as_its_rows(report)
+
+
+@pytest.mark.parametrize("assessment,message", [
+    # actions without a pc to rank them: no template
+    (prediction.CrashAssessment(1.5, True, None, (prediction.LaneAction(2, SafetyAction.ACC_ON, "car1", 1.0, 2.0, "m1"),)),
+     "not subscriptable"),
+    # a numpy bool, even once the template of a bool speed gate is memoised
+    (prediction.CrashAssessment(1.5, np.True_, np.full(6, 0.25), ()), "not JSON serializable"),
+])
+def test_an_assessment_whose_row_cannot_be_written_raises_as_its_row_does(assessment, message):
+    # memoise the template of the nearest shape that can be written
+    cli.dumps_stable(simulator.Timeline((0.0,), (1.0,), (dataclasses.replace(assessment, speed_stable=True, actions=()),)))
+    timeline = simulator.Timeline((0.0,), (1.0,), (assessment,))
+    for write in (cli.dumps_stable, lambda t: oracles.stable_json(list(t))):
+        with pytest.raises(TypeError, match=message):
+            write(timeline)
+
+
+# every float edge: NaN, the infinities, signed zeros, negative and subnormal values
+row_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-310, 1e16, -1.5e-7]),
+    st.integers(-(2 ** 52) + 1, 2 ** 52 - 1).map(lambda m: m * 5e-324),
+)
+
+
+@st.composite
+def assessments(draw):
+    """A hand-built assessment: closing or not, any speed gate, 0-3 actions
+    on lanes that its pc ranks, and floats of every kind."""
+    actions = draw(st.integers(0, 3))
+    lanes = draw(st.integers(1, 6) if actions else st.none() | st.integers(0, 6))
+    pc = None if lanes is None else np.array(draw(st.lists(row_floats, min_size=lanes, max_size=lanes)))
+    return prediction.CrashAssessment(
+        t=draw(st.none() | row_floats),
+        speed_stable=draw(st.sampled_from([True, False, None])),
+        pc=pc,
+        actions=tuple(prediction.LaneAction(
+            draw(st.integers(1, lanes)), draw(st.sampled_from(SafetyAction)), draw(st.text(max_size=4)),
+            draw(row_floats), draw(row_floats), draw(st.sampled_from(["m1", "m2", "else"]) | st.text(max_size=4)),
+        ) for _ in range(actions)),
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(assessments(), row_floats, row_floats)
+def test_an_assessment_alone_in_a_timeline_is_written_as_its_row(assessment, clock, gap):
+    timeline = simulator.Timeline((clock,), (gap,), (assessment,))
+    assert cli.dumps_stable(timeline) == oracles.stable_json(list(timeline))
+    assert cli.dumps_stable({"timeline": timeline}) == oracles.stable_json({"timeline": list(timeline)})
 
 
 # --- the segmented run against the per-tick loop ---

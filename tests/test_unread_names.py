@@ -10,6 +10,14 @@ loads it as a name or as an attribute; a member, only where it is loaded as
 an attribute, so a local variable that shares a field's name reads nothing.
 An import and an ``__all__`` entry are not reads.
 
+An attribute load reads the member of the receiver's class where the
+source says that class: ``self`` (or ``cls``) in a method, a parameter or
+local annotated with a class of the package (``X``, ``"X"`` or
+``X | None``), a field so annotated in a class body, or the class's own
+name.  It then reads that class's member, and the member of each class
+above or below it, which a call may dispatch to.  A load through any other
+receiver reads every member of that name, so the scan errs toward "read".
+
 One rule exempts names: the attributes that a ``CrashguardError`` subclass
 stores in ``__init__`` are fault data that callers read off the exception.
 
@@ -31,6 +39,10 @@ FAULT_BASE = "CrashguardError"
 
 # qualified name -> (the file outside src/ that reads it, why it stays in the package)
 READERS = {
+    "cli._non_closing_template": (
+        "tests/test_simulator.py",
+        "the timeline writer's one template cache under its former name, which the percent-escape test clears",
+    ),
     "markov.matrix_power_real": (
         "demos/01_markov_chain_basics.py",
         "the whole fractional power P^t, which propagate builds row by row; the demo and README show it",
@@ -110,25 +122,164 @@ def defined_names(sources: dict[str, str]) -> dict[str, tuple[str, bool]]:
     return defined
 
 
+def _annotated_class(annotation: ast.expr | None, classes: dict) -> str | None:
+    """The package class that an annotation names: ``X``, ``"X"`` or
+    either with ``| None``; None for any other annotation."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval").body
+    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        sides = [side for side in (annotation.left, annotation.right)
+                 if not (isinstance(side, ast.Constant) and side.value is None)]
+        annotation = sides[0] if len(sides) == 1 else None
+    if isinstance(annotation, ast.Name) and annotation.id in classes:
+        return annotation.id
+    return None
+
+
+class _Reads(ast.NodeVisitor):
+    """The names that a module loads, and each attribute it loads as
+    ``(class of the receiver or None, attribute)``."""
+
+    def __init__(self, classes: dict[str, ast.ClassDef], fields: dict[str, dict[str, str]]):
+        self.classes, self.fields = classes, fields
+        self.scope: dict[str, str] = {}  # a name in scope -> the package class it holds
+        self.names: set[str] = set()
+        self.attributes: set[tuple[str | None, str]] = set()
+
+    def receiver(self, node: ast.expr) -> str | None:
+        if isinstance(node, ast.Name):
+            return self.scope.get(node.id, node.id if node.id in self.classes else None)
+        if isinstance(node, ast.Attribute):
+            owner = self.receiver(node.value)
+            return owner and self.fields[owner].get(node.attr)
+        return None
+
+    def visit_Name(self, node: ast.Name):
+        if isinstance(node.ctx, ast.Load):
+            self.names.add(node.id)
+        else:
+            self.scope.pop(node.id, None)  # rebound: its class is no longer known
+
+    def visit_Attribute(self, node: ast.Attribute):
+        if isinstance(node.ctx, ast.Load):
+            self.attributes.add((self.receiver(node.value), node.attr))
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign):
+        self.generic_visit(node)
+        if isinstance(node.target, ast.Name) and (cls := _annotated_class(node.annotation, self.classes)):
+            self.scope[node.target.id] = cls
+
+    def visit_ClassDef(self, node: ast.ClassDef):
+        for child in (*node.bases, *node.keywords, *node.decorator_list):
+            self.visit(child)
+        outer, body = self.scope, dict(self.scope)
+        for statement in node.body:
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self.scope = outer  # a method sees no name that the class body binds
+                self.function(statement, node.name)
+            else:
+                self.scope = body
+                self.visit(statement)
+        self.scope = outer
+
+    def visit_FunctionDef(self, node):
+        self.function(node, None)
+
+    visit_AsyncFunctionDef = visit_Lambda = visit_FunctionDef
+
+    def function(self, node, owner: str | None):
+        """Visit a function, lambda or method of ``owner`` in a scope of its
+        own: its parameters shadow the outer names, and an annotated one, or
+        a method's first, holds a class."""
+        outer = self.scope
+        args = node.args
+        params = [p for p in (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg) if p]
+        outside = [*args.defaults, *args.kw_defaults, *getattr(node, "decorator_list", ()),
+                   *(p.annotation for p in params), getattr(node, "returns", None)]
+        for child in outside:
+            if child is not None:
+                self.visit(child)
+        self.scope = dict(outer)
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in getattr(node, "decorator_list", ()))
+        for index, param in enumerate(params):
+            cls = owner if index == 0 and owner and not static else _annotated_class(param.annotation, self.classes)
+            if cls:
+                self.scope[param.arg] = cls
+            else:
+                self.scope.pop(param.arg, None)
+        for statement in node.body if isinstance(node.body, list) else [node.body]:
+            self.visit(statement)
+        self.scope = outer
+
+    def comprehension_scope(self, node):
+        outer, self.scope = self.scope, dict(self.scope)
+        self.generic_visit(node)
+        self.scope = outer
+
+    visit_ListComp = visit_SetComp = visit_DictComp = visit_GeneratorExp = comprehension_scope
+
+
+def _class_relations(trees: dict[str, ast.Module]) -> tuple[dict, dict, dict]:
+    """The package's classes by name; each class's annotated fields, its
+    bases' first, as ``{field: class}``; and each class's related classes,
+    itself and every class above or below it."""
+    classes = {node.name: node for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)}
+    bases = {name: [base.id for base in node.bases if isinstance(base, ast.Name) and base.id in classes]
+             for name, node in classes.items()}
+
+    def ancestors(name: str) -> list[str]:
+        return [name] + [above for base in bases[name] for above in ancestors(base)]
+
+    fields = {}
+    for name in classes:
+        fields[name] = {}
+        for cls in reversed(ancestors(name)):
+            fields[name].update((statement.target.id, annotated) for statement in classes[cls].body
+                                if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
+                                and (annotated := _annotated_class(statement.annotation, classes)))
+    related = {name: set() for name in classes}
+    for name in classes:
+        for above in ancestors(name):
+            related[name].add(above)
+            related[above].add(name)
+    return classes, fields, related
+
+
 def unread_names(sources: dict[str, str]) -> list[str]:
     """The qualified names that the modules ``{module: source}`` define and
     never read, as the module docstring states the rule."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    classes, fields, related = _class_relations(trees)
     names, attributes = set(), set()
-    for source in sources.values():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                attributes.add(node.attr)
+    for tree in trees.values():
+        reads = _Reads(classes, fields)
+        reads.visit(tree)
+        names |= reads.names
+        attributes |= reads.attributes
+    anywhere = {attribute for _, attribute in attributes}
+    unresolved = {attribute for cls, attribute in attributes if cls is None}
+    resolved = {(other, attribute) for cls, attribute in attributes if cls for other in related[cls]}
+
+    def read(qualified: str, leaf: str, member: bool) -> bool:
+        if not member:
+            return leaf in names or leaf in anywhere
+        return leaf in unresolved or (qualified.split(".")[-2], leaf) in resolved
+
     return sorted(qualified for qualified, (leaf, member) in defined_names(sources).items()
-                  if leaf not in attributes and (member or leaf not in names))
+                  if not read(qualified, leaf, member))
+
+
+def package_sources() -> dict[str, str]:
+    """``{module: source}`` of each module of the package."""
+    return {path.relative_to(SRC).with_suffix("").as_posix().replace("/", "."): path.read_text(encoding="utf-8")
+            for path in sorted(SRC.rglob("*.py"))}
 
 
 @functools.cache
 def package_scan() -> tuple[dict[str, tuple[str, bool]], list[str]]:
     """``defined_names`` and ``unread_names`` of the package, scanned once."""
-    sources = {path.relative_to(SRC).with_suffix("").as_posix().replace("/", "."): path.read_text(encoding="utf-8")
-               for path in sorted(SRC.rglob("*.py"))}
+    sources = package_sources()
     return defined_names(sources), unread_names(sources)
 
 
@@ -184,6 +335,79 @@ def test_planted_unread_names_are_found():
         "planted.main",
         "planted.unread_function",  # an __all__ entry is no read
     ]
+
+
+RECEIVERS = '''
+import dataclasses
+
+
+@dataclasses.dataclass
+class Limits:
+    duration: float
+    margin: float
+
+
+@dataclasses.dataclass
+class Config:
+    duration: float
+    limits: Limits
+    steps: int
+
+    def total(self):
+        return self.duration * self.steps
+
+
+@dataclasses.dataclass
+class Report:
+    duration: float
+    margin: float
+    steps: int
+
+    @classmethod
+    def make(cls, config: "Config | None"):
+        return cls(config.limits.duration, 0.0, 0)
+
+
+class Base:
+    def describe(self):
+        return self.label()
+
+    def label(self):
+        return "base"
+
+
+class Special(Base):
+    def label(self):
+        return "special"
+
+
+class Other:
+    def label(self):
+        return "other"
+
+
+def run(config: Config, rows) -> Report:
+    limits: Limits = config.limits
+    for row in rows:
+        print(row.steps, (lambda config: config.margin)(row))
+    return Report.make(config), limits.margin, config.total(), Special().describe(), Other
+'''
+
+
+def test_a_read_through_a_receiver_of_known_class_reads_only_its_classes_member():
+    assert unread_names({"receivers": RECEIVERS}) == [
+        "receivers.Other.label",  # only Base's and Special's label are read, through self
+        "receivers.Report.duration",  # the durations read are Config's and Limits's
+        "receivers.run",
+    ]  # Report.margin is read through a lambda's own config, of no known class
+
+
+def test_a_planted_unread_field_of_a_report_fails_the_package_scan():
+    sources = package_sources()
+    field = "    timeline: Sequence[dict]\n"
+    assert sources["simulator"].count(field) == 1
+    sources["simulator"] = sources["simulator"].replace(field, field + "    duration: float = 0.0\n")
+    assert [name for name in unread_names(sources) if name not in READERS] == ["simulator.SimReport.duration"]
 
 
 def test_every_name_in_src_is_read_or_has_a_reader():
